@@ -9,7 +9,6 @@ numeric or exact-rational derivative jets.
 """
 
 from .coeffs import (
-    BigRational,
     CheckReport,
     SignedCoefficient,
     binom,
@@ -20,6 +19,7 @@ from .coeffs import (
     zgamma_sum,
 )
 from .errors import (
+    CapError,
     DomainError,
     FormulaError,
     JetError,

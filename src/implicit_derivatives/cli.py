@@ -4,19 +4,26 @@ Subcommands: ``formula`` (render a derivative formula), ``verify`` (run
 invariant suites), ``eval`` (evaluate on a jet or built-in problem), and
 ``count`` (family sizes by stratum).  Exit codes: 0 success, 1 failed
 verification, 2 invalid usage, 3 order above the cap, 4 singular jet,
-5 unparseable input.  The order cap defaults to 12 and can be raised
-with --cap or the IMPLICIT_JET_MAX_N environment variable.
+5 unparseable input.  The order cap is set by ``--cap N`` (N >= 1,
+default 12) and can never exceed the hard limit of 30; an order above
+either exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, JetError, SingularJetError
+from .errors import (
+    HARD_CAP,
+    CapError,
+    DomainError,
+    JetError,
+    SingularJetError,
+    check_order,
+)
 from .formula import (
     delta_formula,
     elementary_formula,
@@ -35,7 +42,6 @@ from .partitions import enumerate_A, enumerate_B
 from .verification import SUITES, run_suites
 
 DEFAULT_CAP = 12
-ENV_CAP = "IMPLICIT_JET_MAX_N"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,6 +51,13 @@ EXIT_SINGULAR = 4
 EXIT_PARSE = 5
 
 
+def _cap(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"cap must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="implicit-deriv",
@@ -52,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cap",
-        type=int,
-        default=None,
-        help=f"order cap (default {DEFAULT_CAP}, or ${ENV_CAP})",
+        type=_cap,
+        default=DEFAULT_CAP,
+        help=f"order cap, at least 1 (default {DEFAULT_CAP}, never above {HARD_CAP})",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -94,48 +107,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cap(parser: argparse.ArgumentParser, args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get(ENV_CAP)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            parser.error(f"{ENV_CAP} must be an integer, got {env!r}")
-    return DEFAULT_CAP
-
-
 def _scalar_json(value):
     if isinstance(value, Fraction):
         return str(value)
     return value
 
 
-def _cmd_formula(args, cap: int) -> int:
-    if args.n > cap:
-        print(f"order {args.n} exceeds cap {cap}", file=sys.stderr)
-        return EXIT_OVER_CAP
-    try:
-        if args.form == "delta":
-            formula = delta_formula(args.n)
-        elif args.form == "elementary":
-            formula = elementary_formula(args.n)
-        elif args.form == "inverse":
-            formula = inverse_function_formula(args.n)
-        else:
-            formula = specialize_fx_zero(elementary_formula(args.n))
-        print(render(formula, args.format))
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_formula(args) -> int:
+    if args.form == "delta":
+        formula = delta_formula(args.n)
+    elif args.form == "elementary":
+        formula = elementary_formula(args.n)
+    elif args.form == "inverse":
+        formula = inverse_function_formula(args.n)
+    else:
+        formula = specialize_fx_zero(elementary_formula(args.n))
+    print(render(formula, args.format))
     return EXIT_OK
 
 
-def _cmd_verify(args, cap: int) -> int:
-    if args.max_n > cap:
-        print(f"order {args.max_n} exceeds cap {cap}", file=sys.stderr)
-        return EXIT_OVER_CAP
+def _cmd_verify(args) -> int:
     reports = run_suites([args.suite], args.max_n)
     failed = 0
     for report in reports:
@@ -154,13 +145,8 @@ def _cmd_verify(args, cap: int) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def _cmd_eval(args, cap: int) -> int:
-    if args.n > cap:
-        print(f"order {args.n} exceeds cap {cap}", file=sys.stderr)
-        return EXIT_OVER_CAP
-    if args.n < 2:
-        print("evaluation needs order >= 2", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_eval(args) -> int:
+    check_order(args.n, 2)
     try:
         if args.problem:
             problem = builtin_problem(args.problem)
@@ -208,10 +194,7 @@ def _cmd_eval(args, cap: int) -> int:
     return EXIT_OK
 
 
-def _cmd_count(args, cap: int) -> int:
-    if args.max_n > cap:
-        print(f"order {args.max_n} exceeds cap {cap}", file=sys.stderr)
-        return EXIT_OVER_CAP
+def _cmd_count(args) -> int:
     enumerate_family = enumerate_A if args.family == "A" else enumerate_B
     start = 2 if args.family == "A" else 1
     print("family\tn\tstratum\tcount")
@@ -227,20 +210,25 @@ def _cmd_count(args, cap: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cap = _resolve_cap(parser, args)
+    args = build_parser().parse_args(argv)
+    order = args.max_n if args.command in ("verify", "count") else args.n
+    cap = min(args.cap, HARD_CAP)
     try:
+        if order > cap:
+            raise CapError(f"order {order} exceeds cap {cap}")
         if args.command == "formula":
-            return _cmd_formula(args, cap)
+            return _cmd_formula(args)
         if args.command == "verify":
-            return _cmd_verify(args, cap)
+            return _cmd_verify(args)
         if args.command == "eval":
-            return _cmd_eval(args, cap)
-        return _cmd_count(args, cap)
+            return _cmd_eval(args)
+        return _cmd_count(args)
+    except CapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OVER_CAP
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVER_CAP if "cap" in str(exc) else EXIT_USAGE
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -27,9 +27,6 @@ from typing import NamedTuple
 from .errors import DomainError
 from .partitions import Multiplicities, enumerate_A, enumerate_Z, predecessors
 
-#: Exact rational scalar used for every coefficient computation.
-BigRational = Fraction
-
 
 def binom(a: int, b: int) -> int:
     """Binomial coefficient, 0 outside the range 0 <= b <= a."""
@@ -81,7 +78,7 @@ def signed_coeff(alpha: Multiplicities) -> SignedCoefficient:
     return SignedCoefficient(sign, coeff_C(alpha))
 
 
-def zgamma_sum(gamma: Multiplicities, s10: int) -> BigRational:
+def zgamma_sum(gamma: Multiplicities, s10: int) -> Fraction:
     """Weighted sum over the refinement systems of ``gamma``.
 
     Each system contributes prod s! * prod_j binom(t, j)^q / q!.  The
@@ -132,6 +129,15 @@ def _recursion_weight(record, beta: Multiplicities) -> int:
     return beta.sum_r + 2 * beta.get((2, 0))
 
 
+def signed_recursion_weight(record, beta: Multiplicities) -> int:
+    """Multiplier of the predecessor's signed coefficient in the signed C-recursion.
+
+    "minus" records enter with +, "b" and "d" records with -.
+    """
+    weight = _recursion_weight(record, beta)
+    return weight if record.kind == "minus" else -weight
+
+
 def verify_C_recursion(n: int) -> CheckReport:
     """Rebuild every order-(n+1) coefficient from order-n ones and compare.
 
@@ -149,9 +155,7 @@ def verify_C_recursion(n: int) -> CheckReport:
             for rec in records
         )
         signed = sum(
-            (1 if rec.kind == "minus" else -1)
-            * _recursion_weight(rec, beta)
-            * signed_coeff(rec.predecessor).value
+            signed_recursion_weight(rec, beta) * signed_coeff(rec.predecessor).value
             for rec in records
         )
         report.record(

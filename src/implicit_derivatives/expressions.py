@@ -30,24 +30,20 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, FormulaError
-from .keys import VectorKey
+from .keys import VectorKey, merge_entries
 
 Coefficient = Fraction
 FORMATS = ("plain", "latex", "json")
 
 
-def _normalize_entries(entries, *, allow_key) -> tuple[tuple[VectorKey, int], ...]:
-    merged: dict[VectorKey, int] = {}
+def _check_entries(entries, allow_key) -> None:
     for key, power in entries:
-        k = VectorKey(int(key[0]), int(key[1]))
-        if k.l < 0 or k.r < 0:
-            raise FormulaError(f"negative indices in key {tuple(k)}")
-        if not allow_key(k):
-            raise FormulaError(f"key {tuple(k)} not allowed in this monomial")
-        merged[k] = merged.get(k, 0) + int(power)
-    if any(p < 0 for p in merged.values()):
-        raise FormulaError("negative power in monomial")
-    return tuple(sorted((k, p) for k, p in merged.items() if p > 0))
+        if key.l < 0 or key.r < 0:
+            raise FormulaError(f"negative indices in key {tuple(key)}")
+        if not allow_key(key):
+            raise FormulaError(f"key {tuple(key)} not allowed in this monomial")
+        if power < 0:
+            raise FormulaError("negative power in monomial")
 
 
 @dataclass(frozen=True)
@@ -58,8 +54,9 @@ class DeltaMonomial:
     fy_power: int
 
     def __post_init__(self) -> None:
-        cleaned = _normalize_entries(self.factors, allow_key=lambda k: k.l + k.r >= 2)
-        object.__setattr__(self, "factors", cleaned)
+        factors = merge_entries(self.factors)
+        _check_entries(factors, lambda k: k.l + k.r >= 2)
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "fy_power", int(self.fy_power))
 
     @property
@@ -88,10 +85,9 @@ class ElemMonomial:
     fy_power: int
 
     def __post_init__(self) -> None:
-        cleaned = _normalize_entries(
-            self.exponents, allow_key=lambda k: k not in ((0, 0), (0, 1))
-        )
-        object.__setattr__(self, "exponents", cleaned)
+        exponents = merge_entries(self.exponents)
+        _check_entries(exponents, lambda k: k not in ((0, 0), (0, 1)))
+        object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "fy_power", int(self.fy_power))
 
     @property
@@ -316,7 +312,7 @@ def formula_from_json(text: str) -> Formula:
                     Fraction(item["coeff"]),
                     DeltaMonomial(
                         tuple(
-                            (VectorKey(f["l"], f["r"]), f["power"])
+                            (VectorKey(int(f["l"]), int(f["r"])), int(f["power"]))
                             for f in item["factors"]
                         ),
                         item["fy_power"],
@@ -331,7 +327,7 @@ def formula_from_json(text: str) -> Formula:
                     Fraction(item["coeff"]),
                     ElemMonomial(
                         tuple(
-                            (VectorKey(e["p"], e["t"]), e["power"])
+                            (VectorKey(int(e["p"]), int(e["t"])), int(e["power"]))
                             for e in item["exponents"]
                         ),
                         item["fy_power"],

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import binom, coeff_D, signed_coeff
-from .errors import DomainError, FormulaError
+from .coeffs import binom, coeff_D, signed_coeff, signed_recursion_weight
+from .errors import DomainError, FormulaError, check_order
 from .expressions import (
     DeltaFormula,
     DeltaMonomial,
@@ -28,14 +28,8 @@ from .expressions import (
     ElemMonomial,
     render,
 )
-from .partitions import (
-    HARD_CAP,
-    Multiplicities,
-    VectorKey,
-    enumerate_A,
-    enumerate_B,
-    predecessors,
-)
+from .keys import VectorKey, merge_entries
+from .partitions import Multiplicities, enumerate_A, enumerate_B, predecessors
 
 __all__ = [
     "delta_formula",
@@ -52,8 +46,7 @@ __all__ = [
 
 def delta_formula(n: int) -> DeltaFormula:
     """The order-n derivative in compact block form, one term per family-A element."""
-    if n < 2 or n > HARD_CAP:
-        raise DomainError(f"block form needs 2 <= n <= {HARD_CAP}, got {n}")
+    check_order(n, 2)
     terms = []
     for alpha in enumerate_A(n):
         coeff = Fraction(signed_coeff(alpha).value)
@@ -139,28 +132,19 @@ def delta_formula_via_recursion(n: int) -> DeltaFormula:
     """Rebuild the compact form from the coefficient recursion alone.
 
     Starting from the single order-2 coefficient -1, every order-(m+1)
-    coefficient is assembled from its predecessor records: "minus"
-    contributions enter with weight (mu[l-1,r] + 1), "b" contributions
-    with -(l+1)(mu[l+1,r-1] + 1), and the "d" contribution with
-    -(sum r*mu + 2 mu[2,0]).  The box-counting coefficients are never
-    consulted, so this is an independent route to the same formula.
+    coefficient is assembled from its predecessor records, each weighted
+    by :func:`~implicit_derivatives.coeffs.signed_recursion_weight`.  The
+    box-counting coefficients are never consulted, so this is an
+    independent route to the same formula.
     """
-    if n < 2 or n > HARD_CAP:
-        raise DomainError(f"block form needs 2 <= n <= {HARD_CAP}, got {n}")
+    check_order(n, 2)
     table = {Multiplicities.from_dict({(2, 0): 1}): Fraction(-1)}
     for m in range(3, n + 1):
         new_table = {}
         for beta in enumerate_A(m):
             value = Fraction(0)
             for record in predecessors(beta, m):
-                if record.kind == "minus":
-                    key = record.pivot
-                    weight = beta.get((key.l - 1, key.r)) + 1
-                elif record.kind == "b":
-                    key = record.pivot
-                    weight = -(key.l + 1) * (beta.get((key.l + 1, key.r - 1)) + 1)
-                else:
-                    weight = -(beta.sum_r + 2 * beta.get((2, 0)))
+                weight = signed_recursion_weight(record, beta)
                 value += weight * table[record.predecessor]
             new_table[beta] = value
         table = new_table
@@ -180,18 +164,11 @@ def delta_formula_via_recursion(n: int) -> DeltaFormula:
 _Poly = dict[tuple, Fraction]
 
 
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    exps = dict(a)
-    for key, e in b:
-        exps[key] = exps.get(key, 0) + e
-    return tuple(sorted((k, e) for k, e in exps.items() if e))
-
-
 def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
     out: _Poly = {}
     for mono_a, ca in a.items():
         for mono_b, cb in b.items():
-            key = _mono_mul(mono_a, mono_b)
+            key = merge_entries(mono_a + mono_b)
             value = out.get(key, Fraction(0)) + ca * cb
             if value:
                 out[key] = value
@@ -222,7 +199,7 @@ def expand_block(l: int, p0: int = 0, t0: int = 0) -> _Poly:
             entries.append((VectorKey(1, 0), j))
         if l - j:
             entries.append((VectorKey(0, 1), l - j))
-        key = _mono_mul(tuple(), tuple(entries))
+        key = merge_entries(entries)
         coeff = Fraction((-1) ** j * binom(l, j))
         out[key] = out.get(key, Fraction(0)) + coeff
     return {k: c for k, c in out.items() if c}
@@ -246,8 +223,7 @@ def expand_delta(formula: DeltaFormula) -> ElemFormula:
 
 def elementary_formula(n: int) -> ElemFormula:
     """The order-n derivative in expanded form, one term per family-B element."""
-    if n < 1 or n > HARD_CAP:
-        raise DomainError(f"expanded form needs 1 <= n <= {HARD_CAP}, got {n}")
+    check_order(n, 1)
     terms = []
     for gamma in enumerate_B(n):
         k = gamma.total

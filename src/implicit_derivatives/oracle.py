@@ -23,20 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DomainError, FormulaError
+from .errors import FormulaError, check_order
 from .expressions import ElemFormula, ElemMonomial
-from .keys import VectorKey
-
-#: Repeated differentiation refuses orders above this.
-ORDER_CAP = 30
+from .keys import VectorKey, merge_entries
 
 Monomial = tuple  # sorted ((p, t), exponent) pairs; only (0, 1) may be negative
 
-
-def _make_monomial(exponents: Mapping) -> Monomial:
-    return tuple(
-        sorted((VectorKey(*key), int(e)) for key, e in exponents.items() if e)
-    )
+_FX = VectorKey(1, 0)
+_FY = VectorKey(0, 1)
 
 
 class PolyExpr:
@@ -51,7 +45,7 @@ class PolyExpr:
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         cleaned: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            key = _make_monomial(dict(mono))
+            key = merge_entries(mono)
             value = cleaned.get(key, Fraction(0)) + Fraction(coeff)
             if value:
                 cleaned[key] = value
@@ -100,14 +94,6 @@ class PolyExpr:
         return "PolyExpr(" + " + ".join(parts) + ")"
 
 
-def _bumped(mono: Monomial, changes) -> Monomial:
-    exps = dict(mono)
-    for key, delta in changes:
-        k = VectorKey(*key)
-        exps[k] = exps.get(k, 0) + delta
-    return _make_monomial(exps)
-
-
 def total_derivative(expr: PolyExpr) -> PolyExpr:
     """Differentiate along x through the implicitly defined y."""
     out: dict[Monomial, Fraction] = {}
@@ -120,13 +106,13 @@ def total_derivative(expr: PolyExpr) -> PolyExpr:
             del out[mono]
 
     for mono, coeff in expr.terms.items():
-        for (p, t), exponent in mono:
+        for key, exponent in mono:
+            p, t = key
             base = coeff * exponent
-            add(_bumped(mono, [((p, t), -1), ((p + 1, t), +1)]), base)
+            add(merge_entries(mono + ((key, -1), (VectorKey(p + 1, t), +1))), base)
             add(
-                _bumped(
-                    mono,
-                    [((p, t), -1), ((p, t + 1), +1), ((1, 0), +1), ((0, 1), -1)],
+                merge_entries(
+                    mono + ((key, -1), (VectorKey(p, t + 1), +1), (_FX, +1), (_FY, -1))
                 ),
                 -base,
             )
@@ -137,15 +123,14 @@ def total_derivative(expr: PolyExpr) -> PolyExpr:
 
 def oracle_formula(n: int) -> ElemFormula:
     """The order-n derivative computed by n-1 literal differentiations of y'."""
-    if n < 1 or n > ORDER_CAP:
-        raise DomainError(f"oracle needs 1 <= n <= {ORDER_CAP}, got {n}")
+    check_order(n, 1)
     expr = PolyExpr({(((1, 0), 1), ((0, 1), -1)): Fraction(-1)})
     for _ in range(n - 1):
         expr = total_derivative(expr)
     terms = []
     for mono, coeff in expr.terms.items():
         exps = dict(mono)
-        fy_exponent = exps.pop(VectorKey(0, 1), 0)
+        fy_exponent = exps.pop(_FY, 0)
         if fy_exponent >= 0 or any(e <= 0 for e in exps.values()):
             raise FormulaError(f"oracle produced a non-elementary monomial {mono}")
         terms.append((coeff, ElemMonomial(tuple(exps.items()), -fy_exponent)))

@@ -31,12 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DomainError
-from .keys import VectorKey
-
-#: Enumeration refuses orders above this; the families grow combinatorially
-#: and larger orders are a deliberate opt-in (edit here, not per call).
-HARD_CAP = 30
+from .errors import DomainError, check_order
+from .keys import VectorKey, merge_entries
 
 KeyLike = VectorKey | tuple
 
@@ -61,19 +57,19 @@ class Multiplicities:
     entries: tuple[tuple[VectorKey, int], ...] = ()
 
     def __post_init__(self) -> None:
-        merged: dict[VectorKey, int] = {}
-        for key, count in self.entries:
-            k = _as_key(key)
-            c = merged.get(k, 0) + int(count)
-            if c < 0:
-                raise DomainError(f"negative multiplicity for key {tuple(k)}")
-            merged[k] = c
-        cleaned = tuple(sorted((k, c) for k, c in merged.items() if c > 0))
-        object.__setattr__(self, "entries", cleaned)
+        entries = merge_entries(self.entries)
+        for key, count in entries:
+            if key.l < 0 or key.r < 0:
+                raise DomainError(
+                    f"vector keys need non-negative entries, got {tuple(key)}"
+                )
+            if count < 0:
+                raise DomainError(f"negative multiplicity for key {tuple(key)}")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[KeyLike, int]) -> "Multiplicities":
-        return cls(tuple((_as_key(k), v) for k, v in mapping.items()))
+        return cls(tuple(mapping.items()))
 
     def as_dict(self) -> dict[VectorKey, int]:
         return dict(self.entries)
@@ -94,13 +90,7 @@ class Multiplicities:
         Deltas for the same key accumulate.  Raises if any resulting
         count would be negative.
         """
-        counts = self.as_dict()
-        for key, delta in deltas:
-            k = _as_key(key)
-            counts[k] = counts.get(k, 0) + delta
-        if any(c < 0 for c in counts.values()):
-            raise DomainError("bumped() would produce a negative multiplicity")
-        return Multiplicities.from_dict(counts)
+        return Multiplicities(self.entries + tuple(deltas))
 
     @property
     def total(self) -> int:
@@ -154,13 +144,6 @@ class PredecessorRecord:
     kind: str
     pivot: VectorKey | None
     predecessor: Multiplicities
-
-
-def _check_order(n: int, minimum: int) -> None:
-    if n < minimum:
-        raise DomainError(f"order must be at least {minimum}, got {n}")
-    if n > HARD_CAP:
-        raise DomainError(f"order {n} exceeds the enumeration cap {HARD_CAP}")
 
 
 def is_member_A(alpha: Multiplicities, n: int) -> bool:
@@ -219,7 +202,7 @@ def enumerate_A(n: int, stratum: int | None = None) -> list[Multiplicities]:
 
     With ``stratum`` given, only the elements with h = stratum are kept.
     """
-    _check_order(n, 2)
+    check_order(n, 2)
     out = [
         Multiplicities(entries)
         for entries, x_left in _core_multisets(n)
@@ -234,7 +217,7 @@ def enumerate_A(n: int, stratum: int | None = None) -> list[Multiplicities]:
 
 def enumerate_B(n: int, stratum: int | None = None) -> list[Multiplicities]:
     """All family-B elements of order n, stratified by k then lexicographic."""
-    _check_order(n, 1)
+    check_order(n, 1)
     out = []
     for entries, s10 in _core_multisets(n):
         if s10:

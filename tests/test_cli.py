@@ -1,6 +1,7 @@
 """CLI behavior: output shapes, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -54,12 +55,36 @@ def test_formula_over_cap(capsys):
 def test_cap_flag_and_env(capsys, monkeypatch):
     code, _, _ = run(capsys, "--cap", "14", "formula", "13")
     assert code == 0
-    monkeypatch.setenv("IMPLICIT_JET_MAX_N", "13")
-    code, _, _ = run(capsys, "formula", "13")
-    assert code == 0
+    # --cap is the only setting; the environment is not consulted
     monkeypatch.setenv("IMPLICIT_JET_MAX_N", "4")
     code, _, _ = run(capsys, "formula", "5")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--cap", "40", "formula", "31"],
+        ["--cap", "40", "eval", "--problem", "circle", "31"],
+        ["--cap", "40", "count", "--family", "A", "--max-n", "31"],
+        ["--cap", "40", "verify", "--max-n", "31"],
+    ],
+    ids=lambda argv: argv[2],
+)
+def test_order_above_hard_cap_exits_three(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 3
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_exits_two(capsys, cap):
+    with pytest.raises(SystemExit) as info:
+        main(["--cap", cap, "formula", "2"])
+    assert info.value.code == 2
+    capsys.readouterr()
 
 
 def test_bad_flags_exit_two(capsys):

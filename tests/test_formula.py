@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from implicit_derivatives import (
+    CapError,
     DeltaFormula,
     DeltaMonomial,
     DomainError,
@@ -18,6 +19,7 @@ from implicit_derivatives import (
     derive_next,
     elementary_formula,
     enumerate_A,
+    enumerate_B,
     expand_block,
     expand_delta,
     formulas_equal,
@@ -81,11 +83,22 @@ def test_block_form_regression_no_spurious_key():
     assert (2, 1) in keys and (2, 2) not in keys
 
 
-def test_block_form_rejects_bad_orders():
-    with pytest.raises(DomainError):
-        delta_formula(1)
-    with pytest.raises(DomainError):
-        delta_formula(31)
+@pytest.mark.parametrize(
+    "build, minimum",
+    [
+        pytest.param(delta_formula, 2, id="delta_formula"),
+        pytest.param(delta_formula_via_recursion, 2, id="delta_formula_via_recursion"),
+        pytest.param(elementary_formula, 1, id="elementary_formula"),
+        pytest.param(enumerate_A, 2, id="enumerate_A"),
+        pytest.param(enumerate_B, 1, id="enumerate_B"),
+    ],
+)
+def test_block_form_rejects_bad_orders(build, minimum):
+    with pytest.raises(DomainError) as info:
+        build(minimum - 1)
+    assert not isinstance(info.value, CapError)
+    with pytest.raises(CapError):
+        build(31)
 
 
 def test_first_derivative_expanded_form():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import implicit_derivatives.oracle
 from implicit_derivatives import (
+    CapError,
     DomainError,
     elementary_formula,
     formulas_equal,
@@ -90,8 +91,11 @@ def test_formulas_equal_detects_differences():
 
 
 def test_oracle_rejects_bad_orders():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as info:
         oracle_formula(0)
+    assert not isinstance(info.value, CapError)
+    with pytest.raises(CapError):
+        oracle_formula(31)
 
 
 def test_oracle_module_is_independent():

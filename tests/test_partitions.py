@@ -306,6 +306,8 @@ def test_multiplicities_normalization():
     with pytest.raises(DomainError):
         Multiplicities((((2, 0), -1),))
     with pytest.raises(DomainError):
+        Multiplicities((((-1, 3), 1),))
+    with pytest.raises(DomainError):
         m({(2, 0): 1}).bumped([((2, 0), -2)])
 
 

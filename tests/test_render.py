@@ -90,3 +90,16 @@ def test_parse_rejects_malformed_documents():
         formula_from_json(
             '{"n": 2, "form": "delta", "terms": [{"coeff": "x", "factors": [], "fy_power": 1}]}'
         )
+    # monomial validation runs on the merged entries of outside input
+    for form, part, entry in [
+        ("delta", "factors", '{"l": -1, "r": 3, "power": 1}'),
+        ("delta", "factors", '{"l": 2, "r": 0, "power": -1}'),
+        ("delta", "factors", '{"l": 1, "r": 0, "power": 1}'),
+        ("elementary", "exponents", '{"p": 0, "t": 1, "power": 2}'),
+        ("elementary", "exponents", '{"p": 2, "t": -1, "power": 1}'),
+    ]:
+        with pytest.raises(FormulaError):
+            formula_from_json(
+                f'{{"n": 2, "form": "{form}", "terms": [{{"coeff": "1",'
+                f' "{part}": [{entry}], "fy_power": 1}}]}}'
+            )
