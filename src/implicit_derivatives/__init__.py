@@ -10,7 +10,6 @@ numeric or exact-rational derivative jets.
 
 from .coeffs import (
     CheckReport,
-    SignedCoefficient,
     binom,
     coeff_C,
     coeff_D,

@@ -3,8 +3,9 @@
 Subcommands: ``formula`` (render a derivative formula), ``verify`` (run
 invariant suites), ``eval`` (evaluate on a jet or built-in problem), and
 ``count`` (family sizes by stratum).  Exit codes: 0 success, 1 failed
-verification, 2 invalid usage, 3 order above the cap, 4 singular jet,
-5 unparseable input.  The order cap is set by ``--cap N`` (N >= 1,
+verification, 2 invalid usage (including a ``verify`` or ``count`` that
+would check nothing), 3 order above the cap, 4 singular jet, 5
+unparseable or unusable jet.  The order cap is set by ``--cap N`` (N >= 1,
 default 12) and can never exceed the hard limit of 30; an order above
 either exits 3.
 """
@@ -128,6 +129,10 @@ def _cmd_formula(args) -> int:
 
 def _cmd_verify(args) -> int:
     reports = run_suites([args.suite], args.max_n)
+    if not reports:
+        raise DomainError(
+            f"suite {args.suite!r} checks nothing up to order {args.max_n}"
+        )
     failed = 0
     for report in reports:
         line = {
@@ -197,6 +202,7 @@ def _cmd_eval(args) -> int:
 def _cmd_count(args) -> int:
     enumerate_family = enumerate_A if args.family == "A" else enumerate_B
     start = 2 if args.family == "A" else 1
+    check_order(args.max_n, start)
     print("family\tn\tstratum\tcount")
     for n in range(start, args.max_n + 1):
         members = enumerate_family(n)

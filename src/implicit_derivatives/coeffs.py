@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DomainError
 from .partitions import Multiplicities, enumerate_A, enumerate_Z, predecessors
@@ -33,15 +32,6 @@ def binom(a: int, b: int) -> int:
     if b < 0 or b > a or a < 0:
         return 0
     return math.comb(a, b)
-
-
-class SignedCoefficient(NamedTuple):
-    sign: int
-    magnitude: int
-
-    @property
-    def value(self) -> int:
-        return self.sign * self.magnitude
 
 
 def _balls_in_boxes(mults: Multiplicities) -> int:
@@ -72,10 +62,10 @@ def coeff_D(gamma: Multiplicities) -> int:
     return _balls_in_boxes(gamma)
 
 
-def signed_coeff(alpha: Multiplicities) -> SignedCoefficient:
+def signed_coeff(alpha: Multiplicities) -> int:
     """C(alpha) with the sign (-1)^h it carries in the derivative formula."""
-    sign = -1 if alpha.total % 2 else 1
-    return SignedCoefficient(sign, coeff_C(alpha))
+    value = coeff_C(alpha)
+    return -value if alpha.total % 2 else value
 
 
 def zgamma_sum(gamma: Multiplicities, s10: int) -> Fraction:
@@ -155,7 +145,7 @@ def verify_C_recursion(n: int) -> CheckReport:
             for rec in records
         )
         signed = sum(
-            signed_recursion_weight(rec, beta) * signed_coeff(rec.predecessor).value
+            signed_recursion_weight(rec, beta) * signed_coeff(rec.predecessor)
             for rec in records
         )
         report.record(
@@ -163,8 +153,7 @@ def verify_C_recursion(n: int) -> CheckReport:
             f"unsigned recursion at {beta}: got {unsigned}, want {coeff_C(beta)}",
         )
         report.record(
-            signed == signed_coeff(beta).value,
-            f"signed recursion at {beta}: got {signed}, "
-            f"want {signed_coeff(beta).value}",
+            signed == signed_coeff(beta),
+            f"signed recursion at {beta}: got {signed}, want {signed_coeff(beta)}",
         )
     return report

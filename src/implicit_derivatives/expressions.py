@@ -59,18 +59,6 @@ class DeltaMonomial:
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "fy_power", int(self.fy_power))
 
-    @property
-    def block_count(self) -> int:
-        return sum(p for _, p in self.factors)
-
-    @property
-    def x_weight(self) -> int:
-        return sum(k.l * p for k, p in self.factors)
-
-    @property
-    def y_weight(self) -> int:
-        return sum(k.r * p for k, p in self.factors)
-
 
 @dataclass(frozen=True)
 class ElemMonomial:
@@ -89,14 +77,6 @@ class ElemMonomial:
         _check_entries(exponents, lambda k: k not in ((0, 0), (0, 1)))
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "fy_power", int(self.fy_power))
-
-    @property
-    def x_weight(self) -> int:
-        return sum(k.l * p for k, p in self.exponents)
-
-    @property
-    def y_weight(self) -> int:
-        return sum(k.r * p for k, p in self.exponents)
 
     def has_key(self, key) -> bool:
         target = VectorKey(*key)

@@ -29,7 +29,16 @@ from .expressions import (
     render,
 )
 from .keys import VectorKey, merge_entries
-from .partitions import Multiplicities, enumerate_A, enumerate_B, predecessors
+from .partitions import (
+    Multiplicities,
+    enumerate_A,
+    enumerate_B,
+    is_member_A,
+    predecessors,
+    successor_advance,
+    successor_mixed,
+    successor_trade,
+)
 
 __all__ = [
     "delta_formula",
@@ -49,46 +58,25 @@ def delta_formula(n: int) -> DeltaFormula:
     check_order(n, 2)
     terms = []
     for alpha in enumerate_A(n):
-        coeff = Fraction(signed_coeff(alpha).value)
+        coeff = Fraction(signed_coeff(alpha))
         mono = DeltaMonomial(alpha.entries, n + alpha.total)
         terms.append((coeff, mono))
     return DeltaFormula.from_terms(n, terms)
 
 
-def _validated_lifted_terms(formula: DeltaFormula):
-    """Check compact-form invariants and return terms with explicit f_y blocks.
-
-    Internally the differentiation step works over the common denominator
-    f_y^(2n-1); a term with h blocks then carries n - 1 - h explicit (0, 1)
-    block factors.
-    """
-    n = formula.n
-    lifted = []
-    for coeff, mono in formula.terms:
-        h = mono.block_count
-        if (
-            mono.fy_power != n + h
-            or mono.x_weight != n
-            or mono.y_weight != h - 1
-        ):
-            raise FormulaError(f"term {mono} is not a valid order-{n} block term")
-        entries = mono.factors
-        fy_blocks = n - 1 - h
-        if fy_blocks:
-            entries = entries + ((VectorKey(0, 1), fy_blocks),)
-        lifted.append((Multiplicities(entries), coeff))
-    return lifted
-
-
 def derive_next(formula: DeltaFormula) -> DeltaFormula:
     """Differentiate the compact form once, producing the next order.
 
-    Works term by term at the cleared-denominator level: each block of a
-    product is differentiated in turn (its x-count advancing, a mixed
-    (1, 1) block appearing, or an x-for-y trade spawning a (2, 0) block),
-    the denominator correction subtracts 2n - 1 copies of the mixed
-    term, and like products are collected generically.  No cancellation
-    is special-cased.
+    Works term by term at the cleared-denominator level f_y^(2n-1),
+    through the successor moves of :mod:`~implicit_derivatives.partitions`:
+    differentiating a block advances it (:func:`successor_advance`), or
+    makes a mixed (1, 1) block appear (:func:`successor_mixed`), or
+    trades an x- for a y-differentiation and spawns a (2, 0) block
+    (:func:`successor_trade`; at the key (2, 0) itself that trade is the
+    mixed move).  The n - 1 - h implicit f_y blocks and the denominator
+    correction of -(2n - 1) also land on the mixed neighbor.  Every
+    contribution is added separately and like products are collected
+    generically, so no cancellation is special-cased.
     """
     if not isinstance(formula, DeltaFormula):
         raise FormulaError("derive_next expects the compact block form")
@@ -98,33 +86,27 @@ def derive_next(formula: DeltaFormula) -> DeltaFormula:
     def add(mults: Multiplicities, value: Fraction) -> None:
         acc[mults] = acc.get(mults, Fraction(0)) + value
 
-    for mults, coeff in _validated_lifted_terms(formula):
-        for key, count in mults.items():
+    for coeff, mono in formula.terms:
+        alpha = Multiplicities(mono.factors)
+        h = alpha.total
+        if not is_member_A(alpha, n) or mono.fy_power != n + h:
+            raise FormulaError(f"term {mono} is not a valid order-{n} block term")
+        mixed = successor_mixed(alpha)
+        for key, count in alpha.items():
             base = coeff * count
-            add(
-                mults.bumped([(key, -1), ((key.l + 1, key.r), +1), ((0, 1), +1)]),
-                base,
-            )
+            add(successor_advance(alpha, key), base)
             if key.l:
-                add(mults.bumped([((1, 1), +1)]), base * key.l)
-                add(
-                    mults.bumped(
-                        [(key, -1), ((key.l - 1, key.r + 1), +1), ((2, 0), +1)]
-                    ),
-                    -base * key.l,
-                )
-        add(mults.bumped([((1, 1), +1)]), -coeff * (2 * n - 1))
+                add(mixed, base * key.l)
+                traded = mixed if key == (2, 0) else successor_trade(alpha, key)
+                add(traded, -base * key.l)
+        add(mixed, coeff * (n - 1 - h))
+        add(mixed, -coeff * (2 * n - 1))
 
-    terms = []
-    for mults, coeff in acc.items():
-        if coeff == 0:
-            continue
-        fy_blocks = mults.get((0, 1))
-        factors = tuple((k, c) for k, c in mults.items() if k != (0, 1))
-        h = sum(c for _, c in factors)
-        if fy_blocks != n - h:  # lifted count at order n+1 is (n+1)-1-h
-            raise FormulaError(f"differentiation produced an unbalanced term {mults}")
-        terms.append((coeff, DeltaMonomial(factors, n + 1 + h)))
+    terms = [
+        (coeff, DeltaMonomial(beta.entries, n + 1 + beta.total))
+        for beta, coeff in acc.items()
+        if coeff != 0
+    ]
     return DeltaFormula.from_terms(n + 1, terms)
 
 

@@ -29,7 +29,8 @@ from .formula import delta_formula
 RATIONAL = "rational"
 FLOAT = "float"
 
-DEFAULT_FD_STEPS = (1e-2, 5e-3, 2.5e-3)
+#: Central-difference step ladder: each step halves the previous one.
+FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 50
 
@@ -41,7 +42,10 @@ def _coerce_scalar(value, kind, what):
         return Fraction(value)
     if isinstance(value, Fraction):
         raise JetError(f"rational value {value!r} in a float jet ({what})")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise JetError(f"non-finite value {value!r} in a float jet ({what})")
+    return value
 
 
 @dataclass
@@ -188,19 +192,24 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     if jet.fy == 0:
         raise SingularJetError("jet has f_y = 0 at the base point")
     contributions = []
-    for coeff, mono in formula.terms:
-        product = Fraction(1) if jet.kind == RATIONAL else 1.0
-        if isinstance(formula, DeltaFormula):
-            for key, power in mono.factors:
-                product *= eval_delta_block(jet, key.l, key.r) ** power
-        else:
-            for key, power in mono.exponents:
-                product *= jet.partials[(key.l, key.r)] ** power
-        value = coeff * product / jet.fy**mono.fy_power
-        if jet.kind == FLOAT:
-            value = float(value)
-        contributions.append(value)
+    try:
+        for coeff, mono in formula.terms:
+            product = Fraction(1) if jet.kind == RATIONAL else 1.0
+            if isinstance(formula, DeltaFormula):
+                for key, power in mono.factors:
+                    product *= eval_delta_block(jet, key.l, key.r) ** power
+            else:
+                for key, power in mono.exponents:
+                    product *= jet.partials[(key.l, key.r)] ** power
+            value = coeff * product / jet.fy**mono.fy_power
+            if jet.kind == FLOAT:
+                value = float(value)
+            contributions.append(value)
+    except (OverflowError, ZeroDivisionError) as exc:  # f_y powers out of range
+        raise JetError(f"float evaluation out of range: {exc}") from exc
     total = sum(contributions, Fraction(0) if jet.kind == RATIONAL else 0.0)
+    if jet.kind == FLOAT and not math.isfinite(total):
+        raise JetError(f"float evaluation is not finite: {total!r}")
     return EvalReport(n=formula.n, value=total, term_values=tuple(contributions))
 
 
@@ -454,21 +463,15 @@ def builtin_problem(name: str) -> ProblemSpec:
 # --- Newton solving and finite differences -----------------------------------
 
 
-def newton_solve(
-    problem: ProblemSpec,
-    x: float,
-    y_start: float,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> float:
+def newton_solve(problem: ProblemSpec, x: float, y_start: float) -> float:
     """Solve f(x, y) = 0 for y near ``y_start`` by Newton iteration."""
     y = y_start
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         residual = problem.f(x, y)
-        if abs(residual) <= tol:
+        if abs(residual) <= NEWTON_TOL:
             return y
         y -= residual / problem.fy(x, y)
-    if abs(problem.f(x, y)) <= tol:
+    if abs(problem.f(x, y)) <= NEWTON_TOL:
         return y
     raise NewtonError(f"Newton failed for {problem.name} at x = {x}")
 
@@ -514,30 +517,23 @@ def _solution_grid(problem: ProblemSpec, h: float, half_width: int) -> dict[int,
     return ys
 
 
-def finite_difference_derivatives(
-    problem: ProblemSpec, n: int, steps: tuple[float, ...] = DEFAULT_FD_STEPS
-) -> list[float]:
+def finite_difference_derivatives(problem: ProblemSpec, n: int) -> list[float]:
     """Central-difference estimates of the first n derivatives of the solution.
 
-    Each step must halve the previous one; one Richardson level is
-    applied across the step ladder and the finest extrapolation is
-    returned, one value per derivative order 1..n.
+    One Richardson level is applied across the halving ladder
+    :data:`FD_STEPS` and the finest extrapolation is returned, one value
+    per derivative order 1..n.
     """
     if n < 1:
         raise DomainError("need at least one derivative order")
-    if len(steps) < 2:
-        raise DomainError("need at least two steps for Richardson extrapolation")
-    for bigger, smaller in zip(steps, steps[1:]):
-        if abs(bigger / smaller - 2.0) > 1e-9:
-            raise DomainError("steps must form a halving ladder")
     half_width = (n + 1) // 2
-    grids = [_solution_grid(problem, h, half_width) for h in steps]
+    grids = [_solution_grid(problem, h, half_width) for h in FD_STEPS]
     results = []
     for k in range(1, n + 1):
         offsets, coeffs = _central_stencil(k)
         raw = [
             sum(float(c) * grid[j] for j, c in zip(offsets, coeffs)) / h**k
-            for h, grid in zip(steps, grids)
+            for h, grid in zip(FD_STEPS, grids)
         ]
         refined = [
             (4.0 * finer - coarser) / 3.0 for coarser, finer in zip(raw, raw[1:])
@@ -551,7 +547,6 @@ def evaluate_problem(
     n: int,
     kind: str | None = None,
     check_fd: bool = False,
-    fd_steps: tuple[float, ...] = DEFAULT_FD_STEPS,
 ) -> EvalReport:
     """Evaluate the compact formula on a problem jet, attaching targets."""
     jet = problem.jet(order=n, kind=kind)
@@ -564,7 +559,7 @@ def evaluate_problem(
             rel_error_analytic=relative_error(report.value, target),
         )
     if check_fd:
-        fd_value = finite_difference_derivatives(problem, n, fd_steps)[n - 1]
+        fd_value = finite_difference_derivatives(problem, n)[n - 1]
         report = replace(
             report, fd=fd_value, rel_error_fd=relative_error(report.value, fd_value)
         )

@@ -22,8 +22,10 @@ multisets appear:
 
 The module also provides the neighbor constructions that connect
 consecutive orders: three "successor" moves sending an order-n element
-to an order-(n+1) element, and the dual "predecessor" decompositions
-used by the coefficient recursion.
+to an order-(n+1) element, through which the differentiation step
+:func:`~implicit_derivatives.formula.derive_next` scatters every term,
+and the dual "predecessor" decompositions used by the coefficient
+recursion.
 """
 
 from __future__ import annotations
@@ -197,11 +199,8 @@ def _core_multisets(n: int) -> Iterator[tuple[tuple[tuple[VectorKey, int], ...],
     yield from descend(0, n - 1, n, [])
 
 
-def enumerate_A(n: int, stratum: int | None = None) -> list[Multiplicities]:
-    """All family-A elements of order n, stratified by h then lexicographic.
-
-    With ``stratum`` given, only the elements with h = stratum are kept.
-    """
+def enumerate_A(n: int) -> list[Multiplicities]:
+    """All family-A elements of order n, stratified by h then lexicographic."""
     check_order(n, 2)
     out = [
         Multiplicities(entries)
@@ -209,13 +208,10 @@ def enumerate_A(n: int, stratum: int | None = None) -> list[Multiplicities]:
         if x_left == 0
     ]
     out.sort(key=lambda m: (m.total, m.entries))
-    if stratum is not None:
-        PartitionFamilyTag("A", n, stratum)
-        out = [m for m in out if m.total == stratum]
     return out
 
 
-def enumerate_B(n: int, stratum: int | None = None) -> list[Multiplicities]:
+def enumerate_B(n: int) -> list[Multiplicities]:
     """All family-B elements of order n, stratified by k then lexicographic."""
     check_order(n, 1)
     out = []
@@ -224,9 +220,6 @@ def enumerate_B(n: int, stratum: int | None = None) -> list[Multiplicities]:
             entries = entries + ((VectorKey(1, 0), s10),)
         out.append(Multiplicities(entries))
     out.sort(key=lambda m: (m.total, m.entries))
-    if stratum is not None:
-        PartitionFamilyTag("B", n, stratum)
-        out = [m for m in out if m.total == stratum]
     return out
 
 
@@ -255,12 +248,13 @@ def drop_tilde(alpha_tilde: Multiplicities) -> Multiplicities:
 
 
 def members(tag: PartitionFamilyTag) -> list[Multiplicities]:
-    """Enumerate the family named by ``tag``."""
-    if tag.family == "A":
-        return enumerate_A(tag.n, tag.stratum)
+    """Enumerate the family named by ``tag``, restricted to its stratum if set."""
+    out = enumerate_B(tag.n) if tag.family == "B" else enumerate_A(tag.n)
+    if tag.stratum is not None:
+        out = [m for m in out if m.total == tag.stratum]
     if tag.family == "A_tilde":
-        return [lift_to_tilde(a, tag.n) for a in enumerate_A(tag.n, tag.stratum)]
-    return enumerate_B(tag.n, tag.stratum)
+        out = [lift_to_tilde(a, tag.n) for a in out]
+    return out
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -168,6 +168,27 @@ def test_eval_parse_error_exits_five(capsys, tmp_path):
     assert code == 5
 
 
+@pytest.mark.parametrize(
+    "partials",
+    [
+        '{"0,1": 1e120, "2,0": 1, "3,0": 1}',  # f_y^k overflows
+        '{"0,1": NaN, "2,0": 1}',
+        '{"0,1": 1, "2,0": Infinity}',
+    ],
+    ids=["overflow", "nan", "inf"],
+)
+def test_eval_unusable_float_jet_exits_five(capsys, tmp_path, partials):
+    path = tmp_path / "jet.json"
+    path.write_text(
+        '{"x0": 0.0, "y0": 0.0, "order": 3, "kind": "float", "partials": %s}'
+        % partials
+    )
+    code, out, err = run(capsys, "eval", "--jet", str(path), "3")
+    assert code == 5
+    assert out == ""
+    assert "jet" in err
+
+
 def test_eval_rational_kind_needs_exact_problem(capsys):
     code, _, err = run(capsys, "eval", "--problem", "lambert", "2", "--kind", "rational")
     assert code == 2
@@ -202,3 +223,21 @@ def test_count_family_B(capsys):
         line for line in out.strip().splitlines() if line.endswith("total\t3")
     ]
     assert any(line.startswith("B\t2") for line in totals)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-n", "0"],
+        ["verify", "--suite", "recursion", "--max-n", "1"],
+        ["count", "--family", "A", "--max-n", "-3"],
+        ["count", "--family", "A", "--max-n", "1"],
+        ["count", "--family", "B", "--max-n", "0"],
+    ],
+    ids=["verify-0", "verify-recursion-1", "count-A-neg", "count-A-1", "count-B-0"],
+)
+def test_command_that_checks_nothing_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err

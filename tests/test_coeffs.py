@@ -34,10 +34,10 @@ def test_coeff_C_rejects_fx_key():
 
 
 def test_signed_coeff_signs():
-    assert signed_coeff(m({(2, 0): 1})).value == -1
-    assert signed_coeff(m({(2, 0): 1, (1, 1): 1})).value == 3
-    assert signed_coeff(m({(2, 0): 1, (1, 1): 2})).value == -12
-    assert [signed_coeff(a).value for a in enumerate_A(4)] == [-1, 4, 6, -3, -12]
+    assert signed_coeff(m({(2, 0): 1})) == -1
+    assert signed_coeff(m({(2, 0): 1, (1, 1): 1})) == 3
+    assert signed_coeff(m({(2, 0): 1, (1, 1): 2})) == -12
+    assert [signed_coeff(a) for a in enumerate_A(4)] == [-1, 4, 6, -3, -12]
 
 
 def test_coeff_D_known_values():

@@ -144,9 +144,10 @@ def test_third_derivative_expanded_form():
 def test_block_form_structure(n):
     formula = delta_formula(n)
     for coeff, mono in formula.terms:
-        h = mono.block_count
-        assert mono.x_weight == n
-        assert mono.y_weight == h - 1
+        blocks = Multiplicities(mono.factors)
+        h = blocks.total
+        assert blocks.sum_l == n
+        assert blocks.sum_r == h - 1
         assert mono.fy_power == n + h
         assert (coeff > 0) == (h % 2 == 0)
         # with the implicit plain f_y factors made explicit, every term is a
@@ -161,8 +162,9 @@ def test_block_form_structure(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_expanded_form_structure(n):
     for coeff, mono in elementary_formula(n).terms:
-        assert mono.x_weight == n
-        assert mono.fy_power == 1 + mono.y_weight
+        partials = Multiplicities(mono.exponents)
+        assert partials.sum_l == n
+        assert mono.fy_power == 1 + partials.sum_r
         assert (coeff > 0) == (mono.fy_power % 2 == 0)
 
 
@@ -203,6 +205,10 @@ def test_derive_next_rejects_malformed_input():
     bad = DeltaFormula.from_terms(2, [dterm(-1, {(2, 0): 1}, 4)])
     with pytest.raises(FormulaError):
         derive_next(bad)
+    # f_y power consistent with one block, but D[2,0] has x-weight 2, not 3
+    not_in_family = DeltaFormula.from_terms(3, [dterm(-1, {(2, 0): 1}, 4)])
+    with pytest.raises(FormulaError):
+        derive_next(not_in_family)
     with pytest.raises(FormulaError):
         derive_next(elementary_formula(2))
 
@@ -279,7 +285,7 @@ def test_specialized_form_is_the_family_A_sum(n):
         n,
         [
             (
-                Fraction(signed_coeff(alpha).value),
+                Fraction(signed_coeff(alpha)),
                 ElemMonomial(alpha.entries, alpha.total),
             )
             for alpha in enumerate_A(n)

@@ -12,6 +12,7 @@ import implicit_derivatives.oracle
 from implicit_derivatives import (
     CapError,
     DomainError,
+    Multiplicities,
     elementary_formula,
     formulas_equal,
     oracle_formula,
@@ -77,8 +78,9 @@ def test_oracle_agrees_with_direct_expanded_form(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_oracle_output_structure(n):
     for coeff, mono in oracle_formula(n).terms:
-        assert mono.x_weight == n
-        assert mono.fy_power == 1 + mono.y_weight
+        partials = Multiplicities(mono.exponents)
+        assert partials.sum_l == n
+        assert mono.fy_power == 1 + partials.sum_r
         assert coeff.denominator == 1
 
 

@@ -144,12 +144,12 @@ def test_family_A_rejects_bad_orders():
 
 
 def test_family_A_stratum_filter():
-    assert enumerate_A(4, stratum=2) == [
+    assert members(PartitionFamilyTag("A", 4, 2)) == [
         m({(3, 0): 1, (1, 1): 1}),
         m({(2, 1): 1, (2, 0): 1}),
     ]
     with pytest.raises(DomainError):
-        enumerate_A(4, stratum=4)
+        PartitionFamilyTag("A", 4, 4)
 
 
 # --- family B -----------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_family_B_small_orders():
         m({(1, 1): 1, (1, 0): 1}),
         m({(1, 0): 2, (0, 2): 1}),
     ]
-    assert enumerate_B(3, stratum=1) == [m({(3, 0): 1})]
+    assert members(PartitionFamilyTag("B", 3, 1)) == [m({(3, 0): 1})]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -285,15 +285,24 @@ def test_every_successor_is_reachable_backwards(n):
     upper = {beta: predecessors(beta, n + 1) for beta in enumerate_A(n + 1)}
     for alpha in enumerate_A(n):
         beta = successor_mixed(alpha)
+        assert is_member_A(beta, n + 1)
         assert any(
             rec.kind == "d" and rec.predecessor == alpha for rec in upper[beta]
         )
         for key, _ in alpha.items():
             beta = successor_advance(alpha, key)
+            assert is_member_A(beta, n + 1)
             assert any(
                 rec.kind == "minus" and rec.predecessor == alpha
                 for rec in upper[beta]
             )
+            if key.l >= 1 and key != (2, 0):
+                beta = successor_trade(alpha, key)
+                assert is_member_A(beta, n + 1)
+                assert any(
+                    rec.kind == "b" and rec.predecessor == alpha
+                    for rec in upper[beta]
+                )
 
 
 # --- container behavior -----------------------------------------------------------
