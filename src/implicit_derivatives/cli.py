@@ -4,10 +4,12 @@ Subcommands: ``formula`` (render a derivative formula), ``verify`` (run
 invariant suites), ``eval`` (evaluate on a jet or built-in problem), and
 ``count`` (family sizes by stratum).  Exit codes: 0 success, 1 failed
 verification, 2 invalid usage (including a ``verify`` or ``count`` that
-would check nothing), 3 order above the cap, 4 singular jet, 5
-unparseable or unusable jet.  The order cap is set by ``--cap N`` (N >= 1,
-default 12) and can never exceed the hard limit of 30; an order above
-either exits 3.
+would check nothing, and ``eval --check-fd`` above order 4, where finite
+differences resolve nothing), 3 order above the cap, 4 singular jet, 5
+unparseable, unreadable or unusable jet.  ``main`` maps each error to its
+exit code by type.  The order cap is set by ``--cap N`` (N >= 1, default
+12) and can never exceed the hard limit of 30; an order above either
+exits 3.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ EXIT_USAGE = 2
 EXIT_OVER_CAP = 3
 EXIT_SINGULAR = 4
 EXIT_PARSE = 5
+
+#: Exit code and stderr prefix per error type, most specific first.
+ERROR_EXITS = (
+    (CapError, EXIT_OVER_CAP, "error"),
+    (DomainError, EXIT_USAGE, "error"),
+    (SingularJetError, EXIT_SINGULAR, "singular jet"),
+    (JetError, EXIT_PARSE, "bad jet"),
+)
 
 
 def _cap(text: str) -> int:
@@ -152,36 +162,25 @@ def _cmd_verify(args) -> int:
 
 def _cmd_eval(args) -> int:
     check_order(args.n, 2)
-    try:
-        if args.problem:
-            problem = builtin_problem(args.problem)
-            if args.kind == "rational" and not problem.exact:
-                print(f"problem {args.problem!r} has no exact jet", file=sys.stderr)
-                return EXIT_USAGE
-            report = evaluate_problem(
-                problem, args.n, kind=args.kind, check_fd=args.check_fd
-            )
-            source = {"problem": args.problem}
-        else:
-            if args.check_fd:
-                print("--check-fd needs --problem", file=sys.stderr)
-                return EXIT_USAGE
-            try:
-                with open(args.jet, "r", encoding="utf-8") as handle:
-                    jet = jet_from_json(handle.read())
-            except SingularJetError:
-                raise
-            except (OSError, JetError) as exc:
-                print(f"cannot read jet: {exc}", file=sys.stderr)
-                return EXIT_PARSE
-            report = eval_formula(delta_formula(args.n), jet)
-            source = {"jet": args.jet}
-    except SingularJetError as exc:
-        print(f"singular jet: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except JetError as exc:
-        print(f"bad jet: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.problem:
+        problem = builtin_problem(args.problem)
+        if args.kind == "rational" and not problem.exact:
+            raise DomainError(f"problem {args.problem!r} has no exact jet")
+        report = evaluate_problem(
+            problem, args.n, kind=args.kind, check_fd=args.check_fd
+        )
+        source = {"problem": args.problem}
+    else:
+        if args.check_fd:
+            raise DomainError("--check-fd needs --problem")
+        try:
+            with open(args.jet, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise JetError(f"cannot read jet: {exc}") from exc
+        jet = jet_from_json(text)
+        report = eval_formula(delta_formula(args.n), jet)
+        source = {"jet": args.jet}
     doc = {
         **source,
         "n": report.n,
@@ -229,12 +228,12 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return _cmd_eval(args)
         return _cmd_count(args)
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVER_CAP
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (DomainError, JetError) as exc:
+        for kind, code, prefix in ERROR_EXITS:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -41,11 +41,12 @@ SHIFT_SEED_BASE = 20_000
 def recursion_suite(max_n: int) -> list[CheckReport]:
     """Coefficient recursion and differentiation step versus direct construction."""
     reports = []
+    previous = delta_formula(2)
     for n in range(2, max_n + 1):
         reports.append(verify_C_recursion(n))
         report = CheckReport(f"order step {n}->{n + 1}")
         direct = delta_formula(n + 1)
-        stepped = derive_next(delta_formula(n))
+        stepped = derive_next(previous)
         rebuilt = delta_formula_via_recursion(n + 1)
         report.record(
             stepped == direct,
@@ -56,6 +57,7 @@ def recursion_suite(max_n: int) -> list[CheckReport]:
             f"coefficient recursion disagrees with direct construction at {n + 1}",
         )
         reports.append(report)
+        previous = direct
     return reports
 
 

@@ -137,6 +137,13 @@ def test_eval_problem_lambert_with_fd(capsys):
     assert doc["rel_error_fd"] < 1e-4
 
 
+def test_eval_fd_above_order_four_exits_two(capsys):
+    code, out, err = run(capsys, "eval", "--problem", "circle", "5", "--check-fd")
+    assert code == 2
+    assert out == ""
+    assert "finite differences" in err
+
+
 def test_eval_jet_file(capsys, tmp_path):
     jet = random_rational_jet(3, seed=42)
     path = tmp_path / "jet.json"

@@ -23,7 +23,13 @@ from implicit_derivatives import (
     random_rational_jet,
     shift_jet,
 )
-from implicit_derivatives.numeric import evaluate_problem, newton_solve, relative_error
+from implicit_derivatives.numeric import (
+    FD_MAX_ORDER,
+    _central_stencil,
+    evaluate_problem,
+    newton_solve,
+    relative_error,
+)
 
 
 def circle_jet(order=4, kind="rational"):
@@ -79,10 +85,20 @@ def test_jet_json_round_trip(kind):
 
 
 def test_jet_json_rejects_garbage():
-    with pytest.raises(JetError):
-        jet_from_json("[not a jet]")
-    with pytest.raises(JetError):
-        jet_from_json('{"x0": "1/2", "y0": 0, "order": 1, "kind": "rational"}')
+    rational = '{"x0": 0, "y0": 0, "order": 1, "kind": "rational", "partials": %s}'
+    floaty = '{"x0": 0.0, "y0": 0.0, "order": 1, "kind": "float", "partials": %s}'
+    for text in (
+        "[not a jet]",
+        '{"x0": "1/2", "y0": 0, "order": 1, "kind": "rational"}',
+        rational % "[]",
+        rational % '{"0,1": 0.5}',  # a float in a rational jet
+        rational % '{"0,1": "1/0"}',
+        floaty % '{"0,1": "1.5"}',  # a string in a float jet
+        floaty % '{"0,1": [1.0]}',  # a list in a float jet
+        floaty % ('{"0,1": 1%s}' % ("0" * 400)),  # an integer beyond binary64
+    ):
+        with pytest.raises(JetError):
+            jet_from_json(text)
 
 
 # --- block evaluation ----------------------------------------------------------
@@ -204,14 +220,16 @@ def test_circle_analytic_values():
         0,
         -45,
     ]
+    for n in range(2, 13):
+        assert eval_formula(delta_formula(n), problem.jet(n)).value == problem.analytic(n)
 
 
 def test_cubic_analytic_values():
     problem = builtin_problem("cubic")
     assert problem.analytic(1) == -1
     assert problem.analytic(2) == -4
-    report = evaluate_problem(problem, 6)
-    assert report.value == problem.analytic(6)
+    for n in range(2, 13):
+        assert eval_formula(delta_formula(n), problem.jet(n)).value == problem.analytic(n)
 
 
 def test_lambert_closed_forms():
@@ -239,6 +257,27 @@ def test_finite_differences_on_known_problems():
     assert abs(circle[1] - (-1.0)) < 1e-6
     exp = finite_difference_derivatives(builtin_problem("exp"), 3)
     assert all(abs(v - 1.0) < 1e-6 for v in exp)
+
+
+def test_finite_differences_stop_at_order_four():
+    circle = builtin_problem("circle")
+    assert len(finite_difference_derivatives(circle, FD_MAX_ORDER)) == FD_MAX_ORDER
+    for n in (0, FD_MAX_ORDER + 1):
+        with pytest.raises(DomainError):
+            finite_difference_derivatives(circle, n)
+    with pytest.raises(DomainError):
+        evaluate_problem(circle, FD_MAX_ORDER + 1, check_fd=True)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_central_stencil_moments(k):
+    # sum_j c_j j^i = k! [i = k] for every i the stencil's 2m + 1 points fix
+    offsets, coeffs = _central_stencil(k)
+    m = (k + 1) // 2
+    assert offsets == tuple(range(-m, m + 1))
+    for i in range(2 * m + 1):
+        moment = sum(c * Fraction(j) ** i for j, c in zip(offsets, coeffs))
+        assert moment == (math.factorial(k) if i == k else 0)
 
 
 def test_finite_differences_match_formula_on_lambert():
