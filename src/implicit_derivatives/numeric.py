@@ -44,11 +44,16 @@ def _coerce_scalar(value, kind, what):
     if kind == RATIONAL:
         if isinstance(value, float):
             raise JetError(f"float value {value!r} in a rational jet ({what})")
-        return Fraction(value)
-    if isinstance(value, (Fraction, str)):
+        convert = Fraction
+    elif isinstance(value, (Fraction, str)):
         raise JetError(f"non-float value {value!r} in a float jet ({what})")
-    value = float(value)
-    if not math.isfinite(value):
+    else:
+        convert = float
+    try:
+        value = convert(value)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise JetError(f"cannot convert {what} to a {kind} scalar: {exc}") from exc
+    if kind == FLOAT and not math.isfinite(value):
         raise JetError(f"non-finite value {value!r} in a float jet ({what})")
     return value
 
@@ -72,6 +77,8 @@ class Jet:
     def __post_init__(self) -> None:
         if self.kind not in (RATIONAL, FLOAT):
             raise JetError(f"unknown jet kind {self.kind!r}")
+        if not isinstance(self.order, int) or isinstance(self.order, bool):
+            raise JetError(f"jet order must be an integer, got {self.order!r}")
         if self.order < 1:
             raise JetError("jet order must be at least 1")
         self.x0 = _coerce_scalar(self.x0, self.kind, "x0")
@@ -136,13 +143,13 @@ def jet_from_json(text: str) -> Jet:
         return Jet(
             x0=doc["x0"],
             y0=doc["y0"],
-            order=int(doc["order"]),
+            order=doc["order"],
             partials=partials,
             kind=doc["kind"],
         )
     except JetError:
         raise
-    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise JetError(f"malformed jet document: {exc}") from exc
 
 
@@ -180,31 +187,59 @@ def relative_error(value, target) -> float:
 
 
 def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
-    """Evaluate either formula shape on a jet; exact on rational jets."""
+    """Evaluate either formula shape on a jet; exact on rational jets.
+
+    Each distinct block D[l,r] (or partial, for the expanded shape) and
+    each factor power is computed once per call.  On rational jets a
+    term is built from integer numerators and denominators and normalized
+    once; on float jets the operations and their order are those of the
+    plain per-factor product, so every float is bit-identical to it.
+    """
     if isinstance(formula, ElemFormula) and formula.form == "inverse":
         raise DomainError("inverse-function formulas are not evaluated on jets")
     if jet.order < formula.n:
         raise JetError(f"formula of order {formula.n} needs jet order >= {formula.n}")
     if jet.fy == 0:
         raise SingularJetError("jet has f_y = 0 at the base point")
+    exact = jet.kind == RATIONAL
+    blocks = isinstance(formula, DeltaFormula)
+    fy = jet.fy
+    bases = {}  # key -> block or partial value
+    # (key, power) -> (numerator, denominator) of value**power; a float
+    # power is kept whole over 1, so the float product is the plain one
+    powers = {}
     contributions = []
     try:
         for coeff, mono in formula.terms:
-            product = Fraction(1) if jet.kind == RATIONAL else 1.0
-            if isinstance(formula, DeltaFormula):
-                for key, power in mono.factors:
-                    product *= eval_delta_block(jet, key.l, key.r) ** power
+            num, den = (coeff.numerator, coeff.denominator) if exact else (1.0, 1)
+            for entry in mono.factors if blocks else mono.exponents:
+                factor = powers.get(entry)
+                if factor is None:
+                    key, power = entry
+                    base = bases.get(key)
+                    if base is None:
+                        if blocks:
+                            base = eval_delta_block(jet, key.l, key.r)
+                        else:
+                            base = jet.partials[(key.l, key.r)]
+                        bases[key] = base
+                    if exact:
+                        factor = (base.numerator**power, base.denominator**power)
+                    else:
+                        factor = (base**power, 1)
+                    powers[entry] = factor
+                num *= factor[0]
+                den *= factor[1]
+            q = mono.fy_power
+            if exact:
+                value = Fraction(num * fy.denominator**q, den * fy.numerator**q)
             else:
-                for key, power in mono.exponents:
-                    product *= jet.partials[(key.l, key.r)] ** power
-            value = coeff * product / jet.fy**mono.fy_power
-            if jet.kind == FLOAT:
-                value = float(value)
+                value = float(coeff * num / fy**q)
             contributions.append(value)
     except (OverflowError, ZeroDivisionError) as exc:  # f_y powers out of range
         raise JetError(f"float evaluation out of range: {exc}") from exc
-    total = sum(contributions, Fraction(0) if jet.kind == RATIONAL else 0.0)
-    if jet.kind == FLOAT and not math.isfinite(total):
+    total = sum(contributions, Fraction(0) if exact else 0.0)
+    if not exact and not math.isfinite(total):
         raise JetError(f"float evaluation is not finite: {total!r}")
     return EvalReport(n=formula.n, value=total, term_values=tuple(contributions))
 

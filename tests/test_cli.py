@@ -1,5 +1,6 @@
 """CLI behavior: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -173,6 +174,37 @@ def test_eval_parse_error_exits_five(capsys, tmp_path):
     assert code == 5
     code, _, _ = run(capsys, "eval", "--jet", str(tmp_path / "missing.json"), "2")
     assert code == 5
+    path.write_text(
+        '{"x0": "0/1", "y0": "0/1", "order": 2.9, "kind": "rational",'
+        ' "partials": {"0,1": "1/1", "2,0": "1/1"}}'
+    )
+    code, out, _ = run(capsys, "eval", "--jet", str(path), "2")
+    assert code == 5
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "eval --problem circle 12",
+            "22fe199494cc5387ef1dec0877151bef9fac1c4b3e80117f7a8047b48298b47e",
+        ),
+        (
+            "eval --problem cubic 10",
+            "45650b3f49c358b0e48e8b8761b56e95cc05bb64d13609767d3f4bca451981c9",
+        ),
+        (
+            "eval --problem lambert 10 --kind float",
+            "2340c5b5e1554a95b5ca96a3ad3180b796b2fa199e49eb0f8b364d1f7dcc1440",
+        ),
+    ],
+    ids=["circle-12", "cubic-10", "lambert-10-float"],
+)
+def test_eval_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

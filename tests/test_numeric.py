@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicit_derivatives import (
+    DeltaFormula,
     DomainError,
     Jet,
     JetError,
@@ -26,6 +27,7 @@ from implicit_derivatives import (
 from implicit_derivatives.numeric import (
     FD_MAX_ORDER,
     _central_stencil,
+    _coerce_scalar,
     evaluate_problem,
     newton_solve,
     relative_error,
@@ -61,6 +63,36 @@ def test_jet_validation():
         Jet(x0=0, y0=0, order=2, partials={(0, 1): 0.5}, kind="rational")
     with pytest.raises(JetError):
         Jet(x0=0.0, y0=0.0, order=2, partials={(0, 1): Fraction(1, 2)}, kind="float")
+    for order in (1.5, 2.0, True, "2"):
+        with pytest.raises(JetError):
+            Jet(x0=0, y0=0, order=order, partials={(0, 1): 1})
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [
+        ("1/0", "rational"),
+        ("one half", "rational"),
+        (object(), "rational"),
+        (10**400, "float"),  # an integer beyond binary64
+        (object(), "float"),
+        ([1.0], "float"),
+    ],
+    ids=[
+        "zero-denominator",
+        "bad-literal",
+        "rational-object",
+        "overflow",
+        "float-object",
+        "list",
+    ],
+)
+def test_scalar_conversion_errors_are_jet_errors(value, kind):
+    with pytest.raises(JetError):
+        _coerce_scalar(value, kind, "x0")
+    zero = 0 if kind == "rational" else 0.0
+    with pytest.raises(JetError):
+        Jet(x0=zero, y0=zero, order=1, partials={(0, 1): value}, kind=kind)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -96,6 +128,7 @@ def test_jet_json_rejects_garbage():
         floaty % '{"0,1": "1.5"}',  # a string in a float jet
         floaty % '{"0,1": [1.0]}',  # a list in a float jet
         floaty % ('{"0,1": 1%s}' % ("0" * 400)),  # an integer beyond binary64
+        rational.replace('"order": 1', '"order": 2.9') % '{"0,1": 1}',
     ):
         with pytest.raises(JetError):
             jet_from_json(text)
@@ -142,6 +175,65 @@ def test_block_and_expanded_paths_agree_exactly(n):
         left = eval_formula(formula_b, jet).value
         right = eval_formula(formula_e, jet).value
         assert left == right
+
+
+def float_copy(jet):
+    partials = {key: float(v) for key, v in jet.partials.items()}
+    return Jet(float(jet.x0), float(jet.y0), jet.order, partials, kind="float")
+
+
+def per_factor_reference(formula, jet):
+    """The plain term loop: every factor evaluated and multiplied in afresh."""
+    contributions = []
+    for coeff, mono in formula.terms:
+        product = Fraction(1) if jet.kind == "rational" else 1.0
+        if isinstance(formula, DeltaFormula):
+            for key, power in mono.factors:
+                product *= eval_delta_block(jet, key.l, key.r) ** power
+        else:
+            for key, power in mono.exponents:
+                product *= jet.partials[(key.l, key.r)] ** power
+        value = coeff * product / jet.fy**mono.fy_power
+        contributions.append(float(value) if jet.kind == "float" else value)
+    total = sum(contributions, Fraction(0) if jet.kind == "rational" else 0.0)
+    return total, tuple(contributions)
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(delta_formula, n) for n in range(2, 11)]
+    + [(elementary_formula, n) for n in range(2, 8)],
+)
+def test_eval_matches_the_per_factor_product_bit_for_bit(build, n):
+    formula = build(n)
+    jet = random_rational_jet(n, seed=700 + n)
+    # -f has the same solution; one of the two jets has a negative f_y
+    negated = Jet(jet.x0, jet.y0, n, {key: -v for key, v in jet.partials.items()})
+    for case in (jet, float_copy(jet), negated, float_copy(negated)):
+        report = eval_formula(formula, case)
+        value, terms = per_factor_reference(formula, case)
+        assert type(report.value) is type(value)
+        assert [type(t) for t in report.term_values] == [type(t) for t in terms]
+        # repr tells floats apart bit for bit (0.0 from -0.0 too)
+        assert repr(report.value) == repr(value)
+        assert repr(report.term_values) == repr(terms)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_each_block_is_computed_once_per_call(monkeypatch, n):
+    import implicit_derivatives.numeric as numeric
+
+    formula = delta_formula(n)
+    calls = []
+
+    def counted(jet, l, r):
+        calls.append((l, r))
+        return eval_delta_block(jet, l, r)
+
+    monkeypatch.setattr(numeric, "eval_delta_block", counted)
+    eval_formula(formula, random_rational_jet(n, seed=n))
+    distinct = {(key.l, key.r) for _, mono in formula.terms for key, _ in mono.factors}
+    assert sorted(calls) == sorted(distinct)
 
 
 def test_eval_rejects_inverse_form_and_short_jets():
