@@ -42,6 +42,7 @@ from .formula import (
     expand_block,
     expand_delta,
     inverse_function_formula,
+    recursion_step,
     specialize_fx_zero,
 )
 from .keys import VectorKey

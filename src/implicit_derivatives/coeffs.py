@@ -12,9 +12,15 @@ they are computed as rationals and asserted integral rather than by
 incremental division, so any bookkeeping slip trips an error instead of
 silently truncating.
 
-The module also houses two verifiers: the order-to-order recursion that
-rebuilds C from predecessor elements, and the binomial identity for the
-refinement sums tying the two coefficient families together.
+The module also houses the order-to-order recursion that rebuilds C
+from predecessor elements, and the refinement sums tying the two
+coefficient families together.  :func:`zgamma_sum` returns the sums for
+every split at once: the weight of a refinement system is a product over
+the keys, so the sum over all systems is a product of one integer
+polynomial per key.  Each key's polynomial is summed by brute force over
+its weak compositions, never taken from a closed form, and the keys'
+polynomials are convolved; the binomial identity is then a check on the
+result, not an ingredient of it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .partitions import Multiplicities, enumerate_A, enumerate_Z, predecessors
+from .partitions import Multiplicities, _compositions, enumerate_A, predecessors
 
 
 def binom(a: int, b: int) -> int:
@@ -68,23 +74,53 @@ def signed_coeff(alpha: Multiplicities) -> int:
     return -value if alpha.total % 2 else value
 
 
-def zgamma_sum(gamma: Multiplicities, s10: int) -> Fraction:
-    """Weighted sum over the refinement systems of ``gamma``.
+def _key_polynomial(t: int, count: int) -> list[int]:
+    """Refinement sum of one key (p, t) with multiplicity ``count``, by splits.
 
-    Each system contributes prod s! * prod_j binom(t, j)^q / q!.  The
-    total is asserted elsewhere (and verified by the test-suite) to be
-    the single binomial binom(sum t*s, s10).
+    Brute force over the weak compositions (q_0, ..., q_t) of ``count``:
+    each adds count! * prod_j binom(t, j)^q_j / q_j! to the coefficient of
+    z^(sum j * q_j).  Entry i of the result is that coefficient.
     """
-    total = Fraction(0)
-    base = Fraction(1)
-    for _, count in gamma.items():
-        base *= math.factorial(count)
-    for system in enumerate_Z(gamma, s10):
-        term = base
-        for (_, t, j), q in system.items():
-            term *= Fraction(binom(t, j) ** q, math.factorial(q))
-        total += term
-    return total
+    poly = [0] * (t * count + 1)
+    choices = [binom(t, j) for j in range(t + 1)]
+    for comp in _compositions(count, t + 1):
+        num, den, degree = math.factorial(count), 1, 0
+        for j, q in enumerate(comp):
+            num *= choices[j] ** q
+            den *= math.factorial(q)
+            degree += j * q
+        value, rest = divmod(num, den)
+        if rest:
+            raise ArithmeticError(f"refinement weight of {comp} is not integral")
+        poly[degree] += value
+    return poly
+
+
+def zgamma_sum(gamma: Multiplicities) -> tuple[int, ...]:
+    """Weighted sums over the refinement systems of ``gamma``, for every split.
+
+    A system picks, for every key (p, t) of ``gamma`` with count s, a
+    weak composition (q_0, ..., q_t) of s.  It contributes
+    prod s! * prod_j binom(t, j)^q_j / q_j!, over all keys and j, to the
+    split s10 = sum j * q_j, again over all keys and j.  The weight is a
+    product over the keys, so the sum over all systems is the product of
+    one polynomial in z per key (:func:`_key_polynomial`, itself a
+    brute-force sum); the product is taken by convolution.  Entry s10 of
+    the returned row, of length ``gamma.sum_r + 1``, is the coefficient
+    of z^s10.  The row is asserted elsewhere (and verified by the
+    test-suite) to be the binomials binom(sum t*s, s10).
+    """
+    row = [1]
+    for key, count in gamma.items():
+        if key.l + key.r < 2:
+            raise DomainError(f"key {tuple(key)} has p + t < 2")
+        poly = _key_polynomial(key.r, count)
+        product = [0] * (len(row) + len(poly) - 1)
+        for i, a in enumerate(row):
+            for j, b in enumerate(poly):
+                product[i + j] += a * b
+        row = product
+    return tuple(row)
 
 
 @dataclass

@@ -44,6 +44,7 @@ __all__ = [
     "delta_formula",
     "delta_formula_via_recursion",
     "derive_next",
+    "recursion_step",
     "expand_block",
     "expand_delta",
     "elementary_formula",
@@ -64,6 +65,20 @@ def delta_formula(n: int) -> DeltaFormula:
     return DeltaFormula.from_terms(n, terms)
 
 
+def _block_terms(formula: DeltaFormula, caller: str) -> dict[Multiplicities, Fraction]:
+    """The coefficients of a compact form by family-A element, each term checked."""
+    if not isinstance(formula, DeltaFormula):
+        raise FormulaError(f"{caller} expects the compact block form")
+    n = formula.n
+    table = {}
+    for coeff, mono in formula.terms:
+        alpha = Multiplicities(mono.factors)
+        if not is_member_A(alpha, n) or mono.fy_power != n + alpha.total:
+            raise FormulaError(f"term {mono} is not a valid order-{n} block term")
+        table[alpha] = coeff
+    return table
+
+
 def derive_next(formula: DeltaFormula) -> DeltaFormula:
     """Differentiate the compact form once, producing the next order.
 
@@ -78,19 +93,14 @@ def derive_next(formula: DeltaFormula) -> DeltaFormula:
     contribution is added separately and like products are collected
     generically, so no cancellation is special-cased.
     """
-    if not isinstance(formula, DeltaFormula):
-        raise FormulaError("derive_next expects the compact block form")
     n = formula.n
     acc: dict[Multiplicities, Fraction] = {}
 
     def add(mults: Multiplicities, value: Fraction) -> None:
         acc[mults] = acc.get(mults, Fraction(0)) + value
 
-    for coeff, mono in formula.terms:
-        alpha = Multiplicities(mono.factors)
+    for alpha, coeff in _block_terms(formula, "derive_next").items():
         h = alpha.total
-        if not is_member_A(alpha, n) or mono.fy_power != n + h:
-            raise FormulaError(f"term {mono} is not a valid order-{n} block term")
         mixed = successor_mixed(alpha)
         for key, count in alpha.items():
             base = coeff * count
@@ -110,32 +120,41 @@ def derive_next(formula: DeltaFormula) -> DeltaFormula:
     return DeltaFormula.from_terms(n + 1, terms)
 
 
+def recursion_step(formula: DeltaFormula) -> DeltaFormula:
+    """One step of the coefficient recursion: the next order's compact form.
+
+    Every order-(n+1) coefficient is assembled from the coefficients of
+    its predecessor records in ``formula``, each weighted by
+    :func:`~implicit_derivatives.coeffs.signed_recursion_weight`.  A
+    predecessor with no term in ``formula`` has coefficient 0.
+    """
+    table = _block_terms(formula, "recursion_step")
+    n = formula.n
+    terms = []
+    for beta in enumerate_A(n + 1):
+        value = Fraction(0)
+        for record in predecessors(beta, n + 1):
+            weight = signed_recursion_weight(record, beta)
+            value += weight * table.get(record.predecessor, 0)
+        if value != 0:
+            terms.append((value, DeltaMonomial(beta.entries, n + 1 + beta.total)))
+    return DeltaFormula.from_terms(n + 1, terms)
+
+
 def delta_formula_via_recursion(n: int) -> DeltaFormula:
     """Rebuild the compact form from the coefficient recursion alone.
 
-    Starting from the single order-2 coefficient -1, every order-(m+1)
-    coefficient is assembled from its predecessor records, each weighted
-    by :func:`~implicit_derivatives.coeffs.signed_recursion_weight`.  The
+    Starting from the single order-2 coefficient -1, every order is
+    built from the one below by :func:`recursion_step`.  The
     box-counting coefficients are never consulted, so this is an
     independent route to the same formula.
     """
     check_order(n, 2)
-    table = {Multiplicities.from_dict({(2, 0): 1}): Fraction(-1)}
-    for m in range(3, n + 1):
-        new_table = {}
-        for beta in enumerate_A(m):
-            value = Fraction(0)
-            for record in predecessors(beta, m):
-                weight = signed_recursion_weight(record, beta)
-                value += weight * table[record.predecessor]
-            new_table[beta] = value
-        table = new_table
-    terms = [
-        (coeff, DeltaMonomial(alpha.entries, n + alpha.total))
-        for alpha, coeff in table.items()
-        if coeff != 0
-    ]
-    return DeltaFormula.from_terms(n, terms)
+    start = DeltaMonomial(((VectorKey(2, 0), 1),), 3)
+    formula = DeltaFormula.from_terms(2, [(Fraction(-1), start)])
+    for _ in range(3, n + 1):
+        formula = recursion_step(formula)
+    return formula
 
 
 # --- block expansion into raw partials ---------------------------------------

@@ -9,7 +9,9 @@ the mathematics:
 * ``oracle``: block expansion, the direct expanded form, and the
   brute-force differentiation oracle agree exactly, order by order.
 * ``johnson``: the refinement sums collapse to single binomials for
-  every family-B element and every admissible split.
+  every family-B element and every admissible split; one call of
+  :func:`~implicit_derivatives.coeffs.zgamma_sum` per element gives the
+  sums of all its splits.
 * ``shift``: evaluating the f_x = 0 specialization on the sheared jet
   equals evaluating the compact formula on the original jet, exactly,
   on batches of random rational jets.
@@ -28,6 +30,7 @@ from .formula import (
     derive_next,
     elementary_formula,
     expand_delta,
+    recursion_step,
     specialize_fx_zero,
 )
 from .numeric import eval_formula, random_rational_jet, shift_jet
@@ -39,15 +42,19 @@ SHIFT_SEED_BASE = 20_000
 
 
 def recursion_suite(max_n: int) -> list[CheckReport]:
-    """Coefficient recursion and differentiation step versus direct construction."""
+    """Coefficient recursion and differentiation step versus direct construction.
+
+    Both stepped routes carry their formula forward, one step per order.
+    """
     reports = []
     previous = delta_formula(2)
+    rebuilt = delta_formula_via_recursion(2)
     for n in range(2, max_n + 1):
         reports.append(verify_C_recursion(n))
         report = CheckReport(f"order step {n}->{n + 1}")
         direct = delta_formula(n + 1)
         stepped = derive_next(previous)
-        rebuilt = delta_formula_via_recursion(n + 1)
+        rebuilt = recursion_step(rebuilt)
         report.record(
             stepped == direct,
             f"differentiation step disagrees with direct construction at {n + 1}",
@@ -93,8 +100,9 @@ def johnson_suite(max_n: int) -> list[CheckReport]:
                 tuple((k, c) for k, c in gamma.items() if k != (1, 0))
             )
             top = core.sum_r
+            row = zgamma_sum(core)
             for s10 in range(top + 1):
-                value = zgamma_sum(core, s10)
+                value = row[s10]
                 expected = binom(top, s10)
                 report.record(
                     value == expected,

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from implicit_derivatives import jet_to_json, random_rational_jet
+from implicit_derivatives import jet_to_json, random_rational_jet, verification
 from implicit_derivatives.cli import main
 
 
@@ -113,6 +113,21 @@ def test_verify_all_small(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--suite", "all")
     assert code == 0
     assert all(json.loads(line)["passed"] for line in out.strip().splitlines())
+
+
+def test_johnson_suite_can_fail(capsys, monkeypatch):
+    honest = verification.zgamma_sum
+
+    def off_by_one(core):
+        row = list(honest(core))
+        row[-1] += 1
+        return tuple(row)
+
+    monkeypatch.setattr(verification, "zgamma_sum", off_by_one)
+    assert not all(report.passed for report in verification.johnson_suite(5))
+    code, out, _ = run(capsys, "verify", "--suite", "johnson", "--max-n", "5")
+    assert code == 1
+    assert not any(json.loads(line)["passed"] for line in out.strip().splitlines())
 
 
 def test_eval_problem_circle(capsys):

@@ -1,5 +1,8 @@
 """Tests for the exact combinatorial coefficients and their identities."""
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from implicit_derivatives import (
     coeff_D,
     enumerate_A,
     enumerate_B,
+    enumerate_Z,
     signed_coeff,
     verify_C_recursion,
     zgamma_sum,
@@ -75,19 +79,58 @@ def test_C_recursion_rejects_low_order():
         verify_C_recursion(1)
 
 
+def binomial_row(top):
+    return tuple(binom(top, s10) for s10 in range(top + 1))
+
+
+def core_of(gamma):
+    return Multiplicities(tuple((k, c) for k, c in gamma.items() if k != (1, 0)))
+
+
+def system_by_system_sum(gamma, s10):
+    # the refinement sum one split at a time, over every system in turn
+    total = Fraction(0)
+    base = Fraction(1)
+    for _, count in gamma.items():
+        base *= factorial(count)
+    for system in enumerate_Z(gamma, s10):
+        term = base
+        for (_, t, j), q in system.items():
+            term *= Fraction(binom(t, j) ** q, factorial(q))
+        total += term
+    return total
+
+
 def test_refinement_sum_forced_cases():
-    assert zgamma_sum(m({(2, 0): 1, (3, 1): 2}), 0) == 1
-    assert zgamma_sum(m({(1, 1): 1}), 1) == 1
-    assert zgamma_sum(m({(2, 2): 1, (1, 1): 1}), 2) == 3
+    assert zgamma_sum(m({(2, 0): 1, (3, 1): 2})) == binomial_row(2)
+    assert zgamma_sum(m({(1, 1): 1})) == binomial_row(1)
+    assert zgamma_sum(m({(2, 2): 1, (1, 1): 1})) == binomial_row(3)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def test_refinement_sum_of_empty_core():
+    assert zgamma_sum(m({})) == (1,)
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 1), (0, 0)], ids=["fx", "fy", "constant"])
+def test_refinement_sum_rejects_small_keys(key):
+    with pytest.raises(DomainError):
+        zgamma_sum(m({(2, 1): 1, key: 1}))
+
+
+def test_refinement_row_matches_system_by_system_sum():
+    cores = {core_of(gamma) for n in range(1, 9) for gamma in enumerate_B(n)}
+    for core in cores:
+        row = zgamma_sum(core)
+        assert all(type(value) is int for value in row)
+        splits = range(core.sum_r + 1)
+        assert list(row) == [system_by_system_sum(core, s) for s in splits]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 def test_refinement_sum_is_binomial_over_family_B(n):
     for gamma in enumerate_B(n):
-        core = Multiplicities(tuple((k, c) for k, c in gamma.items() if k != (1, 0)))
-        top = core.sum_r
-        for s10 in range(top + 2):
-            assert zgamma_sum(core, s10) == binom(top, s10)
+        core = core_of(gamma)
+        assert zgamma_sum(core) == binomial_row(core.sum_r)
 
 
 @given(
@@ -97,13 +140,11 @@ def test_refinement_sum_is_binomial_over_family_B(n):
         ),
         st.integers(1, 3),
         max_size=3,
-    ),
-    data=st.data(),
+    )
 )
 @settings(max_examples=60, deadline=None)
-def test_refinement_sum_is_binomial_generally(counts, data):
+def test_refinement_sum_is_binomial_generally(counts):
     # the identity holds for arbitrary non-negative profiles, not just
     # the ones occurring inside family B
     gamma = Multiplicities.from_dict(counts)
-    s10 = data.draw(st.integers(0, gamma.sum_r))
-    assert zgamma_sum(gamma, s10) == binom(gamma.sum_r, s10)
+    assert zgamma_sum(gamma) == binomial_row(gamma.sum_r)

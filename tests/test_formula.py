@@ -25,6 +25,7 @@ from implicit_derivatives import (
     formulas_equal,
     inverse_function_formula,
     lift_to_tilde,
+    recursion_step,
     signed_coeff,
     specialize_fx_zero,
 )
@@ -199,6 +200,7 @@ def test_derive_next_chain_matches_direct(n):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_recursion_built_formula_matches_direct(n):
     assert delta_formula_via_recursion(n) == delta_formula(n)
+    assert recursion_step(delta_formula(n - 1)) == delta_formula(n)
 
 
 def test_derive_next_rejects_malformed_input():
@@ -211,6 +213,16 @@ def test_derive_next_rejects_malformed_input():
         derive_next(not_in_family)
     with pytest.raises(FormulaError):
         derive_next(elementary_formula(2))
+
+
+def test_recursion_step_rejects_malformed_input():
+    for bad in (
+        DeltaFormula.from_terms(2, [dterm(-1, {(2, 0): 1}, 4)]),
+        DeltaFormula.from_terms(3, [dterm(-1, {(2, 0): 1}, 4)]),
+        elementary_formula(2),
+    ):
+        with pytest.raises(FormulaError):
+            recursion_step(bad)
 
 
 # --- block expansion ---------------------------------------------------------------
