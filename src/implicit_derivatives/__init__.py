@@ -41,6 +41,7 @@ from .formula import (
     elementary_formula,
     expand_block,
     expand_delta,
+    fx_zero_formula,
     inverse_function_formula,
     recursion_step,
     specialize_fx_zero,

@@ -30,9 +30,9 @@ from .errors import (
 from .formula import (
     delta_formula,
     elementary_formula,
+    fx_zero_formula,
     inverse_function_formula,
     render,
-    specialize_fx_zero,
 )
 from .numeric import (
     PROBLEM_NAMES,
@@ -132,7 +132,7 @@ def _cmd_formula(args) -> int:
     elif args.form == "inverse":
         formula = inverse_function_formula(args.n)
     else:
-        formula = specialize_fx_zero(elementary_formula(args.n))
+        formula = fx_zero_formula(args.n)
     print(render(formula, args.format))
     return EXIT_OK
 

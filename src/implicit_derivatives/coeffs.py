@@ -8,9 +8,9 @@ which counts the ways to distribute n marked "x-slots" and h-1 marked
 "y-slots" into h unlabeled boxes with the prescribed box profile; the
 derivative formula uses it with the sign (-1)^h.  Family B carries the
 analogous D(gamma) over keys (p, t).  Both quotients are exact integers;
-they are computed as rationals and asserted integral rather than by
-incremental division, so any bookkeeping slip trips an error instead of
-silently truncating.
+each is computed as one quotient of integers whose remainder is
+asserted zero, rather than by incremental division, so any bookkeeping
+slip trips an error instead of silently truncating.
 
 The module also houses the order-to-order recursion that rebuilds C
 from predecessor elements, and the refinement sums tying the two
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DomainError
 from .partitions import Multiplicities, _compositions, enumerate_A, predecessors
@@ -46,10 +45,10 @@ def _balls_in_boxes(mults: Multiplicities) -> int:
     for key, count in mults.items():
         den *= (math.factorial(key.l) * math.factorial(key.r)) ** count
         den *= math.factorial(count)
-    value = Fraction(num, den)
-    if value.denominator != 1:
-        raise ArithmeticError(f"coefficient for {mults} is not integral: {value}")
-    return int(value)
+    value, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"coefficient for {mults} is not integral: {num}/{den}")
+    return value
 
 
 def coeff_C(alpha: Multiplicities) -> int:

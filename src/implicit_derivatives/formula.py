@@ -31,6 +31,7 @@ from .expressions import (
 from .keys import VectorKey, merge_entries
 from .partitions import (
     Multiplicities,
+    _integer_partitions,
     enumerate_A,
     enumerate_B,
     is_member_A,
@@ -49,6 +50,7 @@ __all__ = [
     "expand_delta",
     "elementary_formula",
     "specialize_fx_zero",
+    "fx_zero_formula",
     "inverse_function_formula",
     "render",
 ]
@@ -243,22 +245,41 @@ def specialize_fx_zero(formula: ElemFormula) -> ElemFormula:
     return ElemFormula.from_terms(formula.n, kept)
 
 
+def fx_zero_formula(n: int) -> ElemFormula:
+    """The expanded form at f_x = 0, built from its own index set, family A.
+
+    The terms of the expanded form without f_x are the family-B elements
+    with s[1,0] = 0, which are the family-A elements alpha; there
+    D(alpha) = C(alpha) and k = h, so each term is (-1)^h C(alpha) times
+    the monomial of alpha over f_y^h.  Equals
+    ``specialize_fx_zero(elementary_formula(n))``; order 1 has no term.
+    """
+    check_order(n, 1)
+    alphas = enumerate_A(n) if n >= 2 else []
+    terms = [
+        (Fraction(signed_coeff(alpha)), ElemMonomial(alpha.entries, alpha.total))
+        for alpha in alphas
+    ]
+    return ElemFormula.from_terms(n, terms)
+
+
 def inverse_function_formula(n: int) -> ElemFormula:
     """Derivative of an inverse function, by substituting f(x, y) = x - g(y).
 
     Under the substitution f_x = 1, all mixed and higher pure-x partials
-    vanish, and f_{y^t} = -g^(t).  Surviving terms are re-expressed over
-    the symbols g^(j) (stored as keys (0, j)) with denominator powers of
-    g'; the result has one term per partition of n + u - 1 into u parts
-    of size at least 2, with u the number of g-factors.
+    vanish, and f_{y^t} = -g^(t).  The surviving expanded-form terms are
+    the family-B elements gamma with keys (1, 0) and (0, t) only; the sum
+    constraints force s[1,0] = n and sum (t - 1) * s[0,t] = n - 1.  So
+    the index set is the partitions of n - 1: a part j gives the symbol
+    g^(j+1) (stored as the key (0, j+1)), u is the number of parts, and
+    the term has coefficient (-1)^u D(gamma) over g'^(n+u).
     """
-    base = elementary_formula(n)
+    check_order(n, 1)
     terms = []
-    for coeff, mono in base.terms:
-        if any(k.l >= 1 and k != (1, 0) for k, _ in mono.exponents):
-            continue
-        g_factors = tuple((k, p) for k, p in mono.exponents if k != (1, 0))
-        u = sum(p for _, p in g_factors)
-        sign = Fraction(-1) ** (u + mono.fy_power)
-        terms.append((coeff * sign, ElemMonomial(g_factors, mono.fy_power)))
+    for parts in _integer_partitions(n - 1):
+        g_factors = tuple((VectorKey(0, j + 1), count) for j, count in parts)
+        u = sum(count for _, count in parts)
+        coeff = coeff_D(Multiplicities(g_factors + ((VectorKey(1, 0), n),)))
+        coeff = -coeff if u % 2 else coeff
+        terms.append((Fraction(coeff), ElemMonomial(g_factors, n + u)))
     return ElemFormula.from_terms(n, terms, form="inverse")

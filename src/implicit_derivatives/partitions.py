@@ -20,6 +20,16 @@ multisets appear:
   the monomials of the fully expanded derivative; family A embeds into
   it by taking s[1,0] = 0.
 
+Both families are enumerated by one descent over the cores (keys with
+l + r >= 2 and sum (l + r - 1) * m = n - 1), taking the keys in order of
+increasing total l + r.  Family B keeps every core.  For family A the
+descent also cuts every branch with x_left * (s - 1) > weight_left * s,
+where s = l + r of the current key, x_left = n - sum l * m and
+weight_left = n - 1 - sum (l + r - 1) * m so far.  The cut drops no
+element: every key still to come has l <= l + r and l + r >= s, so it
+places at most (l + r) / (l + r - 1) <= s / (s - 1) x-differentiations
+per unit of weight, and such a branch can never reach x_left = 0.
+
 The module also provides the neighbor constructions that connect
 consecutive orders: three "successor" moves sending an order-n element
 to an order-(n+1) element, through which the differentiation step
@@ -162,51 +172,57 @@ def is_member_B(gamma: Multiplicities, n: int) -> bool:
     return gamma.sum_l == n and gamma.sum_r - gamma.total == -1
 
 
-def _core_multisets(n: int) -> Iterator[tuple[tuple[tuple[VectorKey, int], ...], int]]:
+def _core_multisets(
+    n: int, family_a: bool = False
+) -> list[tuple[tuple[tuple[VectorKey, int], ...], int]]:
     """All multisets over keys with l + r >= 2 whose weight sum matches order n.
 
     Adding the two sum constraints shows every admissible multiset has
     sum (l + r - 1) * m = n - 1 with sum l * m <= n, and conversely each
     such multiset extends uniquely to family B (and lies in family A
-    exactly when sum l * m = n).  Yields (entries, n - sum l * m).
+    exactly when sum l * m = n).  Returns (entries, n - sum l * m) pairs.
+    With ``family_a`` set, returns only the family-A cores, and branches
+    that cannot reach sum l * m = n are cut (see the module docstring).
     """
-    # ordered by total l + r, so the consumed weight l + r - 1 is
-    # non-decreasing along the list and exhausted tails prune early
-    keys = [VectorKey(a, s - a) for s in range(2, n + 1) for a in range(s + 1)]
+    # ordered by total l + r, so the weight l + r - 1 never decreases
+    # along the list: a key too heavy, or past the family-A cut, ends
+    # the loop for every later key too
+    keys = [
+        (VectorKey(a, s - a), a, s - 1) for s in range(2, n + 1) for a in range(s + 1)
+    ]
+    out = []
+    acc = []
 
-    def descend(i, weight_left, x_left, acc):
+    def descend(start, weight_left, x_left):
         if weight_left == 0:
-            yield tuple(acc), x_left
+            if not (family_a and x_left):
+                out.append((tuple(acc), x_left))
             return
-        if i == len(keys):
-            return
-        key = keys[i]
-        weight = key.l + key.r - 1
-        if weight > weight_left:
-            return
-        top = weight_left // weight
-        if key.l:
-            top = min(top, x_left // key.l)
-        for count in range(top + 1):
-            if count:
-                acc.append((key, count))
-            yield from descend(
-                i + 1, weight_left - count * weight, x_left - count * key.l, acc
-            )
-            if count:
-                acc.pop()
+        for i in range(start, len(keys)):
+            key, l, weight = keys[i]
+            if weight > weight_left:
+                break
+            if family_a and x_left * weight > weight_left * (weight + 1):
+                break
+            top = weight_left // weight
+            if l:
+                top = min(top, x_left // l)
+            for count in range(1, top + 1):
+                left = weight_left - count * weight
+                # a remainder lighter than this key fits no later key
+                if left == 0 or left >= weight:
+                    acc.append((key, count))
+                    descend(i + 1, left, x_left - count * l)
+                    acc.pop()
 
-    yield from descend(0, n - 1, n, [])
+    descend(0, n - 1, n)
+    return out
 
 
 def enumerate_A(n: int) -> list[Multiplicities]:
     """All family-A elements of order n, stratified by h then lexicographic."""
     check_order(n, 2)
-    out = [
-        Multiplicities(entries)
-        for entries, x_left in _core_multisets(n)
-        if x_left == 0
-    ]
+    out = [Multiplicities(entries) for entries, _ in _core_multisets(n, family_a=True)]
     out.sort(key=lambda m: (m.total, m.entries))
     return out
 
@@ -265,6 +281,23 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _integer_partitions(
+    total: int, smallest: int = 1
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Partitions of ``total`` into parts >= ``smallest``, as (part, count) pairs.
+
+    The pairs of each partition ascend by part; the empty partition is
+    the one partition of 0.
+    """
+    if total == 0:
+        yield ()
+        return
+    for part in range(smallest, total + 1):
+        for count in range(1, total // part + 1):
+            for rest in _integer_partitions(total - count * part, part + 1):
+                yield ((part, count),) + rest
 
 
 def enumerate_Z(

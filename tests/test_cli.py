@@ -223,6 +223,35 @@ def test_eval_stdout_is_pinned(capsys, argv, digest):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "--cap 16 formula 16 --form delta --format json",
+            "b2336d93c9160b171a6fc4cde97428c69a97c1b31f8ecfda952480cd29e89759",
+        ),
+        (
+            "--cap 16 formula 12 --form fx0 --format json",
+            "4d7a4cdb6b4da46ba53bd44fc42b6391db48ec21aae4ebc1b448b1872476396e",
+        ),
+        (
+            "--cap 16 formula 12 --form inverse --format latex",
+            "ca5935367ddb34d6b6dcf199a09b84730cf90d4f3be7292c0b869da61d55f77c",
+        ),
+        (
+            # "0\n": order 1 has no term free of f_x
+            "formula 1 --form fx0",
+            "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        ),
+    ],
+    ids=["delta-16-json", "fx0-12-json", "inverse-12-latex", "fx0-1-plain"],
+)
+def test_formula_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "partials",
     [
         '{"0,1": 1e120, "2,0": 1, "3,0": 1}',  # f_y^k overflows

@@ -23,6 +23,7 @@ from implicit_derivatives import (
     expand_block,
     expand_delta,
     formulas_equal,
+    fx_zero_formula,
     inverse_function_formula,
     lift_to_tilde,
     recursion_step,
@@ -90,6 +91,8 @@ def test_block_form_regression_no_spurious_key():
         pytest.param(delta_formula, 2, id="delta_formula"),
         pytest.param(delta_formula_via_recursion, 2, id="delta_formula_via_recursion"),
         pytest.param(elementary_formula, 1, id="elementary_formula"),
+        pytest.param(fx_zero_formula, 1, id="fx_zero_formula"),
+        pytest.param(inverse_function_formula, 1, id="inverse_function_formula"),
         pytest.param(enumerate_A, 2, id="enumerate_A"),
         pytest.param(enumerate_B, 1, id="enumerate_B"),
     ],
@@ -306,6 +309,13 @@ def test_specialized_form_is_the_family_A_sum(n):
     assert specialize_fx_zero(elementary_formula(n)) == expected
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_direct_fx0_build_matches_specialization(n):
+    formula = fx_zero_formula(n)
+    assert formula == specialize_fx_zero(elementary_formula(n))
+    assert (formula.terms == ()) == (n == 1)
+
+
 # --- inverse functions ---------------------------------------------------------------
 
 
@@ -341,7 +351,7 @@ def inverse_reference(n):
     return terms
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_inverse_formula_matches_reference(n):
     formula = inverse_function_formula(n)
     assert formula.form == "inverse"
@@ -350,6 +360,24 @@ def test_inverse_formula_matches_reference(n):
         for coeff, mono in formula.terms
     }
     assert got == inverse_reference(n)
+
+
+def inverse_by_filtering(n):
+    """The inverse form as a filter of the expanded form: keys (1, 0), (0, t) only."""
+    terms = []
+    for coeff, mono in elementary_formula(n).terms:
+        if any(k.l >= 1 and k != (1, 0) for k, _ in mono.exponents):
+            continue
+        g_factors = tuple((k, p) for k, p in mono.exponents if k != (1, 0))
+        u = sum(p for _, p in g_factors)
+        sign = Fraction(-1) ** (u + mono.fy_power)
+        terms.append((coeff * sign, ElemMonomial(g_factors, mono.fy_power)))
+    return ElemFormula.from_terms(n, terms, form="inverse")
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_inverse_formula_matches_filtered_expanded_form(n):
+    assert inverse_function_formula(n) == inverse_by_filtering(n)
 
 
 def test_inverse_small_orders():

@@ -112,7 +112,7 @@ def test_family_A_order_five_has_ten_elements():
     assert len(enumerate_A(5)) == 10
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 12))
 def test_family_A_matches_brute_force(n):
     assert as_key_set(enumerate_A(n)) == brute_A(n)
 
@@ -165,7 +165,7 @@ def test_family_B_small_orders():
     assert members(PartitionFamilyTag("B", 3, 1)) == [m({(3, 0): 1})]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_family_B_matches_brute_force(n):
     assert as_key_set(enumerate_B(n)) == brute_B(n)
 
@@ -186,6 +186,13 @@ def test_family_A_embeds_in_family_B(n):
     for alpha in enumerate_A(n):
         assert is_member_B(alpha, n)
         assert alpha in b_set
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_pruned_family_A_walk_is_the_family_B_filter(n):
+    # the family-A descent cuts branches; the unpruned family-B walk,
+    # filtered to s[1,0] = 0, is the reference: same list, same order
+    assert enumerate_A(n) == [b for b in enumerate_B(n) if b.get((1, 0)) == 0]
 
 
 # --- the lifted presentation ----------------------------------------------------
