@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .errors import (
@@ -41,7 +42,7 @@ from .numeric import (
     evaluate_problem,
     jet_from_json,
 )
-from .partitions import enumerate_A, enumerate_B
+from .partitions import _family
 from .verification import SUITES, run_suites
 
 DEFAULT_CAP = 12
@@ -199,17 +200,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    enumerate_family = enumerate_A if args.family == "A" else enumerate_B
-    start = 2 if args.family == "A" else 1
+    family_a = args.family == "A"
+    start = 2 if family_a else 1
     check_order(args.max_n, start)
     print("family\tn\tstratum\tcount")
     for n in range(start, args.max_n + 1):
-        members = enumerate_family(n)
-        by_stratum: dict[int, int] = {}
-        for element in members:
-            by_stratum[element.total] = by_stratum.get(element.total, 0) + 1
-        for stratum in sorted(by_stratum):
-            print(f"{args.family}\t{n}\t{stratum}\t{by_stratum[stratum]}")
+        members = _family(n, family_a)
+        # the family is sorted by total, so the strata come in order
+        for stratum, count in Counter(total for total, _ in members).items():
+            print(f"{args.family}\t{n}\t{stratum}\t{count}")
         print(f"{args.family}\t{n}\ttotal\t{len(members)}")
     return EXIT_OK
 

@@ -39,15 +39,16 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _balls_in_boxes(mults: Multiplicities) -> int:
-    num = math.factorial(mults.sum_l) * math.factorial(mults.sum_r)
+def _balls_in_boxes(entries, sum_l: int, sum_r: int) -> int:
+    """sum_l! sum_r! / prod l!^m r!^m m! over the (key, m) ``entries``."""
+    factorial = math.factorial
+    num = factorial(sum_l) * factorial(sum_r)
     den = 1
-    for key, count in mults.items():
-        den *= (math.factorial(key.l) * math.factorial(key.r)) ** count
-        den *= math.factorial(count)
+    for (l, r), count in entries:
+        den *= (factorial(l) * factorial(r)) ** count * factorial(count)
     value, rest = divmod(num, den)
     if rest:
-        raise ArithmeticError(f"coefficient for {mults} is not integral: {num}/{den}")
+        raise ArithmeticError(f"coefficient for {entries} is not integral: {num}/{den}")
     return value
 
 
@@ -56,7 +57,7 @@ def coeff_C(alpha: Multiplicities) -> int:
     for key, _ in alpha.items():
         if key.l + key.r < 2:
             raise DomainError(f"key {tuple(key)} not allowed in family A")
-    return _balls_in_boxes(alpha)
+    return _balls_in_boxes(alpha.entries, alpha.sum_l, alpha.sum_r)
 
 
 def coeff_D(gamma: Multiplicities) -> int:
@@ -64,7 +65,7 @@ def coeff_D(gamma: Multiplicities) -> int:
     for key, _ in gamma.items():
         if key.l + key.r < 2 and key != (1, 0):
             raise DomainError(f"key {tuple(key)} not allowed in family B")
-    return _balls_in_boxes(gamma)
+    return _balls_in_boxes(gamma.entries, gamma.sum_l, gamma.sum_r)
 
 
 def signed_coeff(alpha: Multiplicities) -> int:

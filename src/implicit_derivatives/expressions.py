@@ -36,8 +36,17 @@ Coefficient = Fraction
 FORMATS = ("plain", "latex", "json")
 
 
+def _integer(value, name: str) -> int:
+    # exact type: bool is a subclass of int but no index or power
+    if type(value) is not int:
+        raise FormulaError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _check_entries(entries, allow_key) -> None:
     for key, power in entries:
+        if type(key.l) is not int or type(key.r) is not int or type(power) is not int:
+            raise FormulaError(f"non-integer index or power in {tuple(key)}: {power!r}")
         if key.l < 0 or key.r < 0:
             raise FormulaError(f"negative indices in key {tuple(key)}")
         if not allow_key(key):
@@ -56,8 +65,8 @@ class DeltaMonomial:
     def __post_init__(self) -> None:
         factors = merge_entries(self.factors)
         _check_entries(factors, lambda k: k.l + k.r >= 2)
+        _integer(self.fy_power, "fy_power")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "fy_power", int(self.fy_power))
 
 
 @dataclass(frozen=True)
@@ -75,8 +84,8 @@ class ElemMonomial:
     def __post_init__(self) -> None:
         exponents = merge_entries(self.exponents)
         _check_entries(exponents, lambda k: k not in ((0, 0), (0, 1)))
+        _integer(self.fy_power, "fy_power")
         object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "fy_power", int(self.fy_power))
 
     def has_key(self, key) -> bool:
         target = VectorKey(*key)
@@ -97,12 +106,15 @@ def _collect(terms, sort_key):
 
 
 def _check_canonical(terms, sort_key, kind) -> None:
-    keys = [sort_key(mono) for _, mono in terms]
-    if keys != sorted(keys) or len(set(keys)) != len(keys):
-        raise FormulaError(f"{kind} terms are not in canonical order")
-    for coeff, _ in terms:
+    # strictly increasing keys are exactly "sorted and unique"
+    previous = None
+    for coeff, mono in terms:
         if not isinstance(coeff, Fraction) or coeff == 0:
             raise FormulaError(f"{kind} terms must carry non-zero Fraction coefficients")
+        key = sort_key(mono)
+        if previous is not None and not previous < key:
+            raise FormulaError(f"{kind} terms are not in canonical order")
+        previous = key
 
 
 def _delta_key(mono: DeltaMonomial):
@@ -283,40 +295,34 @@ def formula_from_json(text: str) -> Formula:
     """Parse a formula serialized by :func:`formula_to_json`."""
     try:
         doc = json.loads(text)
-        n = int(doc["n"])
+        n = _integer(doc["n"], "n")
         form = doc["form"]
         raw_terms = doc["terms"]
         if form == "delta":
-            terms = [
-                (
-                    Fraction(item["coeff"]),
-                    DeltaMonomial(
-                        tuple(
-                            (VectorKey(int(f["l"]), int(f["r"])), int(f["power"]))
-                            for f in item["factors"]
-                        ),
-                        item["fy_power"],
+            monomial, part, first, second = DeltaMonomial, "factors", "l", "r"
+        elif form in ("elementary", "inverse"):
+            monomial, part, first, second = ElemMonomial, "exponents", "p", "t"
+        else:
+            raise FormulaError(f"unknown form tag {form!r}")
+        terms = [
+            (
+                Fraction(item["coeff"]),
+                monomial(
+                    tuple(
+                        (
+                            VectorKey(_integer(e[first], first), _integer(e[second], second)),
+                            _integer(e["power"], "power"),
+                        )
+                        for e in item[part]
                     ),
-                )
-                for item in raw_terms
-            ]
+                    item["fy_power"],
+                ),
+            )
+            for item in raw_terms
+        ]
+        if form == "delta":
             return DeltaFormula.from_terms(n, terms)
-        if form in ("elementary", "inverse"):
-            terms = [
-                (
-                    Fraction(item["coeff"]),
-                    ElemMonomial(
-                        tuple(
-                            (VectorKey(int(e["p"]), int(e["t"])), int(e["power"]))
-                            for e in item["exponents"]
-                        ),
-                        item["fy_power"],
-                    ),
-                )
-                for item in raw_terms
-            ]
-            return ElemFormula.from_terms(n, terms, form)
-        raise FormulaError(f"unknown form tag {form!r}")
+        return ElemFormula.from_terms(n, terms, form)
     except FormulaError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import binom, coeff_D, signed_coeff, signed_recursion_weight
+from .coeffs import _balls_in_boxes, binom, signed_recursion_weight
 from .errors import DomainError, FormulaError, check_order
 from .expressions import (
     DeltaFormula,
@@ -31,9 +31,9 @@ from .expressions import (
 from .keys import VectorKey, merge_entries
 from .partitions import (
     Multiplicities,
+    _family,
     _integer_partitions,
     enumerate_A,
-    enumerate_B,
     is_member_A,
     predecessors,
     successor_advance,
@@ -56,15 +56,27 @@ __all__ = [
 ]
 
 
+def _family_terms(n: int, monomial, fy_offset: int, family_a: bool) -> tuple:
+    """One term per element of family A or B at order n, in canonical order.
+
+    An element with count sum ``total`` has sum l * m = n and
+    sum r * m = total - 1, so its coefficient is (-1)^total times the box
+    count of those sums; its monomial has the element's entries over
+    f_y^(fy_offset + total).  The family comes sorted by (total, entries),
+    which is the monomials' canonical order.
+    """
+    terms = []
+    for total, entries in _family(n, family_a):
+        value = _balls_in_boxes(entries, n, total - 1)
+        coeff = Fraction(-value if total % 2 else value)
+        terms.append((coeff, monomial(entries, fy_offset + total)))
+    return tuple(terms)
+
+
 def delta_formula(n: int) -> DeltaFormula:
     """The order-n derivative in compact block form, one term per family-A element."""
     check_order(n, 2)
-    terms = []
-    for alpha in enumerate_A(n):
-        coeff = Fraction(signed_coeff(alpha))
-        mono = DeltaMonomial(alpha.entries, n + alpha.total)
-        terms.append((coeff, mono))
-    return DeltaFormula.from_terms(n, terms)
+    return DeltaFormula(n, _family_terms(n, DeltaMonomial, n, family_a=True))
 
 
 def _block_terms(formula: DeltaFormula, caller: str) -> dict[Multiplicities, Fraction]:
@@ -227,12 +239,7 @@ def expand_delta(formula: DeltaFormula) -> ElemFormula:
 def elementary_formula(n: int) -> ElemFormula:
     """The order-n derivative in expanded form, one term per family-B element."""
     check_order(n, 1)
-    terms = []
-    for gamma in enumerate_B(n):
-        k = gamma.total
-        coeff = Fraction((-1) ** k * coeff_D(gamma))
-        terms.append((coeff, ElemMonomial(gamma.entries, k)))
-    return ElemFormula.from_terms(n, terms)
+    return ElemFormula(n, _family_terms(n, ElemMonomial, 0, family_a=False))
 
 
 def specialize_fx_zero(formula: ElemFormula) -> ElemFormula:
@@ -255,12 +262,7 @@ def fx_zero_formula(n: int) -> ElemFormula:
     ``specialize_fx_zero(elementary_formula(n))``; order 1 has no term.
     """
     check_order(n, 1)
-    alphas = enumerate_A(n) if n >= 2 else []
-    terms = [
-        (Fraction(signed_coeff(alpha)), ElemMonomial(alpha.entries, alpha.total))
-        for alpha in alphas
-    ]
-    return ElemFormula.from_terms(n, terms)
+    return ElemFormula(n, _family_terms(n, ElemMonomial, 0, family_a=True))
 
 
 def inverse_function_formula(n: int) -> ElemFormula:
@@ -279,7 +281,7 @@ def inverse_function_formula(n: int) -> ElemFormula:
     for parts in _integer_partitions(n - 1):
         g_factors = tuple((VectorKey(0, j + 1), count) for j, count in parts)
         u = sum(count for _, count in parts)
-        coeff = coeff_D(Multiplicities(g_factors + ((VectorKey(1, 0), n),)))
+        coeff = _balls_in_boxes(g_factors + ((VectorKey(1, 0), n),), n, n - 1 + u)
         coeff = -coeff if u % 2 else coeff
         terms.append((Fraction(coeff), ElemMonomial(g_factors, n + u)))
     return ElemFormula.from_terms(n, terms, form="inverse")

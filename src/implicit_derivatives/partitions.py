@@ -48,6 +48,8 @@ from .keys import VectorKey, merge_entries
 
 KeyLike = VectorKey | tuple
 
+_FX = VectorKey(1, 0)
+
 
 def _as_key(key: KeyLike) -> VectorKey:
     k = VectorKey(int(key[0]), int(key[1]))
@@ -172,17 +174,20 @@ def is_member_B(gamma: Multiplicities, n: int) -> bool:
     return gamma.sum_l == n and gamma.sum_r - gamma.total == -1
 
 
-def _core_multisets(
-    n: int, family_a: bool = False
-) -> list[tuple[tuple[tuple[VectorKey, int], ...], int]]:
-    """All multisets over keys with l + r >= 2 whose weight sum matches order n.
+def _family(
+    n: int, family_a: bool
+) -> list[tuple[int, tuple[tuple[VectorKey, int], ...]]]:
+    """Family A (``family_a``) or family B at order n as sorted (total, entries) pairs.
 
-    Adding the two sum constraints shows every admissible multiset has
-    sum (l + r - 1) * m = n - 1 with sum l * m <= n, and conversely each
-    such multiset extends uniquely to family B (and lies in family A
-    exactly when sum l * m = n).  Returns (entries, n - sum l * m) pairs.
-    With ``family_a`` set, returns only the family-A cores, and branches
-    that cannot reach sum l * m = n are cut (see the module docstring).
+    The descent runs over the cores: adding the two sum constraints shows
+    every admissible multiset has sum (l + r - 1) * m = n - 1 over keys
+    with l + r >= 2 and sum l * m <= n, and conversely each such core
+    extends uniquely to family B by the key (1, 0) with count
+    n - sum l * m (and lies in family A exactly when that count is 0).
+    Family A cuts the branches that cannot reach sum l * m = n (see the
+    module docstring).  Each element's entries are in canonical (l, r)
+    order, family B's with their (1, 0) entry; ``total`` is the count
+    sum (the stratum h or k), and the list is sorted by (total, entries).
     """
     # ordered by total l + r, so the weight l + r - 1 never decreases
     # along the list: a key too heavy, or past the family-A cut, ends
@@ -193,10 +198,12 @@ def _core_multisets(
     out = []
     acc = []
 
-    def descend(start, weight_left, x_left):
+    def descend(start, weight_left, x_left, total):
         if weight_left == 0:
-            if not (family_a and x_left):
-                out.append((tuple(acc), x_left))
+            if not x_left:
+                out.append((total, tuple(sorted(acc))))
+            elif not family_a:
+                out.append((total + x_left, tuple(sorted(acc + [(_FX, x_left)]))))
             return
         for i in range(start, len(keys)):
             key, l, weight = keys[i]
@@ -205,38 +212,31 @@ def _core_multisets(
             if family_a and x_left * weight > weight_left * (weight + 1):
                 break
             top = weight_left // weight
-            if l:
-                top = min(top, x_left // l)
+            if l and x_left // l < top:
+                top = x_left // l
             for count in range(1, top + 1):
                 left = weight_left - count * weight
                 # a remainder lighter than this key fits no later key
                 if left == 0 or left >= weight:
                     acc.append((key, count))
-                    descend(i + 1, left, x_left - count * l)
+                    descend(i + 1, left, x_left - count * l, total + count)
                     acc.pop()
 
-    descend(0, n - 1, n)
+    descend(0, n - 1, n, 0)
+    out.sort()
     return out
 
 
 def enumerate_A(n: int) -> list[Multiplicities]:
     """All family-A elements of order n, stratified by h then lexicographic."""
     check_order(n, 2)
-    out = [Multiplicities(entries) for entries, _ in _core_multisets(n, family_a=True)]
-    out.sort(key=lambda m: (m.total, m.entries))
-    return out
+    return [Multiplicities(entries) for _, entries in _family(n, family_a=True)]
 
 
 def enumerate_B(n: int) -> list[Multiplicities]:
     """All family-B elements of order n, stratified by k then lexicographic."""
     check_order(n, 1)
-    out = []
-    for entries, s10 in _core_multisets(n):
-        if s10:
-            entries = entries + ((VectorKey(1, 0), s10),)
-        out.append(Multiplicities(entries))
-    out.sort(key=lambda m: (m.total, m.entries))
-    return out
+    return [Multiplicities(entries) for _, entries in _family(n, family_a=False)]
 
 
 def lift_to_tilde(alpha: Multiplicities, n: int) -> Multiplicities:

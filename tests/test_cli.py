@@ -252,6 +252,26 @@ def test_formula_stdout_is_pinned(capsys, argv, digest):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "--cap 16 count --family A --max-n 14",
+            "f3aef3bbfac6a2729caee38882567ff8a7e9cf79b0c8fd4d5142f82fbdf14a16",
+        ),
+        (
+            "--cap 16 count --family B --max-n 12",
+            "67ba09b5814a4108d334ee9c96a94f11627b2f36916336351557645e202ced02",
+        ),
+    ],
+    ids=["A-14", "B-12"],
+)
+def test_count_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "partials",
     [
         '{"0,1": 1e120, "2,0": 1, "3,0": 1}',  # f_y^k overflows

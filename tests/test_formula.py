@@ -14,6 +14,7 @@ from implicit_derivatives import (
     ElemMonomial,
     FormulaError,
     Multiplicities,
+    coeff_D,
     delta_formula,
     delta_formula_via_recursion,
     derive_next,
@@ -314,6 +315,82 @@ def test_direct_fx0_build_matches_specialization(n):
     formula = fx_zero_formula(n)
     assert formula == specialize_fx_zero(elementary_formula(n))
     assert (formula.terms == ()) == (n == 1)
+
+
+# --- direct builders against the route through Multiplicities ------------------------
+#
+# The builders take their terms in order straight from the sorted family
+# list; the reference below is the earlier route: enumerate, score each
+# element from its Multiplicities, then collect and sort with from_terms.
+
+
+def _route_via_enumerate(n, elements, signed, monomial, fy_offset, formula_cls):
+    terms = [
+        (Fraction(signed(e)), monomial(e.entries, fy_offset + e.total))
+        for e in elements
+    ]
+    return formula_cls.from_terms(n, terms)
+
+
+def _signed_D(gamma):
+    return (-1) ** gamma.total * coeff_D(gamma)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_delta_formula_matches_route_via_enumerate(n):
+    expected = _route_via_enumerate(
+        n, enumerate_A(n), signed_coeff, DeltaMonomial, n, DeltaFormula
+    )
+    assert delta_formula(n) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_elementary_formula_matches_route_via_enumerate(n):
+    expected = _route_via_enumerate(
+        n, enumerate_B(n), _signed_D, ElemMonomial, 0, ElemFormula
+    )
+    assert elementary_formula(n) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fx_zero_formula_matches_route_via_enumerate(n):
+    alphas = enumerate_A(n) if n >= 2 else []
+    expected = _route_via_enumerate(
+        n, alphas, signed_coeff, ElemMonomial, 0, ElemFormula
+    )
+    assert fx_zero_formula(n) == expected
+
+
+@pytest.mark.parametrize(
+    "cls, terms",
+    [
+        pytest.param(
+            DeltaFormula,
+            [dterm(3, {(1, 1): 1, (2, 0): 1}, 5), dterm(-1, {(3, 0): 1}, 4)],
+            id="delta-swapped",
+        ),
+        pytest.param(
+            DeltaFormula,
+            [dterm(-1, {(3, 0): 1}, 4), dterm(-1, {(3, 0): 1}, 4)],
+            id="delta-duplicate",
+        ),
+        pytest.param(
+            ElemFormula,
+            [eterm(2, {(1, 1): 1, (1, 0): 1}, 2), eterm(-1, {(2, 0): 1}, 1)],
+            id="elementary-swapped",
+        ),
+        pytest.param(
+            ElemFormula,
+            [eterm(-1, {(2, 0): 1}, 1), eterm(-1, {(2, 0): 1}, 1)],
+            id="elementary-duplicate",
+        ),
+    ],
+)
+def test_formula_constructor_rejects_non_canonical_terms(cls, terms):
+    # the direct builders rely on this guard for their term order
+    with pytest.raises(FormulaError):
+        cls(3, tuple(terms))
+    assert cls.from_terms(3, terms[:1]).terms == tuple(terms[:1])
 
 
 # --- inverse functions ---------------------------------------------------------------

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from implicit_derivatives import (
+    DeltaMonomial,
     DomainError,
+    ElemMonomial,
     FormulaError,
     delta_formula,
     elementary_formula,
@@ -103,3 +105,35 @@ def test_parse_rejects_malformed_documents():
                 f'{{"n": 2, "form": "{form}", "terms": [{{"coeff": "1",'
                 f' "{part}": [{entry}], "fy_power": 1}}]}}'
             )
+    # integers only: no truncated fractions, no booleans
+    delta_term = '{"coeff": "-1", "factors": [%s], "fy_power": %s}'
+    elem_term = '{"coeff": "-1", "exponents": [%s], "fy_power": %s}'
+    for n, form, term in [
+        ("2.9", "delta", delta_term % ('{"l": 2, "r": 0, "power": 1}', "3")),
+        ("true", "delta", delta_term % ('{"l": 2, "r": 0, "power": 1}', "3")),
+        ("2", "delta", delta_term % ('{"l": 2, "r": 0, "power": 1.7}', "3")),
+        ("2", "delta", delta_term % ('{"l": 2.0, "r": 0, "power": 1}', "3")),
+        ("2", "delta", delta_term % ('{"l": 2, "r": false, "power": 1}', "3")),
+        ("2", "delta", delta_term % ('{"l": 2, "r": 0, "power": true}', "3")),
+        ("2", "delta", delta_term % ('{"l": 2, "r": 0, "power": 1}', "3.5")),
+        ("2", "delta", delta_term % ('{"l": 2, "r": 0, "power": 1}', '"3"')),
+        ("2", "elementary", elem_term % ('{"p": 2, "t": 0, "power": 1}', "1.0")),
+        ("2", "elementary", elem_term % ('{"p": 2.5, "t": 0, "power": 1}', "1")),
+        ("2", "elementary", elem_term % ('{"p": 2, "t": 0.0, "power": 1}', "1")),
+        ("2", "inverse", elem_term % ('{"p": 0, "t": 2, "power": 1}', "true")),
+    ]:
+        with pytest.raises(FormulaError):
+            formula_from_json(f'{{"n": {n}, "form": "{form}", "terms": [{term}]}}')
+    with pytest.raises(FormulaError):
+        DeltaMonomial((((2, 0), 1),), 3.5)
+    with pytest.raises(FormulaError):
+        DeltaMonomial((((2, 0), 1.0),), 3)
+    with pytest.raises(FormulaError):
+        ElemMonomial((((2.0, 0), 1),), 1)
+    with pytest.raises(FormulaError):
+        ElemMonomial((((2, 0), 1),), True)
+    # the well-formed documents these cases start from do parse
+    good = delta_term % ('{"l": 2, "r": 0, "power": 1}', "3")
+    assert formula_from_json(f'{{"n": 2, "form": "delta", "terms": [{good}]}}') == (
+        delta_formula(2)
+    )
