@@ -43,6 +43,13 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _coefficient(value) -> Fraction:
+    # exact strings only, as the schema says: a JSON number may be a rounded float
+    if type(value) is not str:
+        raise FormulaError(f"coefficients must be exact strings, got {value!r}")
+    return Fraction(value)
+
+
 def _check_entries(entries, allow_key) -> None:
     for key, power in entries:
         if type(key.l) is not int or type(key.r) is not int or type(power) is not int:
@@ -306,7 +313,7 @@ def formula_from_json(text: str) -> Formula:
             raise FormulaError(f"unknown form tag {form!r}")
         terms = [
             (
-                Fraction(item["coeff"]),
+                _coefficient(item["coeff"]),
                 monomial(
                     tuple(
                         (

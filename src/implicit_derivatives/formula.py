@@ -17,6 +17,7 @@ other: the direct constructions above, the differentiation step
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .coeffs import _balls_in_boxes, binom, signed_recursion_weight
@@ -174,9 +175,10 @@ def delta_formula_via_recursion(n: int) -> DeltaFormula:
 # --- block expansion into raw partials ---------------------------------------
 #
 # Sparse polynomials over the partial symbols, keyed by sorted exponent
-# tuples; f_x and f_y appear as the keys (1, 0) and (0, 1).
+# tuples, with integer coefficients; f_x and f_y appear as the keys
+# (1, 0) and (0, 1).
 
-_Poly = dict[tuple, Fraction]
+_Poly = dict[tuple, int]
 
 
 def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
@@ -184,7 +186,7 @@ def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
     for mono_a, ca in a.items():
         for mono_b, cb in b.items():
             key = merge_entries(mono_a + mono_b)
-            value = out.get(key, Fraction(0)) + ca * cb
+            value = out.get(key, 0) + ca * cb
             if value:
                 out[key] = value
             elif key in out:
@@ -193,7 +195,7 @@ def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
 
 
 def _poly_pow(p: _Poly, exponent: int) -> _Poly:
-    out: _Poly = {(): Fraction(1)}
+    out: _Poly = {(): 1}
     for _ in range(exponent):
         out = _poly_mul(out, p)
     return out
@@ -203,7 +205,7 @@ def expand_block(l: int, p0: int = 0, t0: int = 0) -> _Poly:
     """Expand one block applied to the partial f_{x^p0 y^t0} into raw partials.
 
     Returns sum_j (-1)^j binom(l, j) f_{x^(l-j+p0) y^(j+t0)} f_x^j f_y^(l-j)
-    as a sparse polynomial.
+    as a sparse polynomial with ``int`` coefficients.
     """
     if l < 0 or p0 < 0 or t0 < 0:
         raise DomainError("block indices must be non-negative")
@@ -215,25 +217,47 @@ def expand_block(l: int, p0: int = 0, t0: int = 0) -> _Poly:
         if l - j:
             entries.append((VectorKey(0, 1), l - j))
         key = merge_entries(entries)
-        coeff = Fraction((-1) ** j * binom(l, j))
-        out[key] = out.get(key, Fraction(0)) + coeff
+        out[key] = out.get(key, 0) + (-1) ** j * binom(l, j)
     return {k: c for k, c in out.items() if c}
 
 
 def expand_delta(formula: DeltaFormula) -> ElemFormula:
-    """Multiply out every block of the compact form and collect raw monomials."""
+    """Multiply out every block of the compact form and collect raw monomials.
+
+    Each distinct block power is expanded once per call.  The products
+    and the collection run on integers over the common denominator of
+    the coefficients; each term's coefficient is multiplied in once, at
+    the end of its expansion, and each collected coefficient becomes one
+    ``Fraction``.
+    """
     if not isinstance(formula, DeltaFormula):
         raise FormulaError("expand_delta expects the compact block form")
-    terms = []
+    den = math.lcm(*[coeff.denominator for coeff, _ in formula.terms])
+    powers: dict[tuple, _Poly] = {}  # (key, power) -> expanded block power
+    acc: dict[tuple, int] = {}  # (fy_power, exponents) -> numerator over den
     for coeff, mono in formula.terms:
-        poly: _Poly = {(): coeff}
-        for key, power in mono.factors:
-            poly = _poly_mul(poly, _poly_pow(expand_block(key.l, 0, key.r), power))
+        poly: _Poly = {(): 1}
+        for entry in mono.factors:
+            factor = powers.get(entry)
+            if factor is None:
+                key, power = entry
+                factor = _poly_pow(expand_block(key.l, 0, key.r), power)
+                powers[entry] = factor
+            poly = _poly_mul(poly, factor)
+        scale = coeff.numerator * (den // coeff.denominator)
         for exps, value in poly.items():
             fy_numer = dict(exps).get(VectorKey(0, 1), 0)
             kept = tuple((k, e) for k, e in exps if k != (0, 1))
-            terms.append((value, ElemMonomial(kept, mono.fy_power - fy_numer)))
-    return ElemFormula.from_terms(formula.n, terms)
+            target = (mono.fy_power - fy_numer, kept)
+            acc[target] = acc.get(target, 0) + scale * value
+    # exponents come canonical out of merge_entries, so sorting the
+    # targets is the canonical term order
+    terms = [
+        (Fraction(value, den), ElemMonomial(kept, fy_power))
+        for (fy_power, kept), value in sorted(acc.items())
+        if value
+    ]
+    return ElemFormula(formula.n, tuple(terms))
 
 
 def elementary_formula(n: int) -> ElemFormula:

@@ -58,6 +58,12 @@ def _coerce_scalar(value, kind, what):
     return value
 
 
+def _check_index(value, what) -> None:
+    # exact rule: bool is a subclass of int but no order or index
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise JetError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass
 class Jet:
     """Partial-derivative values of f at a base point, up to ``order``.
@@ -77,8 +83,7 @@ class Jet:
     def __post_init__(self) -> None:
         if self.kind not in (RATIONAL, FLOAT):
             raise JetError(f"unknown jet kind {self.kind!r}")
-        if not isinstance(self.order, int) or isinstance(self.order, bool):
-            raise JetError(f"jet order must be an integer, got {self.order!r}")
+        _check_index(self.order, "jet order")
         if self.order < 1:
             raise JetError("jet order must be at least 1")
         self.x0 = _coerce_scalar(self.x0, self.kind, "x0")
@@ -86,7 +91,12 @@ class Jet:
         zero = Fraction(0) if self.kind == RATIONAL else 0.0
         table = {}
         for key, value in self.partials.items():
-            p, t = int(key[0]), int(key[1])
+            try:
+                p, t = key
+            except (TypeError, ValueError):
+                raise JetError(f"partial key {key!r} is not a (p, t) pair") from None
+            _check_index(p, "partial key index")
+            _check_index(t, "partial key index")
             if p < 0 or t < 0 or p + t > self.order:
                 raise JetError(f"partial key {(p, t)} outside jet of order {self.order}")
             table[(p, t)] = _coerce_scalar(value, self.kind, f"partial ({p},{t})")
@@ -160,7 +170,20 @@ def eval_delta_block(jet: Jet, l: int, r: int):
     if l + r > jet.order:
         raise JetError(f"block ({l},{r}) needs jet order {l + r}, have {jet.order}")
     fx, fy = jet.fx, jet.fy
-    total = Fraction(0) if jet.kind == RATIONAL else 0.0
+    if jet.kind == RATIONAL:
+        # With f_x = a/b, f_y = c/d and the l + 1 partials over their
+        # common denominator e, the block is one integer sum over
+        # e * (b*d)^l:  sum_j C(l,j) P_j (-a*d)^j (b*c)^(l-j).
+        values = [jet.partials[(l - j, r + j)] for j in range(l + 1)]
+        e = math.lcm(*[v.denominator for v in values])
+        x = -fx.numerator * fy.denominator
+        y = fx.denominator * fy.numerator
+        total = 0
+        for j, v in enumerate(values):
+            scaled = v.numerator * (e // v.denominator)
+            total += math.comb(l, j) * scaled * x**j * y ** (l - j)
+        return Fraction(total, e * (fx.denominator * fy.denominator) ** l)
+    total = 0.0
     for j in range(l + 1):
         term = math.comb(l, j) * jet.partials[(l - j, r + j)] * fx**j * fy ** (l - j)
         total += -term if j % 2 else term
@@ -192,8 +215,10 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     Each distinct block D[l,r] (or partial, for the expanded shape) and
     each factor power is computed once per call.  On rational jets a
     term is built from integer numerators and denominators and normalized
-    once; on float jets the operations and their order are those of the
-    plain per-factor product, so every float is bit-identical to it.
+    once, and the total is one integer sum over the terms' common
+    denominator, normalized once.  On float jets the operations and their
+    order are those of the plain per-factor product, so every float is
+    bit-identical to it.
     """
     if isinstance(formula, ElemFormula) and formula.form == "inverse":
         raise DomainError("inverse-function formulas are not evaluated on jets")
@@ -238,7 +263,14 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
             contributions.append(value)
     except (OverflowError, ZeroDivisionError) as exc:  # f_y powers out of range
         raise JetError(f"float evaluation out of range: {exc}") from exc
-    total = sum(contributions, Fraction(0) if exact else 0.0)
+    if exact:
+        # one common denominator, one integer sum, one normalization; a
+        # generator, so the scaled numerators are never all held at once
+        den = math.lcm(*[v.denominator for v in contributions])
+        numerator = sum(v.numerator * (den // v.denominator) for v in contributions)
+        total = Fraction(numerator, den)
+    else:
+        total = sum(contributions, 0.0)
     if not exact and not math.isfinite(total):
         raise JetError(f"float evaluation is not finite: {total!r}")
     return EvalReport(n=formula.n, value=total, term_values=tuple(contributions))
@@ -250,7 +282,9 @@ def shift_jet(jet: Jet, n: int) -> Jet:
     The shear zeroes the first x-derivative at the base point while
     leaving pure y-partials untouched; its mixed partials are
     g_{x^l z^r} = sum_k C(l,k) lambda^k f_{x^(l-k) y^(r+k)}, which equals
-    the block value D[l,r] divided by f_y^l.
+    the block value D[l,r] divided by f_y^l.  On rational jets each
+    sheared partial is one integer sum over a common denominator,
+    normalized once; float jets keep the plain loop, bit for bit.
     """
     if n < 1:
         raise DomainError("shift order must be at least 1")
@@ -259,14 +293,37 @@ def shift_jet(jet: Jet, n: int) -> Jet:
     if jet.fy == 0:
         raise SingularJetError("jet has f_y = 0 at the base point")
     lam = -jet.fx / jet.fy
-    zero = Fraction(0) if jet.kind == RATIONAL else 0.0
     partials = {}
-    for l in range(n + 1):
-        for r in range(n + 1 - l):
-            value = zero
-            for k in range(l + 1):
-                value += math.comb(l, k) * lam**k * jet.partials[(l - k, r + k)]
-            partials[(l, r)] = value
+    if jet.kind == RATIONAL:
+        # With lambda = a/b and the partials as integers P over their
+        # common denominator e, g_{x^l z^r} is one integer sum over
+        # b^l * e:  sum_k C(l,k) a^k b^(l-k) P_{l-k, r+k}.
+        a, b = lam.numerator, lam.denominator
+        keys = [(p, t) for p in range(n + 1) for t in range(n + 1 - p)]
+        e = math.lcm(*[jet.partials[key].denominator for key in keys])
+        scaled = {}
+        for key in keys:
+            v = jet.partials[key]
+            scaled[key] = v.numerator * (e // v.denominator)
+        a_pow = [a**k for k in range(n + 1)]
+        b_pow = [b**k for k in range(n + 1)]
+        for l in range(n + 1):
+            weights = [math.comb(l, k) * a_pow[k] * b_pow[l - k] for k in range(l + 1)]
+            den = b_pow[l] * e
+            for r in range(n + 1 - l):
+                total = 0
+                for k, w in enumerate(weights):
+                    total += w * scaled[(l - k, r + k)]
+                partials[(l, r)] = Fraction(total, den)
+        zero = Fraction(0)
+    else:
+        zero = 0.0
+        for l in range(n + 1):
+            for r in range(n + 1 - l):
+                value = zero
+                for k in range(l + 1):
+                    value += math.comb(l, k) * lam**k * jet.partials[(l - k, r + k)]
+                partials[(l, r)] = value
     partials[(1, 0)] = zero  # exact by the choice of lambda
     return Jet(
         x0=jet.x0,

@@ -31,6 +31,7 @@ from implicit_derivatives import (
     signed_coeff,
     specialize_fx_zero,
 )
+from implicit_derivatives.keys import merge_entries
 
 
 def dterm(coeff, factors, fy_power):
@@ -268,6 +269,61 @@ def test_block_expansion_recursion(l, r):
 
 def test_expand_delta_second_order():
     assert expand_delta(delta_formula(2)) == elementary_formula(2)
+
+
+def test_block_expansion_has_integer_coefficients():
+    for l in range(7):
+        assert all(type(c) is int for c in expand_block(l, 1, 2).values())
+
+
+def _fraction_poly_mul(a, b):
+    out = {}
+    for mono_a, ca in a.items():
+        for mono_b, cb in b.items():
+            key = merge_entries(mono_a + mono_b)
+            value = out.get(key, Fraction(0)) + ca * cb
+            if value:
+                out[key] = value
+            elif key in out:
+                del out[key]
+    return out
+
+
+def expand_delta_reference(formula):
+    """Every factor of every term re-expanded, in Fraction coefficients."""
+    terms = []
+    for coeff, mono in formula.terms:
+        poly = {(): coeff}
+        for key, power in mono.factors:
+            block = {k: Fraction(c) for k, c in expand_block(key.l, 0, key.r).items()}
+            block_power = {(): Fraction(1)}
+            for _ in range(power):
+                block_power = _fraction_poly_mul(block_power, block)
+            poly = _fraction_poly_mul(poly, block_power)
+        for exps, value in poly.items():
+            fy_numer = dict(exps).get((0, 1), 0)
+            kept = tuple((k, e) for k, e in exps if k != (0, 1))
+            terms.append((value, ElemMonomial(kept, mono.fy_power - fy_numer)))
+    return ElemFormula.from_terms(formula.n, terms)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_expand_delta_matches_the_fraction_route(n):
+    compact = delta_formula(n)
+    expanded = expand_delta(compact)
+    assert expanded == expand_delta_reference(compact)
+    assert all(type(c) is Fraction for c, _ in expanded.terms)
+
+
+def test_expand_delta_keeps_fractional_coefficients():
+    halved = DeltaFormula(
+        6, tuple((coeff / 2, mono) for coeff, mono in delta_formula(6).terms)
+    )
+    expanded = expand_delta(halved)
+    assert expanded == expand_delta_reference(halved)
+    assert expanded == ElemFormula(
+        6, tuple((coeff / 2, mono) for coeff, mono in elementary_formula(6).terms)
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 10))

@@ -1,6 +1,7 @@
 """Tests for jets, evaluation, the shear, built-in problems, finite differences."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,11 @@ def test_jet_validation():
     for order in (1.5, 2.0, True, "2"):
         with pytest.raises(JetError):
             Jet(x0=0, y0=0, order=order, partials={(0, 1): 1})
+    # keys are (p, t) pairs whose indices follow the same rule: no
+    # truncation, no booleans
+    for key in ((1.7, 0), (1.0, 0), (True, 0), (0, False), ("1", 0), (1, 0, 0), (1,), 5):
+        with pytest.raises(JetError):
+            Jet(x0=0, y0=0, order=2, partials={key: 3, (0, 1): 1})
 
 
 @pytest.mark.parametrize(
@@ -150,6 +156,89 @@ def test_block_values_on_known_jets():
 def test_block_requires_enough_order():
     with pytest.raises(JetError):
         eval_delta_block(circle_jet(order=2), 2, 1)
+
+
+# --- the integer kernels against the plain Fraction loops -----------------------
+
+
+def wide_rational_jet(order, seed):
+    """Seeded jet with 32-bit numerators and denominators, f_y != 0."""
+    rng = random.Random(seed)
+
+    def scalar():
+        return Fraction(rng.randint(-(2**31), 2**31), rng.randint(1, 2**31))
+
+    partials = {(p, t): scalar() for p in range(order + 1) for t in range(order + 1 - p)}
+    partials[(0, 0)] = Fraction(0)
+    while partials[(0, 1)] == 0:
+        partials[(0, 1)] = scalar()
+    return Jet(x0=scalar(), y0=scalar(), order=order, partials=partials)
+
+
+def negated(jet):
+    """The jet of -f: the same solution, f_y of the other sign."""
+    return Jet(jet.x0, jet.y0, jet.order, {key: -v for key, v in jet.partials.items()})
+
+
+KERNEL_JETS = [
+    jet
+    for base in (random_rational_jet(10, seed=1200), wide_rational_jet(10, seed=1201))
+    for jet in (base, negated(base))
+]
+KERNEL_JET_IDS = ["small", "small-negated", "wide", "wide-negated"]
+
+
+def block_reference(jet, l, r):
+    """D[l,r] summed term by term in Fractions."""
+    total = Fraction(0)
+    for j in range(l + 1):
+        term = math.comb(l, j) * jet.partials[(l - j, r + j)] * jet.fx**j * jet.fy ** (l - j)
+        total += -term if j % 2 else term
+    return total
+
+
+def shift_reference(jet, n):
+    """The sheared partials summed term by term in Fractions."""
+    lam = -jet.fx / jet.fy
+    partials = {}
+    for l in range(n + 1):
+        for r in range(n + 1 - l):
+            value = Fraction(0)
+            for k in range(l + 1):
+                value += math.comb(l, k) * lam**k * jet.partials[(l - k, r + k)]
+            partials[(l, r)] = value
+    partials[(1, 0)] = Fraction(0)
+    return jet.y0 - lam * jet.x0, partials
+
+
+@pytest.mark.parametrize("jet", KERNEL_JETS, ids=KERNEL_JET_IDS)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_shear_matches_the_fraction_loop(jet, n):
+    shifted = shift_jet(jet, n)
+    y0, partials = shift_reference(jet, n)
+    assert shifted.y0 == y0
+    assert shifted.partials == partials
+    assert all(type(v) is Fraction for v in shifted.partials.values())
+
+
+@pytest.mark.parametrize("jet", KERNEL_JETS, ids=KERNEL_JET_IDS)
+def test_block_values_match_the_fraction_loop(jet):
+    for l in range(11):
+        for r in range(11 - l):
+            value = eval_delta_block(jet, l, r)
+            assert type(value) is Fraction
+            assert value == block_reference(jet, l, r), (l, r)
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(delta_formula, n) for n in (2, 5, 8, 10)] + [(elementary_formula, n) for n in (2, 5, 7)],
+)
+@pytest.mark.parametrize("jet", KERNEL_JETS, ids=KERNEL_JET_IDS)
+def test_exact_total_is_the_fraction_sum_of_the_terms(build, n, jet):
+    report = eval_formula(build(n), jet)
+    assert type(report.value) is Fraction
+    assert report.value == sum(report.term_values, Fraction(0))
 
 
 # --- formula evaluation ----------------------------------------------------------

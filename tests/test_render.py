@@ -124,6 +124,11 @@ def test_parse_rejects_malformed_documents():
     ]:
         with pytest.raises(FormulaError):
             formula_from_json(f'{{"n": {n}, "form": "{form}", "terms": [{term}]}}')
+    # coefficients are exact strings: no JSON numbers, no booleans
+    for coeff in ("0.1", "-1.0", "true", "3"):
+        term = '{"coeff": %s, "factors": [{"l": 2, "r": 0, "power": 1}], "fy_power": 3}'
+        with pytest.raises(FormulaError):
+            formula_from_json(f'{{"n": 2, "form": "delta", "terms": [{term % coeff}]}}')
     with pytest.raises(FormulaError):
         DeltaMonomial((((2, 0), 1),), 3.5)
     with pytest.raises(FormulaError):
