@@ -39,13 +39,31 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _balls_in_boxes(entries, sum_l: int, sum_r: int) -> int:
-    """sum_l! sum_r! / prod l!^m r!^m m! over the (key, m) ``entries``."""
+def _box_weight(key, count: int) -> int:
+    """(l! r!)^count count!: what ``count`` boxes of profile key = (l, r) divide by."""
+    l, r = key
     factorial = math.factorial
-    num = factorial(sum_l) * factorial(sum_r)
+    return (factorial(l) * factorial(r)) ** count * factorial(count)
+
+
+def _balls_in_boxes(
+    entries, sum_l: int, sum_r: int, weights: dict | None = None
+) -> int:
+    """sum_l! sum_r! / prod l!^m r!^m m! over the (key, m) ``entries``.
+
+    ``weights`` maps (key, m) entries to their :func:`_box_weight` and is
+    filled as entries come; a caller computing many coefficients hands in
+    one table, so each distinct entry is weighed once.
+    """
+    if weights is None:
+        weights = {}
     den = 1
-    for (l, r), count in entries:
-        den *= (factorial(l) * factorial(r)) ** count * factorial(count)
+    for entry in entries:
+        weight = weights.get(entry)
+        if weight is None:
+            weight = weights[entry] = _box_weight(*entry)
+        den *= weight
+    num = math.factorial(sum_l) * math.factorial(sum_r)
     value, rest = divmod(num, den)
     if rest:
         raise ArithmeticError(f"coefficient for {entries} is not integral: {num}/{den}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import DomainError, FormulaError
@@ -34,6 +35,11 @@ from .keys import VectorKey, merge_entries
 
 Coefficient = Fraction
 FORMATS = ("plain", "latex", "json")
+
+# keys a monomial may not hold: a block needs l + r >= 2, and an
+# elementary monomial keeps f_y in its denominator exponent only
+_BELOW_ORDER_TWO = frozenset({(0, 0), (0, 1), (1, 0)})
+_F_AND_FY = frozenset({(0, 0), (0, 1)})
 
 
 def _integer(value, name: str) -> int:
@@ -50,13 +56,16 @@ def _coefficient(value) -> Fraction:
     return Fraction(value)
 
 
-def _check_entries(entries, allow_key) -> None:
+def _check_entries(entries, forbidden) -> None:
+    # the indices are checked non-negative before the key is looked up, so
+    # a set of forbidden keys states each monomial's rule exactly
     for key, power in entries:
-        if type(key.l) is not int or type(key.r) is not int or type(power) is not int:
+        l, r = key
+        if type(l) is not int or type(r) is not int or type(power) is not int:
             raise FormulaError(f"non-integer index or power in {tuple(key)}: {power!r}")
-        if key.l < 0 or key.r < 0:
+        if l < 0 or r < 0:
             raise FormulaError(f"negative indices in key {tuple(key)}")
-        if not allow_key(key):
+        if key in forbidden:
             raise FormulaError(f"key {tuple(key)} not allowed in this monomial")
         if power < 0:
             raise FormulaError("negative power in monomial")
@@ -71,7 +80,7 @@ class DeltaMonomial:
 
     def __post_init__(self) -> None:
         factors = merge_entries(self.factors)
-        _check_entries(factors, lambda k: k.l + k.r >= 2)
+        _check_entries(factors, _BELOW_ORDER_TWO)
         _integer(self.fy_power, "fy_power")
         object.__setattr__(self, "factors", factors)
 
@@ -90,7 +99,7 @@ class ElemMonomial:
 
     def __post_init__(self) -> None:
         exponents = merge_entries(self.exponents)
-        _check_entries(exponents, lambda k: k not in ((0, 0), (0, 1)))
+        _check_entries(exponents, _F_AND_FY)
         _integer(self.fy_power, "fy_power")
         object.__setattr__(self, "exponents", exponents)
 
@@ -176,10 +185,36 @@ class ElemFormula:
 Formula = DeltaFormula | ElemFormula
 
 
+# --- text tables ------------------------------------------------------------
+#
+# A formula repeats few distinct factors and denominators over many terms,
+# so each renderer formats every distinct (key, power) entry and every
+# distinct denominator exponent once per call, in a table it drops on
+# return.
+
+
+class _TextTable(dict):
+    """Text of each term part, made by ``make`` the first time it is asked for."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, part) -> str:
+        text = self[part] = self.make(part)
+        return text
+
+
+def _entries_of(formula: Formula):
+    # the canonical check reads the same attribute, so every term has it
+    return attrgetter("factors" if formula.form == "delta" else "exponents")
+
+
 # --- plain text -------------------------------------------------------------
 
 
-def _plain_factor(formula_form: str, key: VectorKey, power: int) -> str:
+def _plain_factor(formula_form: str, entry) -> str:
+    key, power = entry
     if formula_form == "inverse":
         body = f"G[{key.r}]"
     else:
@@ -189,26 +224,30 @@ def _plain_factor(formula_form: str, key: VectorKey, power: int) -> str:
 
 def _plain_denominator(formula_form: str, fy_power: int) -> str:
     base = "G[1]" if formula_form == "inverse" else "fy"
-    return base if fy_power == 1 else f"{base}^{fy_power}"
+    return " / " + (base if fy_power == 1 else f"{base}^{fy_power}")
 
 
 def _render_plain(formula: Formula) -> str:
     if not formula.terms:
         return "0"
+    form = formula.form
+    factor_text = _TextTable(lambda entry: _plain_factor(form, entry))
+    denominator_text = _TextTable(lambda power: _plain_denominator(form, power))
+    entries_of = _entries_of(formula)
     chunks = []
-    for index, (coeff, mono) in enumerate(formula.terms):
-        entries = mono.factors if isinstance(mono, DeltaMonomial) else mono.exponents
-        factors = [_plain_factor(formula.form, k, p) for k, p in entries]
-        magnitude = abs(coeff)
-        numerator = []
-        if magnitude != 1 or not factors:
-            numerator.append(str(magnitude))
-        numerator.extend(factors)
-        body = " ".join(numerator) + " / " + _plain_denominator(formula.form, mono.fy_power)
-        if index == 0:
-            chunks.append(("- " if coeff < 0 else "") + body)
+    for coeff, mono in formula.terms:
+        factors = " ".join(map(factor_text.__getitem__, entries_of(mono)))
+        numerator, denominator = abs(coeff.numerator), coeff.denominator
+        if numerator == 1 and denominator == 1 and factors:
+            body = factors
         else:
-            chunks.append(("- " if coeff < 0 else "+ ") + body)
+            body = str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+            if factors:
+                body += " " + factors
+        sign = "- " if coeff.numerator < 0 else "+ "
+        chunks.append(sign + body + denominator_text[mono.fy_power])
+    if chunks[0][0] == "+":
+        chunks[0] = chunks[0][2:]
     return " ".join(chunks)
 
 
@@ -230,7 +269,8 @@ def _latex_gderiv(j: int) -> str:
     return "g" + "'" * j if 1 <= j <= 3 else f"g^{{({j})}}"
 
 
-def _latex_factor(formula_form: str, key: VectorKey, power: int) -> str:
+def _latex_factor(formula_form: str, entry) -> str:
+    key, power = entry
     if formula_form == "inverse":
         body = _latex_gderiv(key.r)
         return body if power == 1 else f"({body})^{{{power}}}"
@@ -244,58 +284,73 @@ def _latex_factor(formula_form: str, key: VectorKey, power: int) -> str:
     return body if power == 1 else f"{body}^{{{power}}}"
 
 
-def _latex_coeff(magnitude: Fraction) -> str:
-    if magnitude.denominator == 1:
-        return str(magnitude.numerator)
-    return f"\\tfrac{{{magnitude.numerator}}}{{{magnitude.denominator}}}"
+def _latex_denominator(formula_form: str, fy_power: int) -> str:
+    if formula_form == "inverse":
+        base = "g'" if fy_power == 1 else f"(g')^{{{fy_power}}}"
+    else:
+        base = "f_y" if fy_power == 1 else f"f_y^{{{fy_power}}}"
+    return "}{" + base + "}"
 
 
 def _render_latex(formula: Formula) -> str:
     if not formula.terms:
         return "0"
-    if formula.form == "inverse":
-        def denom(k):
-            return "g'" if k == 1 else f"(g')^{{{k}}}"
-    else:
-        def denom(k):
-            return "f_y" if k == 1 else f"f_y^{{{k}}}"
+    form = formula.form
+    factor_text = _TextTable(lambda entry: _latex_factor(form, entry))
+    denominator_text = _TextTable(lambda power: _latex_denominator(form, power))
+    entries_of = _entries_of(formula)
     chunks = []
-    for index, (coeff, mono) in enumerate(formula.terms):
-        entries = mono.factors if isinstance(mono, DeltaMonomial) else mono.exponents
-        factors = "".join(_latex_factor(formula.form, k, p) for k, p in entries)
-        magnitude = abs(coeff)
-        numerator = ("" if magnitude == 1 and factors else _latex_coeff(magnitude)) + factors
-        body = f"\\frac{{{numerator}}}{{{denom(mono.fy_power)}}}"
-        sign = "-" if coeff < 0 else ("" if index == 0 else "+")
-        chunks.append(sign + body)
+    for coeff, mono in formula.terms:
+        factors = "".join(map(factor_text.__getitem__, entries_of(mono)))
+        numerator, denominator = abs(coeff.numerator), coeff.denominator
+        if numerator == 1 and denominator == 1 and factors:
+            body = factors
+        elif denominator == 1:
+            body = f"{numerator}{factors}"
+        else:
+            body = f"\\tfrac{{{numerator}}}{{{denominator}}}{factors}"
+        sign = "-" if coeff.numerator < 0 else "+"
+        chunks.append(sign + "\\frac{" + body + denominator_text[mono.fy_power])
+    if chunks[0][0] == "+":
+        chunks[0] = chunks[0][1:]
     return "".join(chunks)
 
 
 # --- JSON -------------------------------------------------------------------
 
 
-def _formula_doc(formula: Formula) -> dict:
-    terms = []
-    for coeff, mono in formula.terms:
-        if isinstance(mono, DeltaMonomial):
-            parts = {
-                "factors": [
-                    {"l": k.l, "r": k.r, "power": p} for k, p in mono.factors
-                ]
-            }
-        else:
-            parts = {
-                "exponents": [
-                    {"p": k.l, "t": k.r, "power": p} for k, p in mono.exponents
-                ]
-            }
-        terms.append({"coeff": str(coeff), **parts, "fy_power": mono.fy_power})
-    return {"n": formula.n, "form": formula.form, "terms": terms}
-
-
 def formula_to_json(formula: Formula) -> str:
-    """Serialize to the documented schema; deterministic byte-for-byte."""
-    return json.dumps(_formula_doc(formula))
+    """Serialize to the documented schema; deterministic byte-for-byte.
+
+    The text is what ``json.dumps`` writes for the schema's document,
+    written straight from per-call fragment tables: indices, powers and
+    ``fy_power`` are checked ``int``s and a coefficient's ``str`` holds
+    only digits, ``-`` and ``/``, so no fragment needs escaping.
+    """
+    if formula.form == "delta":
+        part, first, second = "factors", "l", "r"
+    else:
+        part, first, second = "exponents", "p", "t"
+    entry_text = _TextTable(
+        lambda entry: f'{{"{first}": {entry[0].l}, "{second}": {entry[0].r}, '
+        f'"power": {entry[1]}}}'
+    )
+    tail_text = _TextTable(lambda fy_power: f'], "fy_power": {fy_power}}}')
+    entries_of = _entries_of(formula)
+    head = '{"coeff": "'
+    middle = f'", "{part}": ['
+    terms = ", ".join(
+        [
+            head
+            + str(coeff)
+            + middle
+            + ", ".join(map(entry_text.__getitem__, entries_of(mono)))
+            + tail_text[mono.fy_power]
+            for coeff, mono in formula.terms
+        ]
+    )
+    n, form = json.dumps(formula.n), json.dumps(formula.form)
+    return f'{{"n": {n}, "form": {form}, "terms": [{terms}]}}'
 
 
 def formula_from_json(text: str) -> Formula:

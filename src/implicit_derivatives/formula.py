@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .coeffs import _balls_in_boxes, binom, signed_recursion_weight
 from .errors import DomainError, FormulaError, check_order
@@ -66,9 +67,10 @@ def _family_terms(n: int, monomial, fy_offset: int, family_a: bool) -> tuple:
     f_y^(fy_offset + total).  The family comes sorted by (total, entries),
     which is the monomials' canonical order.
     """
+    weights: dict = {}  # (key, count) -> box weight, filled by this call
     terms = []
     for total, entries in _family(n, family_a):
-        value = _balls_in_boxes(entries, n, total - 1)
+        value = _balls_in_boxes(entries, n, total - 1, weights)
         coeff = Fraction(-value if total % 2 else value)
         terms.append((coeff, monomial(entries, fy_offset + total)))
     return tuple(terms)
@@ -185,7 +187,7 @@ def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
     out: _Poly = {}
     for mono_a, ca in a.items():
         for mono_b, cb in b.items():
-            key = merge_entries(mono_a + mono_b)
+            key = merge_entries(chain(mono_a, mono_b))
             value = out.get(key, 0) + ca * cb
             if value:
                 out[key] = value
@@ -301,11 +303,13 @@ def inverse_function_formula(n: int) -> ElemFormula:
     the term has coefficient (-1)^u D(gamma) over g'^(n+u).
     """
     check_order(n, 1)
+    weights: dict = {}
     terms = []
     for parts in _integer_partitions(n - 1):
         g_factors = tuple((VectorKey(0, j + 1), count) for j, count in parts)
         u = sum(count for _, count in parts)
-        coeff = _balls_in_boxes(g_factors + ((VectorKey(1, 0), n),), n, n - 1 + u)
+        entries = g_factors + ((VectorKey(1, 0), n),)
+        coeff = _balls_in_boxes(entries, n, n - 1 + u, weights)
         coeff = -coeff if u % 2 else coeff
         terms.append((Fraction(coeff), ElemMonomial(g_factors, n + u)))
     return ElemFormula.from_terms(n, terms, form="inverse")

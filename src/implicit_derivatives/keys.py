@@ -20,7 +20,28 @@ def merge_entries(pairs: Iterable[tuple]) -> tuple[tuple[VectorKey, int], ...]:
     counts are dropped and the result is sorted by (l, r).  Negative
     counts are kept (the oracle stores denominators as negative f_y
     exponents); callers validate the merged result themselves.
+
+    A tuple that is canonical already, ``(VectorKey, int)`` pairs with
+    non-zero counts and strictly increasing keys, is returned as it is.
+    Any other iterable is merged without that scan, so a caller joining
+    two entry tuples passes ``itertools.chain`` of them, not their sum.
     """
+    if pairs.__class__ is tuple:
+        previous = ()  # below every key
+        for item in pairs:
+            if item.__class__ is not tuple:
+                break
+            key, count = item
+            if (
+                key.__class__ is not VectorKey
+                or count.__class__ is not int
+                or not count
+                or not previous < key
+            ):
+                break
+            previous = key
+        else:
+            return pairs
     merged: dict[VectorKey, int] = {}
     for key, count in pairs:
         if key.__class__ is not VectorKey:

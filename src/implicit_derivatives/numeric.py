@@ -42,6 +42,8 @@ NEWTON_MAX_ITER = 50
 def _coerce_scalar(value, kind, what):
     """The one check on jet scalars: one kind per jet, finite floats."""
     if kind == RATIONAL:
+        if type(value) is Fraction:
+            return value  # exact already; a subclass is still converted
         if isinstance(value, float):
             raise JetError(f"float value {value!r} in a rational jet ({what})")
         convert = Fraction

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping
 
 from .errors import FormulaError, check_order
@@ -109,13 +110,10 @@ def total_derivative(expr: PolyExpr) -> PolyExpr:
         for key, exponent in mono:
             p, t = key
             base = coeff * exponent
-            add(merge_entries(mono + ((key, -1), (VectorKey(p + 1, t), +1))), base)
-            add(
-                merge_entries(
-                    mono + ((key, -1), (VectorKey(p, t + 1), +1), (_FX, +1), (_FY, -1))
-                ),
-                -base,
-            )
+            along_x = ((key, -1), (VectorKey(p + 1, t), +1))
+            along_y = ((key, -1), (VectorKey(p, t + 1), +1), (_FX, +1), (_FY, -1))
+            add(merge_entries(chain(mono, along_x)), base)
+            add(merge_entries(chain(mono, along_y)), -base)
     result = PolyExpr.__new__(PolyExpr)
     result.terms = out
     return result

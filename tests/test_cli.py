@@ -230,6 +230,26 @@ def test_eval_stdout_is_pinned(capsys, argv, digest):
             "b2336d93c9160b171a6fc4cde97428c69a97c1b31f8ecfda952480cd29e89759",
         ),
         (
+            "--cap 16 formula 16 --form delta --format plain",
+            "1e1e8e664fa778048bde1d3ee4c81169335499d9ad39baa6f0bb392d0ec0704b",
+        ),
+        (
+            "--cap 16 formula 16 --form delta --format latex",
+            "100e04ed4e1836570ab243eb3150e5a1ecd43de53b683fc2db2e852a0dfb4a70",
+        ),
+        (
+            "--cap 16 formula 12 --form elementary --format plain",
+            "ef85bcf24cb5823e8c562172911b105bd64ffcb64659aa6c1cfae7e9e4d2154c",
+        ),
+        (
+            "--cap 16 formula 12 --form elementary --format latex",
+            "b1af09a94e7fa91b51bcc67dd56c295ce8b305ff3dfea4a9cad0f8075b09a5b4",
+        ),
+        (
+            "--cap 16 formula 12 --form elementary --format json",
+            "ec7c1c2bfa99bfa9ae5bc3409caf9532aba1118d5dc98e211e3cbc67546010b2",
+        ),
+        (
             "--cap 16 formula 12 --form fx0 --format json",
             "4d7a4cdb6b4da46ba53bd44fc42b6391db48ec21aae4ebc1b448b1872476396e",
         ),
@@ -243,7 +263,17 @@ def test_eval_stdout_is_pinned(capsys, argv, digest):
             "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
         ),
     ],
-    ids=["delta-16-json", "fx0-12-json", "inverse-12-latex", "fx0-1-plain"],
+    ids=[
+        "delta-16-json",
+        "delta-16-plain",
+        "delta-16-latex",
+        "elementary-12-plain",
+        "elementary-12-latex",
+        "elementary-12-json",
+        "fx0-12-json",
+        "inverse-12-latex",
+        "fx0-1-plain",
+    ],
 )
 def test_formula_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())

@@ -74,6 +74,23 @@ def test_jet_validation():
             Jet(x0=0, y0=0, order=2, partials={key: 3, (0, 1): 1})
 
 
+def test_rational_jet_keeps_exact_fractions():
+    partials = {(0, 1): Fraction(3, 7), (2, 0): Fraction(-5, 2), (1, 1): Fraction(0)}
+    jet = Jet(x0=Fraction(1, 3), y0=Fraction(2), order=2, partials=dict(partials))
+    assert (jet.x0, jet.y0) == (Fraction(1, 3), Fraction(2))
+    for key, value in partials.items():
+        assert jet.partials[key] is value  # no second conversion
+
+    class Exact(Fraction):
+        pass
+
+    # subclasses, ints and strings still become plain Fractions
+    jet = Jet(x0=Exact(1, 2), y0=0, order=1, partials={(0, 1): "3/4", (1, 0): 2})
+    assert (jet.x0, jet.y0, jet.fy, jet.fx) == (Fraction(1, 2), 0, Fraction(3, 4), 2)
+    for value in (jet.x0, jet.y0, jet.fy, jet.fx):
+        assert type(value) is Fraction
+
+
 @pytest.mark.parametrize(
     "value, kind",
     [

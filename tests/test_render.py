@@ -1,18 +1,22 @@
 """Rendering and JSON round-trip tests."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from implicit_derivatives import (
+    DeltaFormula,
     DeltaMonomial,
     DomainError,
+    ElemFormula,
     ElemMonomial,
     FormulaError,
     delta_formula,
     elementary_formula,
     formula_from_json,
     formula_to_json,
+    fx_zero_formula,
     inverse_function_formula,
     render,
     specialize_fx_zero,
@@ -142,3 +146,160 @@ def test_parse_rejects_malformed_documents():
     assert formula_from_json(f'{{"n": 2, "form": "delta", "terms": [{good}]}}') == (
         delta_formula(2)
     )
+
+
+# --- the renderers against the per-term reference -------------------------
+#
+# The renderers format each distinct factor and denominator once per call
+# and write the JSON text directly.  These copies of the per-term
+# renderers, and of the document dict that ``json.dumps`` serialized, are
+# the reference their output must match byte for byte.
+
+
+def reference_plain(formula):
+    def factor(key, power):
+        body = f"G[{key.r}]" if formula.form == "inverse" else f"D[{key.l},{key.r}]"
+        return body if power == 1 else f"{body}^{power}"
+
+    def denominator(fy_power):
+        base = "G[1]" if formula.form == "inverse" else "fy"
+        return base if fy_power == 1 else f"{base}^{fy_power}"
+
+    if not formula.terms:
+        return "0"
+    chunks = []
+    for index, (coeff, mono) in enumerate(formula.terms):
+        entries = mono.factors if isinstance(mono, DeltaMonomial) else mono.exponents
+        factors = [factor(k, p) for k, p in entries]
+        magnitude = abs(coeff)
+        numerator = []
+        if magnitude != 1 or not factors:
+            numerator.append(str(magnitude))
+        numerator.extend(factors)
+        body = " ".join(numerator) + " / " + denominator(mono.fy_power)
+        if index == 0:
+            chunks.append(("- " if coeff < 0 else "") + body)
+        else:
+            chunks.append(("- " if coeff < 0 else "+ ") + body)
+    return " ".join(chunks)
+
+
+def reference_latex(formula):
+    def partial(p, t):
+        xpart = "" if p == 0 else ("x" if p == 1 else f"x^{{{p}}}")
+        ypart = "" if t == 0 else ("y" if t == 1 else f"y^{{{t}}}")
+        sub = xpart + ypart
+        if sub == "":
+            return "f"
+        if sub in ("x", "y"):
+            return f"f_{sub}"
+        return f"f_{{{sub}}}"
+
+    def factor(key, power):
+        if formula.form == "inverse":
+            j = key.r
+            body = "g" + "'" * j if 1 <= j <= 3 else f"g^{{({j})}}"
+            return body if power == 1 else f"({body})^{{{power}}}"
+        if formula.form == "delta":
+            body = partial(0, key.r)
+            if key.l:
+                body = f"\\Delta_{{{key.l}}}" + body
+            return body if power == 1 else f"({body})^{{{power}}}"
+        body = partial(key.l, key.r)
+        return body if power == 1 else f"{body}^{{{power}}}"
+
+    def denominator(k):
+        if formula.form == "inverse":
+            return "g'" if k == 1 else f"(g')^{{{k}}}"
+        return "f_y" if k == 1 else f"f_y^{{{k}}}"
+
+    def coefficient(magnitude):
+        if magnitude.denominator == 1:
+            return str(magnitude.numerator)
+        return f"\\tfrac{{{magnitude.numerator}}}{{{magnitude.denominator}}}"
+
+    if not formula.terms:
+        return "0"
+    chunks = []
+    for index, (coeff, mono) in enumerate(formula.terms):
+        entries = mono.factors if isinstance(mono, DeltaMonomial) else mono.exponents
+        factors = "".join(factor(k, p) for k, p in entries)
+        magnitude = abs(coeff)
+        numerator = ("" if magnitude == 1 and factors else coefficient(magnitude)) + factors
+        body = f"\\frac{{{numerator}}}{{{denominator(mono.fy_power)}}}"
+        sign = "-" if coeff < 0 else ("" if index == 0 else "+")
+        chunks.append(sign + body)
+    return "".join(chunks)
+
+
+def reference_document(formula):
+    terms = []
+    for coeff, mono in formula.terms:
+        if isinstance(mono, DeltaMonomial):
+            parts = {"factors": [{"l": k.l, "r": k.r, "power": p} for k, p in mono.factors]}
+        else:
+            parts = {
+                "exponents": [{"p": k.l, "t": k.r, "power": p} for k, p in mono.exponents]
+            }
+        terms.append({"coeff": str(coeff), **parts, "fy_power": mono.fy_power})
+    return {"n": formula.n, "form": formula.form, "terms": terms}
+
+
+def _delta(n, *terms):
+    return DeltaFormula.from_terms(
+        n, [(Fraction(c), DeltaMonomial(tuple(f.items()), k)) for c, f, k in terms]
+    )
+
+
+def _elem(n, *terms, form="elementary"):
+    return ElemFormula.from_terms(
+        n, [(Fraction(c), ElemMonomial(tuple(e.items()), k)) for c, e, k in terms], form
+    )
+
+
+HAND_BUILT = {
+    "delta-signs-and-fractions": _delta(
+        5,
+        ("1", {(2, 0): 1}, 3),
+        ("-1", {(3, 0): 1, (1, 1): 2}, 4),
+        ("-7/3", {(0, 2): 1}, 1),
+        ("5/2", {(2, 1): 3, (4, 0): 1}, 9),
+        ("-12", {(0, 3): 1}, 2),
+    ),
+    "delta-factor-free": _delta(3, ("1", {}, 1), ("-1", {}, 2), ("-3/4", {}, 5)),
+    "delta-first-negative": _delta(2, ("-1", {}, 1), ("1", {(2, 0): 2}, 3)),
+    "elementary-signs-and-fractions": _elem(
+        4,
+        ("-1", {(1, 0): 1}, 1),
+        ("1", {(2, 3): 1, (1, 0): 4}, 2),
+        ("2/5", {(0, 2): 2, (12, 0): 1}, 3),
+        ("-9/2", {}, 4),
+        ("1", {}, 7),
+        ("-1", {(0, 4): 1}, 1),
+    ),
+    "inverse": _elem(
+        6,
+        ("-1", {(0, 2): 1}, 3),
+        ("1/3", {(0, 5): 2, (0, 3): 1}, 4),
+        ("1", {}, 1),
+        ("-4", {(0, 12): 3}, 10),
+        form="inverse",
+    ),
+    "empty-delta": DeltaFormula(4, ()),
+    "empty-elementary": ElemFormula(4, ()),
+    "empty-inverse": ElemFormula(4, (), "inverse"),
+    "delta-7": delta_formula(7),
+    "elementary-6": elementary_formula(6),
+    "fx0-7": fx_zero_formula(7),
+    "inverse-8": inverse_function_formula(8),
+}
+
+
+@pytest.mark.parametrize("formula", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+def test_renderers_match_the_per_term_reference(formula):
+    assert render(formula, "plain") == reference_plain(formula)
+    assert render(formula, "latex") == reference_latex(formula)
+    text = formula_to_json(formula)
+    assert text == json.dumps(reference_document(formula))
+    assert render(formula, "json") == text
+    assert formula_from_json(text) == formula
