@@ -144,7 +144,7 @@ def _cmd_verify(args) -> int:
         raise DomainError(
             f"suite {args.suite!r} checks nothing up to order {args.max_n}"
         )
-    failed = 0
+    failed_reports = failed_checks = 0
     for report in reports:
         line = {
             "check": report.name,
@@ -155,10 +155,14 @@ def _cmd_verify(args) -> int:
         print(json.dumps(line))
         status = "ok" if report.passed else "FAIL"
         print(f"{status}: {report.name} ({report.checked} checks)", file=sys.stderr)
-        failed += 0 if report.passed else 1
-    summary = "all suites passed" if not failed else f"{failed} checks failed"
+        failed_reports += 0 if report.passed else 1
+        failed_checks += len(report.failures)
+    if failed_reports:
+        summary = f"{failed_checks} checks failed in {failed_reports} reports"
+    else:
+        summary = "all suites passed"
     print(summary, file=sys.stderr)
-    return EXIT_OK if not failed else EXIT_VERIFY_FAILED
+    return EXIT_OK if not failed_reports else EXIT_VERIFY_FAILED
 
 
 def _cmd_eval(args) -> int:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import DomainError
 from .partitions import Multiplicities, _compositions, enumerate_A, predecessors
@@ -114,7 +115,7 @@ def _key_polynomial(t: int, count: int) -> list[int]:
     return poly
 
 
-def zgamma_sum(gamma: Multiplicities) -> tuple[int, ...]:
+def zgamma_sum(gamma: Multiplicities, polys: dict | None = None) -> tuple[int, ...]:
     """Weighted sums over the refinement systems of ``gamma``, for every split.
 
     A system picks, for every key (p, t) of ``gamma`` with count s, a
@@ -127,12 +128,20 @@ def zgamma_sum(gamma: Multiplicities) -> tuple[int, ...]:
     the returned row, of length ``gamma.sum_r + 1``, is the coefficient
     of z^s10.  The row is asserted elsewhere (and verified by the
     test-suite) to be the binomials binom(sum t*s, s10).
+
+    ``polys`` maps (t, count) to its key polynomial and is filled as keys
+    come; a caller summing over many elements hands in one table, so each
+    distinct polynomial is built once.
     """
+    if polys is None:
+        polys = {}
     row = [1]
     for key, count in gamma.items():
         if key.l + key.r < 2:
             raise DomainError(f"key {tuple(key)} has p + t < 2")
-        poly = _key_polynomial(key.r, count)
+        poly = polys.get((key.r, count))
+        if poly is None:
+            poly = polys[key.r, count] = _key_polynomial(key.r, count)
         product = [0] * (len(row) + len(poly) - 1)
         for i, a in enumerate(row):
             for j, b in enumerate(poly):
@@ -153,10 +162,15 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, message: str) -> None:
+    def record(self, ok: bool, message: Callable[[], str]) -> None:
+        """Count one check; on failure, keep the text ``message()`` makes.
+
+        The text is made only for a failing check, so passing checks cost
+        no formatting.
+        """
         self.checked += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message())
 
     def __bool__(self) -> bool:
         return self.passed
@@ -202,12 +216,14 @@ def verify_C_recursion(n: int) -> CheckReport:
             signed_recursion_weight(rec, beta) * signed_coeff(rec.predecessor)
             for rec in records
         )
+        want = coeff_C(beta)
+        signed_want = signed_coeff(beta)
         report.record(
-            unsigned == coeff_C(beta),
-            f"unsigned recursion at {beta}: got {unsigned}, want {coeff_C(beta)}",
+            unsigned == want,
+            lambda: f"unsigned recursion at {beta}: got {unsigned}, want {want}",
         )
         report.record(
-            signed == signed_coeff(beta),
-            f"signed recursion at {beta}: got {signed}, want {signed_coeff(beta)}",
+            signed == signed_want,
+            lambda: f"signed recursion at {beta}: got {signed}, want {signed_want}",
         )
     return report

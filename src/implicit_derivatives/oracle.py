@@ -8,7 +8,9 @@ by the substitution rule
 
 applied symbol by symbol with the product rule.  Negative powers of f_y
 make the quotient rule automatic, so the whole computation is sparse
-polynomial bookkeeping over exact rationals.
+polynomial bookkeeping.  The rule multiplies by integers only, so the
+chain from y' runs on plain integers; its coefficients become exact
+rationals once, when an order is converted to a formula.
 
 This module deliberately shares no code with the combinatorial
 construction: it must not import the partition-family, coefficient, or
@@ -35,7 +37,11 @@ _FY = VectorKey(0, 1)
 
 
 class PolyExpr:
-    """Sparse polynomial in the partials f_{x^p y^t} with rational coefficients.
+    """Sparse polynomial in the partials f_{x^p y^t} with exact coefficients.
+
+    The constructor and the scalar product make ``Fraction``
+    coefficients; :func:`first_derivative` starts an integer chain that
+    :func:`total_derivative` keeps on integers.
 
     Monomials may carry a negative exponent of f_y (the key (0, 1)):
     that is the denominator.  Zero coefficients are never stored.
@@ -96,11 +102,14 @@ class PolyExpr:
 
 
 def total_derivative(expr: PolyExpr) -> PolyExpr:
-    """Differentiate along x through the implicitly defined y."""
-    out: dict[Monomial, Fraction] = {}
+    """Differentiate along x through the implicitly defined y.
 
-    def add(mono: Monomial, value: Fraction) -> None:
-        total = out.get(mono, Fraction(0)) + value
+    Integer coefficients stay integers and ``Fraction`` ones ``Fraction``.
+    """
+    out: dict[Monomial, int | Fraction] = {}
+
+    def add(mono: Monomial, value: int | Fraction) -> None:
+        total = out.get(mono, 0) + value
         if total:
             out[mono] = total
         elif mono in out:
@@ -119,12 +128,18 @@ def total_derivative(expr: PolyExpr) -> PolyExpr:
     return result
 
 
-def oracle_formula(n: int) -> ElemFormula:
-    """The order-n derivative computed by n-1 literal differentiations of y'."""
-    check_order(n, 1)
-    expr = PolyExpr({(((1, 0), 1), ((0, 1), -1)): Fraction(-1)})
-    for _ in range(n - 1):
-        expr = total_derivative(expr)
+def first_derivative() -> PolyExpr:
+    """y' = -f_x / f_y, the start of the chain, with the integer coefficient -1."""
+    expr = PolyExpr.__new__(PolyExpr)
+    expr.terms = {((_FX, 1), (_FY, -1)): -1}
+    return expr
+
+
+def as_elementary(n: int, expr: PolyExpr) -> ElemFormula:
+    """The order-n derivative ``expr`` of the chain as an elementary formula.
+
+    Its coefficients become ``Fraction`` in ``ElemFormula.from_terms``.
+    """
     terms = []
     for mono, coeff in expr.terms.items():
         exps = dict(mono)
@@ -133,6 +148,15 @@ def oracle_formula(n: int) -> ElemFormula:
             raise FormulaError(f"oracle produced a non-elementary monomial {mono}")
         terms.append((coeff, ElemMonomial(tuple(exps.items()), -fy_exponent)))
     return ElemFormula.from_terms(n, terms)
+
+
+def oracle_formula(n: int) -> ElemFormula:
+    """The order-n derivative computed by n-1 literal differentiations of y'."""
+    check_order(n, 1)
+    expr = first_derivative()
+    for _ in range(n - 1):
+        expr = total_derivative(expr)
+    return as_elementary(n, expr)
 
 
 @dataclass(frozen=True)

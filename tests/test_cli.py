@@ -118,8 +118,8 @@ def test_verify_all_small(capsys):
 def test_johnson_suite_can_fail(capsys, monkeypatch):
     honest = verification.zgamma_sum
 
-    def off_by_one(core):
-        row = list(honest(core))
+    def off_by_one(core, *rest):
+        row = list(honest(core, *rest))
         row[-1] += 1
         return tuple(row)
 
@@ -128,6 +128,24 @@ def test_johnson_suite_can_fail(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "johnson", "--max-n", "5")
     assert code == 1
     assert not any(json.loads(line)["passed"] for line in out.strip().splitlines())
+
+
+def test_verify_summary_counts_failed_checks(capsys, monkeypatch):
+    honest = verification.zgamma_sum
+
+    def off_by_one(core, *rest):
+        row = list(honest(core, *rest))
+        row[-1] += 1
+        return tuple(row)
+
+    monkeypatch.setattr(verification, "zgamma_sum", off_by_one)
+    code, out, err = run(capsys, "verify", "--suite", "johnson", "--max-n", "5")
+    assert code == 1
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    checks = sum(len(line["failures"]) for line in lines)
+    reports = sum(not line["passed"] for line in lines)
+    assert checks > reports
+    assert err.splitlines()[-1] == f"{checks} checks failed in {reports} reports"
 
 
 def test_eval_problem_circle(capsys):

@@ -1,5 +1,6 @@
 """Tests for the exact combinatorial coefficients and their identities."""
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -13,10 +14,12 @@ from implicit_derivatives import (
     binom,
     coeff_C,
     coeff_D,
+    coeffs,
     enumerate_A,
     enumerate_B,
     enumerate_Z,
     signed_coeff,
+    verification,
     verify_C_recursion,
     zgamma_sum,
 )
@@ -148,3 +151,25 @@ def test_refinement_sum_is_binomial_generally(counts):
     # the ones occurring inside family B
     gamma = Multiplicities.from_dict(counts)
     assert zgamma_sum(gamma) == binomial_row(gamma.sum_r)
+
+
+def test_johnson_suite_builds_each_key_polynomial_once_per_call(monkeypatch):
+    honest = coeffs._key_polynomial
+    seen = Counter()
+
+    def counting(t, count):
+        seen[t, count] += 1
+        return honest(t, count)
+
+    monkeypatch.setattr(coeffs, "_key_polynomial", counting)
+    for calls in (1, 2):
+        assert all(verification.johnson_suite(9))
+        assert seen and set(seen.values()) == {calls}
+
+
+def test_shared_key_table_gives_the_same_rows():
+    shared = {}
+    cores = {core_of(gamma) for n in range(1, 10) for gamma in enumerate_B(n)}
+    for core in sorted(cores, key=lambda c: c.entries):
+        assert zgamma_sum(core, shared) == zgamma_sum(core)
+    assert shared

@@ -18,7 +18,7 @@ from implicit_derivatives import (
     oracle_formula,
     total_derivative,
 )
-from implicit_derivatives.oracle import PolyExpr
+from implicit_derivatives.oracle import PolyExpr, as_elementary, first_derivative
 
 
 def sym(p, t, e=1):
@@ -67,6 +67,28 @@ def test_total_derivative_is_linear(scale, exponents):
     lhs = total_derivative(scale * e1 + e2)
     rhs = scale * total_derivative(e1) + total_derivative(e2)
     assert lhs == rhs
+
+
+def test_total_derivative_keeps_fractions():
+    start = PolyExpr({(((2, 1), 1), ((0, 1), -2)): Fraction(3, 2)})
+    for _ in range(2):
+        start = total_derivative(start)
+        assert start.terms
+        assert all(type(c) is Fraction for c in start.terms.values())
+
+
+def test_carried_chain_is_integer_and_matches_oracle():
+    chain = first_derivative()
+    for n in range(1, 11):
+        assert all(type(c) is int for c in chain.terms.values())
+        formula = as_elementary(n, chain)
+        assert formula == oracle_formula(n) == elementary_formula(n)
+        chain = total_derivative(chain)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_oracle_formula_keeps_fraction_coefficients(n):
+    assert all(type(c) is Fraction for c, _ in oracle_formula(n).terms)
 
 
 @pytest.mark.parametrize("n", range(1, 10))

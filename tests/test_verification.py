@@ -1,0 +1,114 @@
+"""Verify suites: failure text is made only for failing checks, and keeps its wording."""
+
+import pytest
+
+from implicit_derivatives import (
+    ElemFormula,
+    Multiplicities,
+    binom,
+    coeff_C,
+    coeffs,
+    delta_formula,
+    enumerate_A,
+    enumerate_B,
+    eval_formula,
+    expand_delta,
+    formulas_equal,
+    oracle_formula,
+    random_rational_jet,
+    signed_coeff,
+    verification,
+    verify_C_recursion,
+)
+
+
+def test_passing_checks_format_no_text(monkeypatch):
+    def refuse(self):
+        raise AssertionError("failure text formatted for a passing check")
+
+    monkeypatch.setattr(Multiplicities, "__str__", refuse)
+    assert all(verification.johnson_suite(7))
+    assert verify_C_recursion(6)
+
+
+def test_johnson_failure_text(monkeypatch):
+    honest = verification.zgamma_sum
+
+    def off_by_one(core, *rest):
+        row = list(honest(core, *rest))
+        row[-1] += 1
+        return tuple(row)
+
+    monkeypatch.setattr(verification, "zgamma_sum", off_by_one)
+    expected = []
+    for gamma in enumerate_B(4):
+        top = sum(k.r * c for k, c in gamma.items() if k != (1, 0))
+        value, want = binom(top, top) + 1, binom(top, top)
+        expected.append(f"gamma {gamma}, split {top}: got {value}, want {want}")
+    assert verification.johnson_suite(4)[-1].failures == expected
+
+
+def test_C_recursion_failure_text(monkeypatch):
+    target = enumerate_A(4)[1]
+    unsigned, signed = coeff_C(target), signed_coeff(target)
+    honest = coeffs.coeff_C
+
+    def skewed(alpha):
+        return honest(alpha) + (alpha == target)
+
+    monkeypatch.setattr(coeffs, "coeff_C", skewed)
+    want = unsigned + 1
+    signed_want = -want if target.total % 2 else want
+    assert verify_C_recursion(3).failures == [
+        f"unsigned recursion at {target}: got {unsigned}, want {want}",
+        f"signed recursion at {target}: got {signed}, want {signed_want}",
+    ]
+
+
+def test_recursion_suite_failure_text(monkeypatch):
+    monkeypatch.setattr(verification, "derive_next", lambda formula: formula)
+    monkeypatch.setattr(verification, "recursion_step", lambda formula: formula)
+    reports = verification.recursion_suite(3)
+    assert reports[1].failures == [
+        "differentiation step disagrees with direct construction at 3",
+        "coefficient recursion disagrees with direct construction at 3",
+    ]
+
+
+def test_shift_failure_text(monkeypatch):
+    honest = verification.specialize_fx_zero
+
+    def doubled(formula):
+        special = honest(formula)
+        return ElemFormula(special.n, tuple((2 * c, m) for c, m in special.terms))
+
+    monkeypatch.setattr(verification, "specialize_fx_zero", doubled)
+    monkeypatch.setattr(verification, "JETS_PER_ORDER", 3)
+    expected = []
+    for i in range(3):
+        seed = verification.SHIFT_SEED_BASE + 200 + i
+        value = eval_formula(delta_formula(2), random_rational_jet(2, seed=seed)).value
+        if value:
+            expected.append(f"jet seed {seed}: {2 * value} vs {value}")
+    assert expected
+    assert verification.shift_suite(2)[0].failures == expected
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_oracle_suite_failure_text(monkeypatch, n):
+    honest = verification.elementary_formula
+
+    def first_doubled(order):
+        formula = honest(order)
+        (c, m), *rest = formula.terms
+        return ElemFormula(order, ((2 * c, m), *rest))
+
+    monkeypatch.setattr(verification, "elementary_formula", first_doubled)
+    bad = first_doubled(n)
+    diff = formulas_equal(bad, oracle_formula(n))
+    expansion = formulas_equal(expand_delta(delta_formula(n)), bad)
+    assert verification.oracle_suite(n)[-1].failures == [
+        f"expanded form vs oracle at {n}: " + "; ".join(diff.differences[:3]),
+        f"block expansion vs expanded form at {n}: "
+        + "; ".join(expansion.differences[:3]),
+    ]
