@@ -4,8 +4,9 @@ Subcommands: ``formula`` (render a derivative formula), ``verify`` (run
 invariant suites), ``eval`` (evaluate on a jet or built-in problem), and
 ``count`` (family sizes by stratum).  Exit codes: 0 success, 1 failed
 verification, 2 invalid usage (including a ``verify`` or ``count`` that
-would check nothing, and ``eval --check-fd`` above order 4, where finite
-differences resolve nothing), 3 order above the cap, 4 singular jet, 5
+would check nothing, ``eval --check-fd`` above order 4, where finite
+differences resolve nothing, and ``eval --jet`` with ``--kind``, since the
+jet file names its own kind), 3 order above the cap, 4 singular jet, 5
 unparseable, unreadable or unusable jet.  ``main`` maps each error to its
 exit code by type.  The order cap is set by ``--cap N`` (N >= 1, default
 12) and can never exceed the hard limit of 30; an order above either
@@ -178,6 +179,8 @@ def _cmd_eval(args) -> int:
     else:
         if args.check_fd:
             raise DomainError("--check-fd needs --problem")
+        if args.kind is not None:
+            raise DomainError("--kind needs --problem; a jet file names its own kind")
         try:
             with open(args.jet, "r", encoding="utf-8") as handle:
                 text = handle.read()

@@ -87,10 +87,14 @@ def coeff_D(gamma: Multiplicities) -> int:
     return _balls_in_boxes(gamma.entries, gamma.sum_l, gamma.sum_r)
 
 
+def _sign(alpha: Multiplicities) -> int:
+    """(-1)^h, the sign C(alpha) carries in the derivative formula."""
+    return -1 if alpha.total % 2 else 1
+
+
 def signed_coeff(alpha: Multiplicities) -> int:
     """C(alpha) with the sign (-1)^h it carries in the derivative formula."""
-    value = coeff_C(alpha)
-    return -value if alpha.total % 2 else value
+    return _sign(alpha) * coeff_C(alpha)
 
 
 def _key_polynomial(t: int, count: int) -> list[int]:
@@ -201,23 +205,25 @@ def verify_C_recursion(n: int) -> CheckReport:
 
     Checks both the unsigned statement (all three contribution kinds
     enter with +) and the signed statement (the "b" and "d" kinds enter
-    with an overall minus) against the directly computed values.
+    with an overall minus) against the directly computed values.  Each
+    predecessor's C is computed once per call; its signed value is C
+    times (-1)^h.
     """
     if n < 2:
         raise DomainError("recursion check starts at order 2")
     report = CheckReport(f"C-recursion {n}->{n + 1}")
+    table = {}  # order-n element -> C, filled as predecessors come
     for beta in enumerate_A(n + 1):
-        records = predecessors(beta, n + 1)
-        unsigned = sum(
-            _recursion_weight(rec, beta) * coeff_C(rec.predecessor)
-            for rec in records
-        )
-        signed = sum(
-            signed_recursion_weight(rec, beta) * signed_coeff(rec.predecessor)
-            for rec in records
-        )
+        unsigned = signed = 0
+        for rec in predecessors(beta, n + 1):
+            alpha = rec.predecessor
+            value = table.get(alpha)
+            if value is None:
+                value = table[alpha] = coeff_C(alpha)
+            unsigned += _recursion_weight(rec, beta) * value
+            signed += signed_recursion_weight(rec, beta) * _sign(alpha) * value
         want = coeff_C(beta)
-        signed_want = signed_coeff(beta)
+        signed_want = _sign(beta) * want
         report.record(
             unsigned == want,
             lambda: f"unsigned recursion at {beta}: got {unsigned}, want {want}",

@@ -8,6 +8,7 @@ import pytest
 
 from implicit_derivatives import jet_to_json, random_rational_jet, verification
 from implicit_derivatives.cli import main
+from test_numeric import wide_rational_jet
 
 
 def run(capsys, *argv):
@@ -240,6 +241,21 @@ def test_eval_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_eval_wide_jet_output_is_pinned(capsys, tmp_path):
+    # the exact total at order 14 on 32-bit entries, where the sum is
+    # widest; the document's "jet" field holds the temporary path
+    path = tmp_path / "wide.json"
+    path.write_text(jet_to_json(wide_rational_jet(14, seed=1400)))
+    code, out, _ = run(capsys, "--cap", "14", "eval", "--jet", str(path), "14")
+    assert code == 0
+    doc = json.loads(out)
+    pinned = json.dumps({"value": doc["value"], "term_values": doc["term_values"]})
+    assert (
+        hashlib.sha256(pinned.encode("utf-8")).hexdigest()
+        == "6b5d47a177e7ff6118c5adad752705e37d15e0478939801f715e2dd8a686d0a8"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -352,6 +368,17 @@ def test_eval_fd_requires_problem(capsys, tmp_path):
     path.write_text(jet_to_json(jet))
     code, _, _ = run(capsys, "eval", "--jet", str(path), "2", "--check-fd")
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["rational", "float"])
+def test_eval_jet_rejects_kind(capsys, tmp_path, kind):
+    # the jet file names its kind; --kind would be ignored without a word
+    path = tmp_path / "jet.json"
+    path.write_text(jet_to_json(random_rational_jet(3, seed=1)))
+    code, out, err = run(capsys, "eval", "--jet", str(path), "--kind", kind, "3")
+    assert code == 2
+    assert out == ""
+    assert "--kind" in err
 
 
 def test_count_family_A(capsys):

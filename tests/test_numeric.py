@@ -20,6 +20,7 @@ from implicit_derivatives import (
     eval_delta_block,
     eval_formula,
     finite_difference_derivatives,
+    fx_zero_formula,
     jet_from_json,
     jet_to_json,
     random_rational_jet,
@@ -27,8 +28,10 @@ from implicit_derivatives import (
 )
 from implicit_derivatives.numeric import (
     FD_MAX_ORDER,
+    SUM_RUN,
     _central_stencil,
     _coerce_scalar,
+    _exact_total,
     evaluate_problem,
     newton_solve,
     relative_error,
@@ -258,7 +261,46 @@ def test_exact_total_is_the_fraction_sum_of_the_terms(build, n, jet):
     assert report.value == sum(report.term_values, Fraction(0))
 
 
+def test_exact_total_is_the_fraction_sum_at_order_14():
+    # the order where the merge tree is deepest among the eval orders
+    test_exact_total_is_the_fraction_sum_of_the_terms(
+        delta_formula, 14, wide_rational_jet(14, seed=1402)
+    )
+
+
+# every length 0..3 runs can take, the run boundaries drawn more often
+_boundaries = [k * SUM_RUN + d for k in range(4) for d in (-1, 0, 1)]
+_lengths = st.sampled_from(
+    [m for m in _boundaries if 0 <= m <= 3 * SUM_RUN]
+) | st.integers(0, 3 * SUM_RUN)
+_fractions = st.builds(
+    Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**40)
+) | st.fractions(max_denominator=12)
+
+
+@given(data=st.data(), length=_lengths, cancel=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_merged_total_is_the_fraction_sum(data, length, cancel):
+    values = data.draw(st.lists(_fractions, min_size=length, max_size=length))
+    if cancel and values:
+        values[-1] = -sum(values[:-1], Fraction(0))  # the sum cancels to 0
+    total = _exact_total(values)
+    assert type(total) is Fraction
+    assert total == sum(values, Fraction(0))
+    if cancel:
+        assert total == 0
+
+
 # --- formula evaluation ----------------------------------------------------------
+
+
+def test_empty_formula_evaluates_to_zero_of_the_jet_kind():
+    formula = fx_zero_formula(1)
+    assert formula.terms == ()
+    exact = eval_formula(formula, exp_jet()).value
+    assert type(exact) is Fraction and exact == 0
+    binary = eval_formula(formula, exp_jet(kind="float")).value
+    assert repr(binary) == "0.0"
 
 
 def test_circle_second_derivative():
