@@ -60,10 +60,9 @@ from .numeric import (
     random_rational_jet,
     shift_jet,
 )
-from .oracle import PolyExpr, formulas_equal, oracle_formula, total_derivative
+from .oracle import formulas_equal, oracle_formula, total_derivative
 from .partitions import (
     Multiplicities,
-    PartitionFamilyTag,
     PredecessorRecord,
     enumerate_A,
     enumerate_B,

@@ -71,7 +71,7 @@ def _check_entries(entries, forbidden) -> None:
             raise FormulaError("negative power in monomial")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaMonomial:
     """Product of blocks D[l,r]^power divided by f_y^fy_power."""
 
@@ -85,7 +85,7 @@ class DeltaMonomial:
         object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElemMonomial:
     """Product of raw partials f_{x^p y^t}^power divided by f_y^fy_power.
 

@@ -8,8 +8,8 @@ so rational jets give exact results.
 The module also ships a few built-in implicit-function problems with
 known solutions, a Newton solver plus central finite differences for
 cross-checking, the base-point shear that zeroes f_x (turning the
-compact blocks into plain partials), and a deterministic random-jet
-generator used by the property suites.
+compact blocks into plain partials; exact only, on rational jets), and
+a deterministic random-jet generator used by the property suites.
 """
 
 from __future__ import annotations
@@ -324,55 +324,47 @@ def shift_jet(jet: Jet, n: int) -> Jet:
     The shear zeroes the first x-derivative at the base point while
     leaving pure y-partials untouched; its mixed partials are
     g_{x^l z^r} = sum_k C(l,k) lambda^k f_{x^(l-k) y^(r+k)}, which equals
-    the block value D[l,r] divided by f_y^l.  On rational jets each
-    sheared partial is one integer sum over a common denominator,
-    normalized once; float jets keep the plain loop, bit for bit.
+    the block value D[l,r] divided by f_y^l.  The shear is exact only:
+    each sheared partial is one integer sum over a common denominator,
+    normalized once, and a float jet raises :class:`JetError`.
     """
     if n < 1:
         raise DomainError("shift order must be at least 1")
+    if jet.kind != RATIONAL:
+        raise JetError("the shear needs a rational jet")
     if jet.order < n:
         raise JetError(f"shift to order {n} needs jet order >= {n}")
     if jet.fy == 0:
         raise SingularJetError("jet has f_y = 0 at the base point")
     lam = -jet.fx / jet.fy
+    # With lambda = a/b and the partials as integers P over their
+    # common denominator e, g_{x^l z^r} is one integer sum over
+    # b^l * e:  sum_k C(l,k) a^k b^(l-k) P_{l-k, r+k}.
+    a, b = lam.numerator, lam.denominator
+    keys = [(p, t) for p in range(n + 1) for t in range(n + 1 - p)]
+    e = math.lcm(*[jet.partials[key].denominator for key in keys])
+    scaled = {}
+    for key in keys:
+        v = jet.partials[key]
+        scaled[key] = v.numerator * (e // v.denominator)
+    a_pow = [a**k for k in range(n + 1)]
+    b_pow = [b**k for k in range(n + 1)]
     partials = {}
-    if jet.kind == RATIONAL:
-        # With lambda = a/b and the partials as integers P over their
-        # common denominator e, g_{x^l z^r} is one integer sum over
-        # b^l * e:  sum_k C(l,k) a^k b^(l-k) P_{l-k, r+k}.
-        a, b = lam.numerator, lam.denominator
-        keys = [(p, t) for p in range(n + 1) for t in range(n + 1 - p)]
-        e = math.lcm(*[jet.partials[key].denominator for key in keys])
-        scaled = {}
-        for key in keys:
-            v = jet.partials[key]
-            scaled[key] = v.numerator * (e // v.denominator)
-        a_pow = [a**k for k in range(n + 1)]
-        b_pow = [b**k for k in range(n + 1)]
-        for l in range(n + 1):
-            weights = [math.comb(l, k) * a_pow[k] * b_pow[l - k] for k in range(l + 1)]
-            den = b_pow[l] * e
-            for r in range(n + 1 - l):
-                total = 0
-                for k, w in enumerate(weights):
-                    total += w * scaled[(l - k, r + k)]
-                partials[(l, r)] = Fraction(total, den)
-        zero = Fraction(0)
-    else:
-        zero = 0.0
-        for l in range(n + 1):
-            for r in range(n + 1 - l):
-                value = zero
-                for k in range(l + 1):
-                    value += math.comb(l, k) * lam**k * jet.partials[(l - k, r + k)]
-                partials[(l, r)] = value
-    partials[(1, 0)] = zero  # exact by the choice of lambda
+    for l in range(n + 1):
+        weights = [math.comb(l, k) * a_pow[k] * b_pow[l - k] for k in range(l + 1)]
+        den = b_pow[l] * e
+        for r in range(n + 1 - l):
+            total = 0
+            for k, w in enumerate(weights):
+                total += w * scaled[(l - k, r + k)]
+            partials[(l, r)] = Fraction(total, den)
+    partials[(1, 0)] = Fraction(0)  # exact by the choice of lambda
     return Jet(
         x0=jet.x0,
         y0=jet.y0 - lam * jet.x0,
         order=n,
         partials=partials,
-        kind=jet.kind,
+        kind=RATIONAL,
     )
 
 

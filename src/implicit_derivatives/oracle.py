@@ -8,9 +8,12 @@ by the substitution rule
 
 applied symbol by symbol with the product rule.  Negative powers of f_y
 make the quotient rule automatic, so the whole computation is sparse
-polynomial bookkeeping.  The rule multiplies by integers only, so the
-chain from y' runs on plain integers; its coefficients become exact
-rationals once, when an order is converted to a formula.
+polynomial bookkeeping on plain dicts {monomial: coefficient}, where a
+monomial is a canonical tuple of ((p, t), exponent) pairs.  There is one
+coefficient regime: the rule multiplies by integers only, so the chain
+from y' runs on plain integers, and its coefficients become exact
+rationals once, when an order is converted to a formula.  A polynomial
+handed in with ``Fraction`` coefficients stays ``Fraction``.
 
 This module deliberately shares no code with the combinatorial
 construction: it must not import the partition-family, coefficient, or
@@ -24,89 +27,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping
 
 from .errors import FormulaError, check_order
 from .expressions import ElemFormula, ElemMonomial
 from .keys import VectorKey, merge_entries
 
 Monomial = tuple  # sorted ((p, t), exponent) pairs; only (0, 1) may be negative
+Poly = dict  # {Monomial: non-zero int or Fraction coefficient}
 
 _FX = VectorKey(1, 0)
 _FY = VectorKey(0, 1)
 
 
-class PolyExpr:
-    """Sparse polynomial in the partials f_{x^p y^t} with exact coefficients.
-
-    The constructor and the scalar product make ``Fraction``
-    coefficients; :func:`first_derivative` starts an integer chain that
-    :func:`total_derivative` keeps on integers.
-
-    Monomials may carry a negative exponent of f_y (the key (0, 1)):
-    that is the denominator.  Zero coefficients are never stored.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            key = merge_entries(mono)
-            value = cleaned.get(key, Fraction(0)) + Fraction(coeff)
-            if value:
-                cleaned[key] = value
-            elif key in cleaned:
-                del cleaned[key]
-        self.terms = cleaned
-
-    @classmethod
-    def constant(cls, value) -> "PolyExpr":
-        return cls({(): Fraction(value)})
-
-    @classmethod
-    def symbol(cls, p: int, t: int, exponent: int = 1) -> "PolyExpr":
-        return cls({(((p, t), exponent),): Fraction(1)})
-
-    def __add__(self, other: "PolyExpr") -> "PolyExpr":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            value = out.get(mono, Fraction(0)) + coeff
-            if value:
-                out[mono] = value
-            elif mono in out:
-                del out[mono]
-        result = PolyExpr.__new__(PolyExpr)
-        result.terms = out
-        return result
-
-    def __mul__(self, scalar) -> "PolyExpr":
-        c = Fraction(scalar)
-        result = PolyExpr.__new__(PolyExpr)
-        result.terms = {} if c == 0 else {m: v * c for m, v in self.terms.items()}
-        return result
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyExpr) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "PolyExpr(0)"
-        parts = []
-        for mono, coeff in sorted(self.terms.items()):
-            body = " ".join(f"f[{k.l},{k.r}]^{e}" for k, e in mono) or "1"
-            parts.append(f"{coeff} * {body}")
-        return "PolyExpr(" + " + ".join(parts) + ")"
-
-
-def total_derivative(expr: PolyExpr) -> PolyExpr:
-    """Differentiate along x through the implicitly defined y.
+def total_derivative(expr: Poly) -> Poly:
+    """Differentiate ``expr`` along x through the implicitly defined y.
 
     Integer coefficients stay integers and ``Fraction`` ones ``Fraction``.
     """
-    out: dict[Monomial, int | Fraction] = {}
+    out: Poly = {}
 
     def add(mono: Monomial, value: int | Fraction) -> None:
         total = out.get(mono, 0) + value
@@ -115,7 +53,7 @@ def total_derivative(expr: PolyExpr) -> PolyExpr:
         elif mono in out:
             del out[mono]
 
-    for mono, coeff in expr.terms.items():
+    for mono, coeff in expr.items():
         for key, exponent in mono:
             p, t = key
             base = coeff * exponent
@@ -123,25 +61,21 @@ def total_derivative(expr: PolyExpr) -> PolyExpr:
             along_y = ((key, -1), (VectorKey(p, t + 1), +1), (_FX, +1), (_FY, -1))
             add(merge_entries(chain(mono, along_x)), base)
             add(merge_entries(chain(mono, along_y)), -base)
-    result = PolyExpr.__new__(PolyExpr)
-    result.terms = out
-    return result
+    return out
 
 
-def first_derivative() -> PolyExpr:
+def first_derivative() -> Poly:
     """y' = -f_x / f_y, the start of the chain, with the integer coefficient -1."""
-    expr = PolyExpr.__new__(PolyExpr)
-    expr.terms = {((_FX, 1), (_FY, -1)): -1}
-    return expr
+    return {((_FY, -1), (_FX, 1)): -1}
 
 
-def as_elementary(n: int, expr: PolyExpr) -> ElemFormula:
+def as_elementary(n: int, expr: Poly) -> ElemFormula:
     """The order-n derivative ``expr`` of the chain as an elementary formula.
 
     Its coefficients become ``Fraction`` in ``ElemFormula.from_terms``.
     """
     terms = []
-    for mono, coeff in expr.terms.items():
+    for mono, coeff in expr.items():
         exps = dict(mono)
         fy_exponent = exps.pop(_FY, 0)
         if fy_exponent >= 0 or any(e <= 0 for e in exps.values()):

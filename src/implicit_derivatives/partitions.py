@@ -41,7 +41,7 @@ recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import DomainError, check_order
 from .keys import VectorKey, merge_entries
@@ -81,13 +81,6 @@ class Multiplicities:
                 raise DomainError(f"negative multiplicity for key {tuple(key)}")
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_dict(cls, mapping: Mapping[KeyLike, int]) -> "Multiplicities":
-        return cls(tuple(mapping.items()))
-
-    def as_dict(self) -> dict[VectorKey, int]:
-        return dict(self.entries)
-
     def items(self) -> Iterator[tuple[VectorKey, int]]:
         return iter(self.entries)
 
@@ -125,28 +118,6 @@ class Multiplicities:
 
 
 @dataclass(frozen=True)
-class PartitionFamilyTag:
-    """Names one family ("A", "A_tilde", or "B") at order n, optionally a stratum."""
-
-    family: str
-    n: int
-    stratum: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in ("A", "A_tilde", "B"):
-            raise DomainError(f"unknown family {self.family!r}")
-        minimum = 1 if self.family == "B" else 2
-        if self.n < minimum:
-            raise DomainError(f"family {self.family} starts at order {minimum}")
-        if self.stratum is not None:
-            upper = 2 * self.n - 1 if self.family == "B" else self.n - 1
-            if not 1 <= self.stratum <= upper:
-                raise DomainError(
-                    f"stratum {self.stratum} outside [1, {upper}] for {self.family}_{self.n}"
-                )
-
-
-@dataclass(frozen=True)
 class PredecessorRecord:
     """One way an order-(n+1) element arises from an order-n element.
 
@@ -165,13 +136,6 @@ def is_member_A(alpha: Multiplicities, n: int) -> bool:
     if any(k.l + k.r < 2 for k, _ in alpha.items()):
         return False
     return alpha.sum_l == n and alpha.sum_r - alpha.total == -1
-
-
-def is_member_B(gamma: Multiplicities, n: int) -> bool:
-    """Whether ``gamma`` lies in family B at order ``n``."""
-    if any(k.l + k.r < 2 and k != (1, 0) for k, _ in gamma.items()):
-        return False
-    return gamma.sum_l == n and gamma.sum_r - gamma.total == -1
 
 
 def _family(
@@ -263,13 +227,22 @@ def drop_tilde(alpha_tilde: Multiplicities) -> Multiplicities:
     )
 
 
-def members(tag: PartitionFamilyTag) -> list[Multiplicities]:
-    """Enumerate the family named by ``tag``, restricted to its stratum if set."""
-    out = enumerate_B(tag.n) if tag.family == "B" else enumerate_A(tag.n)
-    if tag.stratum is not None:
-        out = [m for m in out if m.total == tag.stratum]
-    if tag.family == "A_tilde":
-        out = [lift_to_tilde(a, tag.n) for a in out]
+def members(family: str, n: int, stratum: int | None = None) -> list[Multiplicities]:
+    """Family "A", "A_tilde" (lifted) or "B" at order n, in ``stratum`` if set."""
+    if family not in ("A", "A_tilde", "B"):
+        raise DomainError(f"unknown family {family!r}")
+    minimum = 1 if family == "B" else 2
+    if n < minimum:
+        raise DomainError(f"family {family} starts at order {minimum}")
+    if stratum is not None:
+        upper = 2 * n - 1 if family == "B" else n - 1
+        if not 1 <= stratum <= upper:
+            raise DomainError(f"stratum {stratum} outside [1, {upper}] for {family}_{n}")
+    out = enumerate_B(n) if family == "B" else enumerate_A(n)
+    if stratum is not None:
+        out = [m for m in out if m.total == stratum]
+    if family == "A_tilde":
+        out = [lift_to_tilde(a, n) for a in out]
     return out
 
 

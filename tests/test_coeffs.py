@@ -26,7 +26,7 @@ from implicit_derivatives import (
 
 
 def m(pairs):
-    return Multiplicities.from_dict(dict(pairs))
+    return Multiplicities(tuple(dict(pairs).items()))
 
 
 def test_coeff_C_known_values():
@@ -149,7 +149,7 @@ def test_refinement_sum_is_binomial_over_family_B(n):
 def test_refinement_sum_is_binomial_generally(counts):
     # the identity holds for arbitrary non-negative profiles, not just
     # the ones occurring inside family B
-    gamma = Multiplicities.from_dict(counts)
+    gamma = Multiplicities(tuple(counts.items()))
     assert zgamma_sum(gamma) == binomial_row(gamma.sum_r)
 
 

@@ -415,6 +415,13 @@ def test_shear_zeroes_fx_and_keeps_pure_y(seed):
     assert shifted.y0 == jet.y0 + jet.fx / jet.fy * jet.x0
 
 
+def test_shear_refuses_float_jets():
+    # the shear is exact only; a float jet is refused, not sheared in binary64
+    jet = builtin_problem("lambert").jet(4, "float")
+    with pytest.raises(JetError):
+        shift_jet(jet, 4)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_shear_partials_are_scaled_blocks(seed):
     jet = random_rational_jet(5, seed=950 + seed)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from implicit_derivatives import (
     DomainError,
     Multiplicities,
-    PartitionFamilyTag,
     enumerate_A,
     enumerate_B,
     enumerate_Z,
@@ -19,7 +18,6 @@ from implicit_derivatives import (
 from implicit_derivatives.partitions import (
     drop_tilde,
     is_member_A,
-    is_member_B,
     members,
     successor_advance,
     successor_mixed,
@@ -28,7 +26,7 @@ from implicit_derivatives.partitions import (
 
 
 def m(pairs):
-    return Multiplicities.from_dict(dict(pairs))
+    return Multiplicities(tuple(dict(pairs).items()))
 
 
 # --- independent brute-force oracle ------------------------------------------
@@ -89,6 +87,12 @@ def brute_B(n):
     return found
 
 
+def in_family_B(gamma, n):
+    """Family-B membership straight from the definition."""
+    keys_allowed = all(k.l + k.r >= 2 or k == (1, 0) for k, _ in gamma.items())
+    return keys_allowed and gamma.sum_l == n and gamma.sum_r - gamma.total == -1
+
+
 def as_key_set(elements):
     return {frozenset((tuple(k), c) for k, c in e.items()) for e in elements}
 
@@ -144,12 +148,12 @@ def test_family_A_rejects_bad_orders():
 
 
 def test_family_A_stratum_filter():
-    assert members(PartitionFamilyTag("A", 4, 2)) == [
+    assert members("A", 4, 2) == [
         m({(3, 0): 1, (1, 1): 1}),
         m({(2, 1): 1, (2, 0): 1}),
     ]
     with pytest.raises(DomainError):
-        PartitionFamilyTag("A", 4, 4)
+        members("A", 4, 4)
 
 
 # --- family B -----------------------------------------------------------------
@@ -162,7 +166,7 @@ def test_family_B_small_orders():
         m({(1, 1): 1, (1, 0): 1}),
         m({(1, 0): 2, (0, 2): 1}),
     ]
-    assert members(PartitionFamilyTag("B", 3, 1)) == [m({(3, 0): 1})]
+    assert members("B", 3, 1) == [m({(3, 0): 1})]
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -177,14 +181,14 @@ def test_family_B_invariants(n):
         assert gamma.sum_l == n
         assert gamma.sum_r == k - 1
         assert 1 <= k <= 2 * n - 1
-        assert is_member_B(gamma, n)
+        assert in_family_B(gamma, n)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_family_A_embeds_in_family_B(n):
     b_set = set(enumerate_B(n))
     for alpha in enumerate_A(n):
-        assert is_member_B(alpha, n)
+        assert in_family_B(alpha, n)
         assert alpha in b_set
 
 
@@ -328,15 +332,20 @@ def test_multiplicities_normalization():
 
 
 def test_family_tag_validation():
-    assert members(PartitionFamilyTag("A", 4, 1)) == [m({(4, 0): 1})]
-    assert members(PartitionFamilyTag("A_tilde", 3)) == [
+    assert members("A", 4, 1) == [m({(4, 0): 1})]
+    assert members("A_tilde", 3) == [
         m({(3, 0): 1, (0, 1): 1}),
         m({(2, 0): 1, (1, 1): 1}),
     ]
+    assert members("B", 1) == enumerate_B(1)
     with pytest.raises(DomainError):
-        PartitionFamilyTag("C", 4)
+        members("C", 4)
     with pytest.raises(DomainError):
-        PartitionFamilyTag("B", 2, 4)
+        members("B", 2, 4)
+    with pytest.raises(DomainError):
+        members("A", 1)
+    with pytest.raises(DomainError):
+        members("A_tilde", 4, 0)
 
 
 @given(
@@ -350,7 +359,7 @@ def test_family_tag_validation():
 )
 @settings(max_examples=60)
 def test_multiplicities_order_is_canonical(counts):
-    mults = Multiplicities.from_dict(counts)
+    mults = Multiplicities(tuple(counts.items()))
     entries = list(mults.items())
     assert entries == sorted(entries)
     assert all(c >= 1 for _, c in entries)
