@@ -67,6 +67,8 @@ from .partitions import (
     enumerate_A,
     enumerate_B,
     enumerate_Z,
+    family_counts,
+    family_size,
     lift_to_tilde,
     predecessors,
 )

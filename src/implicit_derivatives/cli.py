@@ -2,7 +2,8 @@
 
 Subcommands: ``formula`` (render a derivative formula), ``verify`` (run
 invariant suites), ``eval`` (evaluate on a jet or built-in problem), and
-``count`` (family sizes by stratum).  Exit codes: 0 success, 1 failed
+``count`` (family sizes by stratum, read from a counting table; nothing
+is enumerated).  Exit codes: 0 success, 1 failed
 verification, 2 invalid usage (including a ``verify`` or ``count`` that
 would check nothing, ``eval --check-fd`` above order 4, where finite
 differences resolve nothing, and ``eval --jet`` with ``--kind``, since the
@@ -10,7 +11,9 @@ jet file names its own kind), 3 order above the cap, 4 singular jet, 5
 unparseable, unreadable or unusable jet.  ``main`` maps each error to its
 exit code by type.  The order cap is set by ``--cap N`` (N >= 1, default
 12) and can never exceed the hard limit of 30; an order above either
-exits 3.
+exits 3.  So does a request whose formulas would hold more than
+``TERM_BUDGET`` terms, predicted from the counting table before anything
+is built.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from fractions import Fraction
 
 from .errors import (
@@ -43,10 +45,17 @@ from .numeric import (
     evaluate_problem,
     jet_from_json,
 )
-from .partitions import _family
+from .partitions import family_counts, family_size
 from .verification import SUITES, run_suites
 
 DEFAULT_CAP = 12
+
+#: Most terms a command may build.  ``formula 24`` (391 409 terms) takes
+#: 8.2 s and 230 MiB peak (Python 3.11, 2-CPU shared host), about 21 us
+#: and 0.6 KiB per term, so a request at the budget needs about 10 s and
+#: 300 MiB.  The lowest orders refused are ``formula 25`` (611 234 terms)
+#: and ``formula 18 --form elementary`` (557 335).
+TERM_BUDGET = 500_000
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -207,17 +216,36 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    family_a = args.family == "A"
-    start = 2 if family_a else 1
-    check_order(args.max_n, start)
+    counts = family_counts(args.max_n, args.family == "A")
     print("family\tn\tstratum\tcount")
-    for n in range(start, args.max_n + 1):
-        members = _family(n, family_a)
-        # the family is sorted by total, so the strata come in order
-        for stratum, count in Counter(total for total, _ in members).items():
+    for n, strata in counts.items():
+        for stratum, count in strata:
             print(f"{args.family}\t{n}\t{stratum}\t{count}")
-        print(f"{args.family}\t{n}\ttotal\t{len(members)}")
+        print(f"{args.family}\t{n}\ttotal\t{sum(c for _, c in strata)}")
     return EXIT_OK
+
+
+def _predicted_terms(args) -> int:
+    """Terms in the largest formulas the command builds, read from the counting table.
+
+    Block and f_x = 0 forms have one term per family-A element, the
+    expanded form one per family-B element; ``verify`` builds both at
+    ``max_n``.  Orders below a family's start count 0 and are left to the
+    command's own checks; ``inverse`` and ``count`` build no such family.
+    """
+    if args.command == "verify":
+        n, families = args.max_n, (True, False)
+    elif args.command == "eval" or args.form in ("delta", "fx0"):
+        n, families = args.n, (True,)
+    elif args.form == "elementary":
+        n, families = args.n, (False,)
+    else:
+        return 0
+    return sum(
+        family_size(n, family_a)
+        for family_a in families
+        if n >= (2 if family_a else 1)
+    )
 
 
 def main(argv=None) -> int:
@@ -227,6 +255,13 @@ def main(argv=None) -> int:
     try:
         if order > cap:
             raise CapError(f"order {order} exceeds cap {cap}")
+        if args.command != "count":
+            terms = _predicted_terms(args)
+            if terms > TERM_BUDGET:
+                raise CapError(
+                    f"order {order} needs {terms} terms, above the budget of"
+                    f" {TERM_BUDGET}"
+                )
         if args.command == "formula":
             return _cmd_formula(args)
         if args.command == "verify":

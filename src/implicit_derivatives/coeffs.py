@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError
-from .partitions import Multiplicities, _compositions, enumerate_A, predecessors
+from .partitions import Multiplicities, _compositions, predecessor_records
 
 
 def binom(a: int, b: int) -> int:
@@ -200,22 +200,26 @@ def signed_recursion_weight(record, beta: Multiplicities) -> int:
     return weight if record.kind == "minus" else -weight
 
 
-def verify_C_recursion(n: int) -> CheckReport:
+def verify_C_recursion(n: int, records: list | None = None) -> CheckReport:
     """Rebuild every order-(n+1) coefficient from order-n ones and compare.
 
     Checks both the unsigned statement (all three contribution kinds
     enter with +) and the signed statement (the "b" and "d" kinds enter
     with an overall minus) against the directly computed values.  Each
     predecessor's C is computed once per call; its signed value is C
-    times (-1)^h.
+    times (-1)^h.  ``records`` is
+    :func:`~implicit_derivatives.partitions.predecessor_records` at
+    order n + 1, made here when not handed in.
     """
     if n < 2:
         raise DomainError("recursion check starts at order 2")
+    if records is None:
+        records = predecessor_records(n + 1)
     report = CheckReport(f"C-recursion {n}->{n + 1}")
     table = {}  # order-n element -> C, filled as predecessors come
-    for beta in enumerate_A(n + 1):
+    for beta, preds in records:
         unsigned = signed = 0
-        for rec in predecessors(beta, n + 1):
+        for rec in preds:
             alpha = rec.predecessor
             value = table.get(alpha)
             if value is None:

@@ -35,9 +35,8 @@ from .partitions import (
     Multiplicities,
     _family,
     _integer_partitions,
-    enumerate_A,
     is_member_A,
-    predecessors,
+    predecessor_records,
     successor_advance,
     successor_mixed,
     successor_trade,
@@ -137,20 +136,25 @@ def derive_next(formula: DeltaFormula) -> DeltaFormula:
     return DeltaFormula.from_terms(n + 1, terms)
 
 
-def recursion_step(formula: DeltaFormula) -> DeltaFormula:
+def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaFormula:
     """One step of the coefficient recursion: the next order's compact form.
 
     Every order-(n+1) coefficient is assembled from the coefficients of
     its predecessor records in ``formula``, each weighted by
     :func:`~implicit_derivatives.coeffs.signed_recursion_weight`.  A
     predecessor with no term in ``formula`` has coefficient 0.
+    ``records`` is
+    :func:`~implicit_derivatives.partitions.predecessor_records` at
+    order n + 1, made here when not handed in.
     """
     table = _block_terms(formula, "recursion_step")
     n = formula.n
+    if records is None:
+        records = predecessor_records(n + 1)
     terms = []
-    for beta in enumerate_A(n + 1):
+    for beta, preds in records:
         value = Fraction(0)
-        for record in predecessors(beta, n + 1):
+        for record in preds:
             weight = signed_recursion_weight(record, beta)
             value += weight * table.get(record.predecessor, 0)
         if value != 0:

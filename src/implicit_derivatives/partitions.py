@@ -20,15 +20,19 @@ multisets appear:
   the monomials of the fully expanded derivative; family A embeds into
   it by taking s[1,0] = 0.
 
-Both families are enumerated by one descent over the cores (keys with
-l + r >= 2 and sum (l + r - 1) * m = n - 1), taking the keys in order of
-increasing total l + r.  Family B keeps every core.  For family A the
-descent also cuts every branch with x_left * (s - 1) > weight_left * s,
-where s = l + r of the current key, x_left = n - sum l * m and
-weight_left = n - 1 - sum (l + r - 1) * m so far.  The cut drops no
-element: every key still to come has l <= l + r and l + r >= s, so it
-places at most (l + r) / (l + r - 1) <= s / (s - 1) x-differentiations
-per unit of weight, and such a branch can never reach x_left = 0.
+Adding the two sum constraints gives sum (l + r - 1) * m = n - 1, so an
+element is a choice of counts that uses up exactly the weight n - 1 and
+the n x-differentiations, each key (l, r) taking l + r - 1 of the one
+and l of the other; in family B, (1, 0) is a key of weight 0.  Both
+families are enumerated by one walk over the keys in canonical (l, r)
+order.  A liveness table, built backwards over the keys like an
+unbounded knapsack, holds for every key index and weight the set of
+x-sums the later keys can still complete, so the walk only enters states
+with at least one completion, and it builds the completions of each
+state once per call.  Counting needs no walk: the family sizes by
+stratum are coefficients of prod 1/(1 - x^l z^(l+r-1) u) over the keys
+with l + r >= 2, read from one packed table per call
+(:func:`family_counts`, :func:`family_size`).
 
 The module also provides the neighbor constructions that connect
 consecutive orders: three "successor" moves sending an order-n element
@@ -41,6 +45,7 @@ recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import DomainError, check_order
@@ -138,57 +143,155 @@ def is_member_A(alpha: Multiplicities, n: int) -> bool:
     return alpha.sum_l == n and alpha.sum_r - alpha.total == -1
 
 
+def _family_keys(n: int, family_a: bool) -> list[tuple[VectorKey, int, int]]:
+    """The admissible (key, l, weight) triples at order n, in canonical (l, r) order.
+
+    The weight of (l, r) is l + r - 1; family B adds (1, 0) with weight 0.
+    """
+    keys = []
+    for l in range(n + 1):
+        for r in range(n - l + 1):
+            if l + r >= 2 or (not family_a and l == 1):
+                keys.append((VectorKey(l, r), l, max(l + r - 1, 0)))
+    return keys
+
+
 def _family(
     n: int, family_a: bool
 ) -> list[tuple[int, tuple[tuple[VectorKey, int], ...]]]:
     """Family A (``family_a``) or family B at order n as sorted (total, entries) pairs.
 
-    The descent runs over the cores: adding the two sum constraints shows
-    every admissible multiset has sum (l + r - 1) * m = n - 1 over keys
-    with l + r >= 2 and sum l * m <= n, and conversely each such core
-    extends uniquely to family B by the key (1, 0) with count
-    n - sum l * m (and lies in family A exactly when that count is 0).
-    Family A cuts the branches that cannot reach sum l * m = n (see the
-    module docstring).  Each element's entries are in canonical (l, r)
-    order, family B's with their (1, 0) entry; ``total`` is the count
-    sum (the stratum h or k), and the list is sorted by (total, entries).
+    The walk picks keys in canonical (l, r) order, each with a positive
+    count, from the state (n - 1, n) of weight and x-differentiations
+    still to place.  ``live[i][w]`` has bit x set when the keys from i
+    on can complete weight w with exactly x x-differentiations, so a
+    key is tried only when its remainder is live, and the first dead
+    start ends the scan over later keys.  The completions of each
+    state (start, weight, x) are built once per call and shared by every
+    prefix reaching that state.  Each element's entries are in
+    canonical (l, r) order; ``total`` is the count sum (the stratum h or
+    k), and the list is sorted by (total, entries).
     """
-    # ordered by total l + r, so the weight l + r - 1 never decreases
-    # along the list: a key too heavy, or past the family-A cut, ends
-    # the loop for every later key too
-    keys = [
-        (VectorKey(a, s - a), a, s - 1) for s in range(2, n + 1) for a in range(s + 1)
-    ]
-    out = []
-    acc = []
+    keys = _family_keys(n, family_a)
+    # index of the next l-group: within a group the weight grows with r,
+    # so a key heavier than the weight left ends its group
+    next_group = [0] * len(keys)
+    end = len(keys)
+    for i in range(len(keys) - 1, -1, -1):
+        next_group[i] = end
+        if i == 0 or keys[i - 1][1] != keys[i][1]:
+            end = i
+    full = (1 << (n + 1)) - 1
+    live = [[1] + [0] * (n - 1)]
+    for _, l, weight in reversed(keys):
+        row = live[-1][:]
+        if weight:
+            for w in range(weight, n):
+                row[w] |= (row[w - weight] << l) & full
+        else:  # (1, 0) tops up any x-sum the later keys reach
+            row = [full & -(m & -m) for m in row]
+        live.append(row)
+    live.reverse()
 
-    def descend(start, weight_left, x_left, total):
-        if weight_left == 0:
-            if not x_left:
-                out.append((total, tuple(sorted(acc))))
-            elif not family_a:
-                out.append((total + x_left, tuple(sorted(acc + [(_FX, x_left)]))))
-            return
-        for i in range(start, len(keys)):
+    done = [(0, ())]
+    memo: dict = {}
+
+    def complete(start, w, x):
+        found = memo.get((start, w, x))
+        if found is not None:
+            return found
+        found = []
+        i = start
+        while i < len(keys) and live[i][w] >> x & 1:
             key, l, weight = keys[i]
-            if weight > weight_left:
-                break
-            if family_a and x_left * weight > weight_left * (weight + 1):
-                break
-            top = weight_left // weight
-            if l and x_left // l < top:
-                top = x_left // l
-            for count in range(1, top + 1):
-                left = weight_left - count * weight
-                # a remainder lighter than this key fits no later key
-                if left == 0 or left >= weight:
-                    acc.append((key, count))
-                    descend(i + 1, left, x_left - count * l, total + count)
-                    acc.pop()
+            if weight > w:
+                i = next_group[i]
+                continue
+            rows = live[i + 1]
+            count, w_left, x_left = 1, w - weight, x - l
+            while w_left >= 0 and x_left >= 0:
+                if rows[w_left] >> x_left & 1:
+                    item = (key, count)
+                    rest = complete(i + 1, w_left, x_left) if w_left or x_left else done
+                    found += [(t + count, (item,) + e) for t, e in rest]
+                count += 1
+                w_left -= weight
+                x_left -= l
+            i += 1
+        memo[start, w, x] = found
+        return found
 
-    descend(0, n - 1, n, 0)
-    out.sort()
+    out = complete(0, n - 1, n)
+    # the recursion is a reference cycle: drop the memo now, not at the next GC
+    memo.clear()
+    # each list comes in lexicographic entry order, so a stable sort on
+    # the total alone gives the (total, entries) order
+    out.sort(key=itemgetter(0))
     return out
+
+
+#: Bytes per count in the packed counting table.  A slot counts the cores of
+#: one weight, x-sum and block count, so it is at most the number of all
+#: cores of that weight: 335 744 305 < 2**29 at weight HARD_CAP - 1.
+_SLOT_BYTES = 4
+
+
+def _core_counts(max_n: int) -> list[bytes]:
+    """Counts of the cores of every weight below ``max_n``, packed by (x-sum, blocks).
+
+    The cores (keys with l + r >= 2) are counted as the coefficients of
+    prod 1/(1 - x^l z^(l+r-1) u) by an unbounded knapsack over the keys:
+    row w holds, for every x-sum x <= max_n and block count h < max_n,
+    the number of cores of weight w in little-endian slot x * max_n + h.
+    """
+    slot = 8 * _SLOT_BYTES
+    width = max_n * slot  # one x-sum
+    size = (max_n + 1) * width
+    mask = (1 << size) - 1
+    rows = [1] + [0] * (max_n - 1)
+    for _, l, weight in _family_keys(max_n, family_a=True):
+        shift = l * width + slot
+        for w in range(weight, max_n):
+            rows[w] = (rows[w] + (rows[w - weight] << shift)) & mask
+    return [row.to_bytes(size // 8, "little") for row in rows]
+
+
+def _strata(rows: list[bytes], n: int, family_a: bool) -> list[tuple[int, int]]:
+    """Non-zero (stratum, count) pairs of a family at order n <= max_n, ascending.
+
+    Family A at order n is the state (n - 1, n).  Family B sums the states
+    (n - 1, x) for x <= n, each shifted n - x strata by its (1, 0) count.
+    """
+    data = rows[n - 1]
+    max_n = len(rows)
+    strata = [0] * (2 * n)
+    for x in (n,) if family_a else range(n + 1):
+        at = x * max_n * _SLOT_BYTES
+        for h in range(n):
+            end = at + _SLOT_BYTES
+            strata[h + n - x] += int.from_bytes(data[at:end], "little")
+            at = end
+    return [(k, c) for k, c in enumerate(strata) if c]
+
+
+def family_counts(max_n: int, family_a: bool) -> dict[int, list[tuple[int, int]]]:
+    """Stratum sizes of family A (``family_a``) or B at every order up to ``max_n``.
+
+    Nothing is enumerated: one counting table per call
+    (:func:`_core_counts`) gives every order.  Maps each order (from 2
+    for A, 1 for B) to its non-zero (stratum, count) pairs in ascending
+    stratum order.
+    """
+    start = 2 if family_a else 1
+    check_order(max_n, start)
+    rows = _core_counts(max_n)
+    return {n: _strata(rows, n, family_a) for n in range(start, max_n + 1)}
+
+
+def family_size(n: int, family_a: bool) -> int:
+    """Number of elements of family A (``family_a``) or B at order n, not enumerated."""
+    check_order(n, 2 if family_a else 1)
+    return sum(count for _, count in _strata(_core_counts(n), n, family_a))
 
 
 def enumerate_A(n: int) -> list[Multiplicities]:
@@ -383,3 +486,14 @@ def predecessors(beta: Multiplicities, n_plus_1: int) -> list[PredecessorRecord]
                 f"predecessor {record.predecessor} of {beta} fell outside order {n}"
             )
     return records
+
+
+def predecessor_records(
+    n_plus_1: int,
+) -> list[tuple[Multiplicities, list[PredecessorRecord]]]:
+    """Every family-A element of order ``n_plus_1`` with its :func:`predecessors`.
+
+    One pass serves every consumer of the coefficient recursion at that
+    order: a caller running several hands the same list to each.
+    """
+    return [(beta, predecessors(beta, n_plus_1)) for beta in enumerate_A(n_plus_1)]

@@ -21,6 +21,9 @@ the mathematics:
 Each check returns a :class:`~implicit_derivatives.coeffs.CheckReport`;
 a suite passes when every report carries no failures.  Checks hand the
 report their failure text as a callable, called only when they fail.
+Every suite takes an optional :class:`FormulaTable`; :func:`run_suites`
+hands one table to all the suites of a call, so each formula is built
+once per call.
 """
 
 from __future__ import annotations
@@ -38,26 +41,56 @@ from .formula import (
 )
 from .numeric import eval_formula, random_rational_jet, shift_jet
 from .oracle import as_elementary, first_derivative, formulas_equal, total_derivative
-from .partitions import Multiplicities, enumerate_B
+from .partitions import Multiplicities, enumerate_B, predecessor_records
 
 JETS_PER_ORDER = 50
 SHIFT_SEED_BASE = 20_000
 
 
-def recursion_suite(max_n: int) -> list[CheckReport]:
+class FormulaTable:
+    """Compact and expanded forms by order, each built once per table.
+
+    Lives for one :func:`run_suites` call; nothing is kept across calls.
+    """
+
+    def __init__(self) -> None:
+        self._delta: dict = {}
+        self._elementary: dict = {}
+
+    def delta(self, n: int):
+        formula = self._delta.get(n)
+        if formula is None:
+            formula = self._delta[n] = delta_formula(n)
+        return formula
+
+    def elementary(self, n: int):
+        formula = self._elementary.get(n)
+        if formula is None:
+            formula = self._elementary[n] = elementary_formula(n)
+        return formula
+
+
+def recursion_suite(
+    max_n: int, formulas: FormulaTable | None = None
+) -> list[CheckReport]:
     """Coefficient recursion and differentiation step versus direct construction.
 
-    Both stepped routes carry their formula forward, one step per order.
+    Both stepped routes carry their formula forward, one step per order,
+    and share one pass of predecessor records per order with the
+    coefficient check.
     """
+    if formulas is None:
+        formulas = FormulaTable()
     reports = []
-    previous = delta_formula(2)
+    previous = formulas.delta(2)
     rebuilt = delta_formula_via_recursion(2)
     for n in range(2, max_n + 1):
-        reports.append(verify_C_recursion(n))
+        records = predecessor_records(n + 1)
+        reports.append(verify_C_recursion(n, records))
         report = CheckReport(f"order step {n}->{n + 1}")
-        direct = delta_formula(n + 1)
+        direct = formulas.delta(n + 1)
         stepped = derive_next(previous)
-        rebuilt = recursion_step(rebuilt)
+        rebuilt = recursion_step(rebuilt, records)
         report.record(
             stepped == direct,
             lambda: "differentiation step disagrees with direct construction"
@@ -73,16 +106,20 @@ def recursion_suite(max_n: int) -> list[CheckReport]:
     return reports
 
 
-def oracle_suite(max_n: int) -> list[CheckReport]:
+def oracle_suite(
+    max_n: int, formulas: FormulaTable | None = None
+) -> list[CheckReport]:
     """Triple agreement of expansion, direct expanded form, and the oracle.
 
     The oracle's chain is carried forward, one differentiation per order.
     """
+    if formulas is None:
+        formulas = FormulaTable()
     reports = []
     chain = first_derivative()
     for n in range(1, max_n + 1):
         report = CheckReport(f"forms agree at order {n}")
-        elementary = elementary_formula(n)
+        elementary = formulas.elementary(n)
         diff = formulas_equal(elementary, as_elementary(n, chain))
         # advance before the expansion, and drop the chain at max_n: the
         # expression held through expand_delta would raise peak memory
@@ -93,7 +130,7 @@ def oracle_suite(max_n: int) -> list[CheckReport]:
             + "; ".join(diff.differences[:3]),
         )
         if n >= 2:
-            diff = formulas_equal(expand_delta(delta_formula(n)), elementary)
+            diff = formulas_equal(expand_delta(formulas.delta(n)), elementary)
             report.record(
                 diff.equal,
                 lambda: f"block expansion vs expanded form at {n}: "
@@ -103,8 +140,13 @@ def oracle_suite(max_n: int) -> list[CheckReport]:
     return reports
 
 
-def johnson_suite(max_n: int) -> list[CheckReport]:
-    """Refinement sums equal binomials for every element and admissible split."""
+def johnson_suite(
+    max_n: int, formulas: FormulaTable | None = None
+) -> list[CheckReport]:
+    """Refinement sums equal binomials for every element and admissible split.
+
+    Builds no formula, so ``formulas`` is not consulted.
+    """
     reports = []
     polys: dict = {}
     for n in range(1, max_n + 1):
@@ -127,13 +169,17 @@ def johnson_suite(max_n: int) -> list[CheckReport]:
     return reports
 
 
-def shift_suite(max_n: int) -> list[CheckReport]:
+def shift_suite(
+    max_n: int, formulas: FormulaTable | None = None
+) -> list[CheckReport]:
     """Sheared-jet evaluation of the specialized formula vs the compact formula."""
+    if formulas is None:
+        formulas = FormulaTable()
     reports = []
     for n in range(2, max_n + 1):
         report = CheckReport(f"shear identity at order {n}")
-        compact = delta_formula(n)
-        specialized = specialize_fx_zero(elementary_formula(n))
+        compact = formulas.delta(n)
+        specialized = specialize_fx_zero(formulas.elementary(n))
         for i in range(JETS_PER_ORDER):
             seed = SHIFT_SEED_BASE + 100 * n + i
             jet = random_rational_jet(n, seed=seed)
@@ -156,7 +202,10 @@ SUITES = {
 
 
 def run_suites(names, max_n: int) -> list[CheckReport]:
-    """Run the named suites (or all of them) up to the given order."""
+    """Run the named suites (or all of them) up to the given order.
+
+    The suites share one :class:`FormulaTable`, made for this call.
+    """
     chosen = []
     for name in names:
         if name == "all":
@@ -165,7 +214,8 @@ def run_suites(names, max_n: int) -> list[CheckReport]:
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}")
         chosen.append(name)
+    formulas = FormulaTable()
     reports = []
     for name in chosen:
-        reports.extend(SUITES[name](max_n))
+        reports.extend(SUITES[name](max_n, formulas))
     return reports

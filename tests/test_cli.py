@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from implicit_derivatives import jet_to_json, random_rational_jet, verification
+from implicit_derivatives import (
+    cli,
+    jet_to_json,
+    partitions,
+    random_rational_jet,
+    verification,
+)
 from implicit_derivatives.cli import main
 from test_numeric import wide_rational_jet
 
@@ -79,6 +85,43 @@ def test_order_above_hard_cap_exits_three(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, terms",
+    [
+        ("--cap 30 formula 30", 5_192_640),
+        ("--cap 30 formula 24 --form elementary", 15_516_710),
+        ("--cap 30 formula 18 --form elementary", 557_335),
+        ("--cap 30 eval --problem circle 25", 611_234),
+        ("--cap 30 verify --max-n 18", 23_032 + 557_335),
+    ],
+    ids=["delta-30", "elementary-24", "elementary-18", "eval-25", "verify-18"],
+)
+def test_request_over_the_term_budget_exits_three(capsys, argv, terms):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert f"needs {terms} terms" in err
+    assert terms > cli.TERM_BUDGET
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "formula 24",
+        "formula 24 --form fx0",
+        "formula 17 --form elementary",
+        "eval --problem exp 24",
+        "verify --max-n 17",
+    ],
+)
+def test_largest_requests_under_the_term_budget(argv):
+    # predicted only, not built: the highest order of each kind admitted
+    args = cli.build_parser().parse_args(["--cap", "30", *argv.split()])
+    assert cli._predicted_terms(args) <= cli.TERM_BUDGET
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -333,6 +376,22 @@ def test_count_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "family, total", [("A", 5_192_640), ("B", 323_685_343)]
+)
+def test_count_to_the_hard_cap_reads_the_table(capsys, monkeypatch, family, total):
+    def refuse(*args):
+        raise AssertionError("count enumerated a family")
+
+    monkeypatch.setattr(partitions, "_family", refuse)
+    start = time.perf_counter()
+    argv = ["--cap", "30", "count", "--family", family, "--max-n", "30"]
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out.splitlines()[-1] == f"{family}\t30\ttotal\t{total}"
 
 
 @pytest.mark.parametrize(

@@ -15,10 +15,16 @@ from implicit_derivatives import (
     lift_to_tilde,
     predecessors,
 )
+from implicit_derivatives import partitions
+from implicit_derivatives.errors import HARD_CAP
 from implicit_derivatives.partitions import (
+    _family,
     drop_tilde,
+    family_counts,
+    family_size,
     is_member_A,
     members,
+    predecessor_records,
     successor_advance,
     successor_mixed,
     successor_trade,
@@ -87,6 +93,13 @@ def brute_B(n):
     return found
 
 
+def sorted_family(found):
+    """A brute-force family as ``_family`` lists it: sorted (total, entries) pairs."""
+    return sorted(
+        (sum(c for _, c in element), tuple(sorted(element))) for element in found
+    )
+
+
 def in_family_B(gamma, n):
     """Family-B membership straight from the definition."""
     keys_allowed = all(k.l + k.r >= 2 or k == (1, 0) for k, _ in gamma.items())
@@ -116,9 +129,11 @@ def test_family_A_order_five_has_ten_elements():
     assert len(enumerate_A(5)) == 10
 
 
-@pytest.mark.parametrize("n", range(2, 12))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_family_A_matches_brute_force(n):
-    assert as_key_set(enumerate_A(n)) == brute_A(n)
+    found = brute_A(n)
+    assert _family(n, True) == sorted_family(found)
+    assert as_key_set(enumerate_A(n)) == found
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -169,9 +184,11 @@ def test_family_B_small_orders():
     assert members("B", 3, 1) == [m({(3, 0): 1})]
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_family_B_matches_brute_force(n):
-    assert as_key_set(enumerate_B(n)) == brute_B(n)
+    found = brute_B(n)
+    assert _family(n, False) == sorted_family(found)
+    assert as_key_set(enumerate_B(n)) == found
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -194,9 +211,51 @@ def test_family_A_embeds_in_family_B(n):
 
 @pytest.mark.parametrize("n", range(2, 14))
 def test_pruned_family_A_walk_is_the_family_B_filter(n):
-    # the family-A descent cuts branches; the unpruned family-B walk,
-    # filtered to s[1,0] = 0, is the reference: same list, same order
+    # the two walks enter only live states, but of different tables:
+    # family A has no (1, 0) key to absorb spare x-differentiations.
+    # The family-B walk filtered to s[1,0] = 0 is the reference: same
+    # list, same order
     assert enumerate_A(n) == [b for b in enumerate_B(n) if b.get((1, 0)) == 0]
+
+
+# --- the counting table -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("family_a, max_n", [(True, 14), (False, 12)])
+def test_counting_table_matches_the_enumeration(family_a, max_n):
+    counts = family_counts(max_n, family_a)
+    assert list(counts) == list(range(2 if family_a else 1, max_n + 1))
+    for n, strata in counts.items():
+        walked = Counter(total for total, _ in _family(n, family_a))
+        assert strata == sorted(walked.items())
+        assert family_size(n, family_a) == sum(walked.values())
+
+
+def test_counting_table_at_the_hard_cap():
+    assert family_size(HARD_CAP, True) == 5_192_640
+    assert family_size(HARD_CAP, False) == 323_685_343
+    assert sum(c for _, c in family_counts(HARD_CAP, False)[HARD_CAP]) == 323_685_343
+
+
+def test_counting_slots_hold_every_count_up_to_the_hard_cap():
+    # a slot never exceeds the number of all cores of its weight, which
+    # is the z^w coefficient of prod_j (1 - z^j)^-(j + 2) (j + 2 keys of
+    # weight j)
+    cores = [1] + [0] * (HARD_CAP - 1)
+    for j in range(1, HARD_CAP):
+        for _ in range(j + 2):
+            for w in range(j, HARD_CAP):
+                cores[w] += cores[w - j]
+    assert max(cores) < 2 ** (8 * partitions._SLOT_BYTES)
+
+
+def test_counting_rejects_bad_orders():
+    with pytest.raises(DomainError):
+        family_counts(1, True)
+    with pytest.raises(DomainError):
+        family_size(0, False)
+    with pytest.raises(DomainError):
+        family_counts(HARD_CAP + 1, False)
 
 
 # --- the lifted presentation ----------------------------------------------------
@@ -273,6 +332,13 @@ def test_predecessor_examples():
 def test_predecessors_reject_non_members():
     with pytest.raises(DomainError):
         predecessors(m({(2, 0): 1}), 3)
+
+
+def test_predecessor_records_pair_each_element_with_its_records():
+    records = predecessor_records(6)
+    assert [beta for beta, _ in records] == enumerate_A(6)
+    for beta, preds in records:
+        assert preds == predecessors(beta, 6)
 
 
 @pytest.mark.parametrize("n_plus_1", range(3, 9))

@@ -15,6 +15,7 @@ from implicit_derivatives import (
     expand_delta,
     formulas_equal,
     oracle_formula,
+    partitions,
     random_rational_jet,
     signed_coeff,
     verification,
@@ -67,7 +68,9 @@ def test_C_recursion_failure_text(monkeypatch):
 
 def test_recursion_suite_failure_text(monkeypatch):
     monkeypatch.setattr(verification, "derive_next", lambda formula: formula)
-    monkeypatch.setattr(verification, "recursion_step", lambda formula: formula)
+    monkeypatch.setattr(
+        verification, "recursion_step", lambda formula, records=None: formula
+    )
     reports = verification.recursion_suite(3)
     assert reports[1].failures == [
         "differentiation step disagrees with direct construction at 3",
@@ -112,3 +115,31 @@ def test_oracle_suite_failure_text(monkeypatch, n):
         f"block expansion vs expanded form at {n}: "
         + "; ".join(expansion.differences[:3]),
     ]
+
+
+def test_recursion_suite_walks_each_order_once(monkeypatch):
+    calls = []
+    honest = partitions.predecessors
+
+    def counted(beta, n_plus_1):
+        calls.append(n_plus_1)
+        return honest(beta, n_plus_1)
+
+    monkeypatch.setattr(partitions, "predecessors", counted)
+    assert all(verification.recursion_suite(7))
+    assert len(calls) == sum(len(enumerate_A(n)) for n in range(3, 9))
+
+
+def test_run_suites_builds_each_formula_once(monkeypatch):
+    built = []
+    for name in ("delta_formula", "elementary_formula"):
+        honest = getattr(verification, name)
+
+        def counted(n, name=name, honest=honest):
+            built.append((name, n))
+            return honest(n)
+
+        monkeypatch.setattr(verification, name, counted)
+    assert all(verification.run_suites(["all"], 6))
+    assert sorted(built) == sorted(set(built))
+    assert ("delta_formula", 7) in built and ("elementary_formula", 6) in built
