@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, check_order
+from .keys import BELOW_ORDER_TWO, F_AND_FY, VectorKey, canonical_entries
 from .partitions import Multiplicities, _compositions, predecessor_records
 
 
@@ -73,17 +74,13 @@ def _balls_in_boxes(
 
 def coeff_C(alpha: Multiplicities) -> int:
     """The box-counting coefficient of a family-A element."""
-    for key, _ in alpha.items():
-        if key.l + key.r < 2:
-            raise DomainError(f"key {tuple(key)} not allowed in family A")
+    canonical_entries(alpha.entries, BELOW_ORDER_TWO, DomainError)
     return _balls_in_boxes(alpha.entries, alpha.sum_l, alpha.sum_r)
 
 
 def coeff_D(gamma: Multiplicities) -> int:
     """The box-counting coefficient of a family-B element; (1, 0) is allowed."""
-    for key, _ in gamma.items():
-        if key.l + key.r < 2 and key != (1, 0):
-            raise DomainError(f"key {tuple(key)} not allowed in family B")
+    canonical_entries(gamma.entries, F_AND_FY, DomainError)
     return _balls_in_boxes(gamma.entries, gamma.sum_l, gamma.sum_r)
 
 
@@ -140,9 +137,7 @@ def zgamma_sum(gamma: Multiplicities, polys: dict | None = None) -> tuple[int, .
     if polys is None:
         polys = {}
     row = [1]
-    for key, count in gamma.items():
-        if key.l + key.r < 2:
-            raise DomainError(f"key {tuple(key)} has p + t < 2")
+    for key, count in canonical_entries(gamma.entries, BELOW_ORDER_TWO, DomainError):
         poly = polys.get((key.r, count))
         if poly is None:
             poly = polys[key.r, count] = _key_polynomial(key.r, count)
@@ -182,13 +177,14 @@ class CheckReport:
 
 def _recursion_weight(record, beta: Multiplicities) -> int:
     """Multiplier of the predecessor coefficient in the C-recursion."""
+    # a VectorKey takes the one-scan path of the key check in ``get``
     if record.kind == "minus":
         key = record.pivot
-        return beta.get((key.l - 1, key.r)) + 1
+        return beta.get(VectorKey(key.l - 1, key.r)) + 1
     if record.kind == "b":
         key = record.pivot
-        return (key.l + 1) * (beta.get((key.l + 1, key.r - 1)) + 1)
-    return beta.sum_r + 2 * beta.get((2, 0))
+        return (key.l + 1) * (beta.get(VectorKey(key.l + 1, key.r - 1)) + 1)
+    return beta.sum_r + 2 * beta.get(VectorKey(2, 0))
 
 
 def signed_recursion_weight(record, beta: Multiplicities) -> int:
@@ -211,8 +207,7 @@ def verify_C_recursion(n: int, records: list | None = None) -> CheckReport:
     :func:`~implicit_derivatives.partitions.predecessor_records` at
     order n + 1, made here when not handed in.
     """
-    if n < 2:
-        raise DomainError("recursion check starts at order 2")
+    check_order(n, 2)
     if records is None:
         records = predecessor_records(n + 1)
     report = CheckReport(f"C-recursion {n}->{n + 1}")

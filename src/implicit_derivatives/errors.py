@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the one order policy."""
 
+from .keys import check_int
+
 #: Every construction refuses orders above this; the families grow
 #: combinatorially and larger orders are a deliberate opt-in (edit here).
 HARD_CAP = 30
@@ -30,8 +32,11 @@ class NewtonError(RuntimeError):
 
 
 def check_order(n: int, minimum: int) -> None:
-    """Raise :class:`DomainError` below ``minimum``, :class:`CapError` above the cap."""
-    if n < minimum:
+    """Raise :class:`DomainError` below ``minimum``, :class:`CapError` above the cap.
+
+    The order must be an ``int`` (:func:`~implicit_derivatives.keys.check_int`).
+    """
+    if check_int(n, DomainError, "order") < minimum:
         raise DomainError(f"order must be at least {minimum}, got {n}")
     if n > HARD_CAP:
         raise CapError(f"order {n} exceeds the hard cap {HARD_CAP}")

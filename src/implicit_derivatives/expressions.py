@@ -31,22 +31,10 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import DomainError, FormulaError
-from .keys import VectorKey, merge_entries
+from .keys import BELOW_ORDER_TWO, F_AND_FY, VectorKey, canonical_entries, check_int
 
 Coefficient = Fraction
 FORMATS = ("plain", "latex", "json")
-
-# keys a monomial may not hold: a block needs l + r >= 2, and an
-# elementary monomial keeps f_y in its denominator exponent only
-_BELOW_ORDER_TWO = frozenset({(0, 0), (0, 1), (1, 0)})
-_F_AND_FY = frozenset({(0, 0), (0, 1)})
-
-
-def _integer(value, name: str) -> int:
-    # exact type: bool is a subclass of int but no index or power
-    if type(value) is not int:
-        raise FormulaError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _coefficient(value) -> Fraction:
@@ -54,21 +42,6 @@ def _coefficient(value) -> Fraction:
     if type(value) is not str:
         raise FormulaError(f"coefficients must be exact strings, got {value!r}")
     return Fraction(value)
-
-
-def _check_entries(entries, forbidden) -> None:
-    # the indices are checked non-negative before the key is looked up, so
-    # a set of forbidden keys states each monomial's rule exactly
-    for key, power in entries:
-        l, r = key
-        if type(l) is not int or type(r) is not int or type(power) is not int:
-            raise FormulaError(f"non-integer index or power in {tuple(key)}: {power!r}")
-        if l < 0 or r < 0:
-            raise FormulaError(f"negative indices in key {tuple(key)}")
-        if key in forbidden:
-            raise FormulaError(f"key {tuple(key)} not allowed in this monomial")
-        if power < 0:
-            raise FormulaError("negative power in monomial")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,9 +52,8 @@ class DeltaMonomial:
     fy_power: int
 
     def __post_init__(self) -> None:
-        factors = merge_entries(self.factors)
-        _check_entries(factors, _BELOW_ORDER_TWO)
-        _integer(self.fy_power, "fy_power")
+        factors = canonical_entries(self.factors, BELOW_ORDER_TWO, FormulaError)
+        check_int(self.fy_power, FormulaError, "fy_power")
         object.__setattr__(self, "factors", factors)
 
 
@@ -98,9 +70,8 @@ class ElemMonomial:
     fy_power: int
 
     def __post_init__(self) -> None:
-        exponents = merge_entries(self.exponents)
-        _check_entries(exponents, _F_AND_FY)
-        _integer(self.fy_power, "fy_power")
+        exponents = canonical_entries(self.exponents, F_AND_FY, FormulaError)
+        check_int(self.fy_power, FormulaError, "fy_power")
         object.__setattr__(self, "exponents", exponents)
 
     def has_key(self, key) -> bool:
@@ -357,7 +328,7 @@ def formula_from_json(text: str) -> Formula:
     """Parse a formula serialized by :func:`formula_to_json`."""
     try:
         doc = json.loads(text)
-        n = _integer(doc["n"], "n")
+        n = check_int(doc["n"], FormulaError, "n")
         form = doc["form"]
         raw_terms = doc["terms"]
         if form == "delta":
@@ -369,14 +340,9 @@ def formula_from_json(text: str) -> Formula:
         terms = [
             (
                 _coefficient(item["coeff"]),
+                # the monomial checks the indices, powers and fy_power
                 monomial(
-                    tuple(
-                        (
-                            VectorKey(_integer(e[first], first), _integer(e[second], second)),
-                            _integer(e["power"], "power"),
-                        )
-                        for e in item[part]
-                    ),
+                    [((e[first], e[second]), e["power"]) for e in item[part]],
                     item["fy_power"],
                 ),
             )

@@ -30,7 +30,7 @@ from .expressions import (
     ElemMonomial,
     render,
 )
-from .keys import VectorKey, merge_entries
+from .keys import VectorKey, check_int, merge_entries
 from .partitions import (
     Multiplicities,
     _family,
@@ -213,8 +213,9 @@ def expand_block(l: int, p0: int = 0, t0: int = 0) -> _Poly:
     Returns sum_j (-1)^j binom(l, j) f_{x^(l-j+p0) y^(j+t0)} f_x^j f_y^(l-j)
     as a sparse polynomial with ``int`` coefficients.
     """
-    if l < 0 or p0 < 0 or t0 < 0:
-        raise DomainError("block indices must be non-negative")
+    for index in (l, p0, t0):
+        if check_int(index, DomainError, "a block index") < 0:
+            raise DomainError("block indices must be non-negative")
     out: _Poly = {}
     for j in range(l + 1):
         entries = [(VectorKey(l - j + p0, j + t0), 1)]

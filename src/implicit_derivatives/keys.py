@@ -1,4 +1,10 @@
-"""The index type shared by every formula representation, and its entries form."""
+"""The index type of every formula representation, and the rules for its entries.
+
+Every object of the package is a multiset of vectors (l, r), held as a
+tuple of (key, count) entries.  This module alone decides what a valid
+integer (:func:`check_int`) and entries tuple (:func:`canonical_entries`)
+are, and how entries are normalized (:func:`merge_entries`).
+"""
 
 from typing import Iterable, NamedTuple
 
@@ -13,35 +19,33 @@ class VectorKey(NamedTuple):
     r: int
 
 
-def merge_entries(pairs: Iterable[tuple]) -> tuple[tuple[VectorKey, int], ...]:
+Entries = tuple[tuple[VectorKey, int], ...]
+
+# forbidden keys of canonical_entries (indices are non-negative): blocks and
+# family-A keys need l + r >= 2; elementary monomials and family-B keys
+# hold neither f nor f_y
+BELOW_ORDER_TWO = frozenset({(0, 0), (0, 1), (1, 0)})
+F_AND_FY = frozenset({(0, 0), (0, 1)})
+
+
+def check_int(value, error: type[Exception], what: str) -> int:
+    """The one integer rule: ``value`` if it is exactly an ``int``, else ``error``.
+
+    ``bool`` and other ``int`` subclasses are refused; nothing is truncated.
+    """
+    if value.__class__ is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def merge_entries(pairs: Iterable[tuple]) -> Entries:
     """Canonical form of (key, count) pairs: the one normalizer of the package.
 
     Counts of equal keys are summed, keys become :class:`VectorKey`, zero
     counts are dropped and the result is sorted by (l, r).  Negative
     counts are kept (the oracle stores denominators as negative f_y
-    exponents); callers validate the merged result themselves.
-
-    A tuple that is canonical already, ``(VectorKey, int)`` pairs with
-    non-zero counts and strictly increasing keys, is returned as it is.
-    Any other iterable is merged without that scan, so a caller joining
-    two entry tuples passes ``itertools.chain`` of them, not their sum.
+    exponents); nothing is validated here.
     """
-    if pairs.__class__ is tuple:
-        previous = ()  # below every key
-        for item in pairs:
-            if item.__class__ is not tuple:
-                break
-            key, count = item
-            if (
-                key.__class__ is not VectorKey
-                or count.__class__ is not int
-                or not count
-                or not previous < key
-            ):
-                break
-            previous = key
-        else:
-            return pairs
     merged: dict[VectorKey, int] = {}
     for key, count in pairs:
         if key.__class__ is not VectorKey:
@@ -51,3 +55,57 @@ def merge_entries(pairs: Iterable[tuple]) -> tuple[tuple[VectorKey, int], ...]:
         else:
             merged[key] = count
     return tuple(sorted([item for item in merged.items() if item[1]]))
+
+
+def canonical_entries(
+    pairs: Iterable[tuple], forbidden: frozenset, error: type[Exception]
+) -> Entries:
+    """The one entries check: canonical entries with ``int`` indices and counts.
+
+    Raises ``error`` unless ``pairs`` holds ((l, r), count) pairs of exact ints,
+    and then, on the merged entries (zero counts dropped), for a negative
+    index, a key in ``forbidden`` or a negative count.  A tuple that is
+    canonical and valid already is returned as it is after one scan.
+    """
+    if pairs.__class__ is tuple:
+        previous = ()  # below every key
+        try:
+            for item in pairs:
+                key, count = item
+                l, r = key
+                if (
+                    item.__class__ is not tuple
+                    or key.__class__ is not VectorKey
+                    or not l.__class__ is r.__class__ is count.__class__ is int
+                    or count <= 0
+                    or l < 0
+                    or r < 0
+                    or not previous < key
+                    or key in forbidden
+                ):
+                    break
+                previous = key
+            else:
+                return pairs
+        except (TypeError, ValueError):  # not pairs of pairs: the check below says so
+            pass
+    try:
+        pairs = list(pairs)
+    except TypeError:
+        raise error(f"entries {pairs!r} are not a sequence of pairs") from None
+    for item in pairs:
+        try:
+            (l, r), count = item
+        except (TypeError, ValueError):
+            raise error(f"entry {item!r} is not a ((l, r), count) pair") from None
+        if not l.__class__ is r.__class__ is count.__class__ is int:
+            raise error(f"indices and count must be integers, got {item!r}")
+    merged = merge_entries(pairs)
+    for key, count in merged:
+        if key.l < 0 or key.r < 0:
+            raise error(f"negative index in key {tuple(key)}")
+        if key in forbidden:
+            raise error(f"key {tuple(key)} not allowed here")
+        if count < 0:
+            raise error(f"negative count for key {tuple(key)}")
+    return merged

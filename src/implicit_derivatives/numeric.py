@@ -22,9 +22,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import DomainError, JetError, NewtonError, SingularJetError
+from .errors import DomainError, JetError, NewtonError, SingularJetError, check_order
 from .expressions import DeltaFormula, ElemFormula
 from .formula import delta_formula
+from .keys import check_int
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -73,12 +74,6 @@ def _coerce_scalar(value, kind, what):
     return value
 
 
-def _check_index(value, what) -> None:
-    # exact rule: bool is a subclass of int but no order or index
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise JetError(f"{what} must be an integer, got {value!r}")
-
-
 @dataclass
 class Jet:
     """Partial-derivative values of f at a base point, up to ``order``.
@@ -98,8 +93,7 @@ class Jet:
     def __post_init__(self) -> None:
         if self.kind not in (RATIONAL, FLOAT):
             raise JetError(f"unknown jet kind {self.kind!r}")
-        _check_index(self.order, "jet order")
-        if self.order < 1:
+        if check_int(self.order, JetError, "jet order") < 1:
             raise JetError("jet order must be at least 1")
         self.x0 = _coerce_scalar(self.x0, self.kind, "x0")
         self.y0 = _coerce_scalar(self.y0, self.kind, "y0")
@@ -110,8 +104,8 @@ class Jet:
                 p, t = key
             except (TypeError, ValueError):
                 raise JetError(f"partial key {key!r} is not a (p, t) pair") from None
-            _check_index(p, "partial key index")
-            _check_index(t, "partial key index")
+            check_int(p, JetError, "partial key index")
+            check_int(t, JetError, "partial key index")
             if p < 0 or t < 0 or p + t > self.order:
                 raise JetError(f"partial key {(p, t)} outside jet of order {self.order}")
             table[(p, t)] = _coerce_scalar(value, self.kind, f"partial ({p},{t})")
@@ -163,8 +157,8 @@ def jet_from_json(text: str) -> Jet:
         doc = json.loads(text)
         partials = {}
         for key, value in doc["partials"].items():
-            p_text, t_text = key.split(",")
-            partials[(int(p_text), int(t_text))] = value
+            # "p,t" read as JSON numbers, so Jet's integer rule judges them
+            partials[tuple(json.loads(f"[{key}]"))] = value
         return Jet(
             x0=doc["x0"],
             y0=doc["y0"],
@@ -180,8 +174,9 @@ def jet_from_json(text: str) -> Jet:
 
 def eval_delta_block(jet: Jet, l: int, r: int):
     """Value of the block D[l,r] = sum_j (-1)^j C(l,j) f_{x^(l-j) y^(r+j)} f_x^j f_y^(l-j)."""
-    if l < 0 or r < 0:
-        raise DomainError("block indices must be non-negative")
+    for index in (l, r):
+        if check_int(index, DomainError, "a block index") < 0:
+            raise DomainError("block indices must be non-negative")
     if l + r > jet.order:
         raise JetError(f"block ({l},{r}) needs jet order {l + r}, have {jet.order}")
     fx, fy = jet.fx, jet.fy
@@ -328,8 +323,7 @@ def shift_jet(jet: Jet, n: int) -> Jet:
     each sheared partial is one integer sum over a common denominator,
     normalized once, and a float jet raises :class:`JetError`.
     """
-    if n < 1:
-        raise DomainError("shift order must be at least 1")
+    check_order(n, 1)
     if jet.kind != RATIONAL:
         raise JetError("the shear needs a rational jet")
     if jet.order < n:

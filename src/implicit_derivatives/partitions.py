@@ -49,18 +49,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import DomainError, check_order
-from .keys import VectorKey, merge_entries
-
-KeyLike = VectorKey | tuple
-
-_FX = VectorKey(1, 0)
-
-
-def _as_key(key: KeyLike) -> VectorKey:
-    k = VectorKey(int(key[0]), int(key[1]))
-    if k.l < 0 or k.r < 0:
-        raise DomainError(f"vector keys need non-negative entries, got {tuple(k)}")
-    return k
+from .keys import BELOW_ORDER_TWO, VectorKey, canonical_entries, check_int
 
 
 @dataclass(frozen=True)
@@ -76,27 +65,21 @@ class Multiplicities:
     entries: tuple[tuple[VectorKey, int], ...] = ()
 
     def __post_init__(self) -> None:
-        entries = merge_entries(self.entries)
-        for key, count in entries:
-            if key.l < 0 or key.r < 0:
-                raise DomainError(
-                    f"vector keys need non-negative entries, got {tuple(key)}"
-                )
-            if count < 0:
-                raise DomainError(f"negative multiplicity for key {tuple(key)}")
+        entries = canonical_entries(self.entries, frozenset(), DomainError)
         object.__setattr__(self, "entries", entries)
 
     def items(self) -> Iterator[tuple[VectorKey, int]]:
         return iter(self.entries)
 
-    def get(self, key: KeyLike) -> int:
-        target = _as_key(key)
+    def get(self, key: tuple[int, int]) -> int:
+        # checked as an entry: int, non-negative indices
+        ((target, _),) = canonical_entries(((key, 1),), frozenset(), DomainError)
         for k, c in self.entries:
             if k == target:
                 return c
         return 0
 
-    def bumped(self, deltas: Iterable[tuple[KeyLike, int]]) -> "Multiplicities":
+    def bumped(self, deltas: Iterable[tuple[tuple[int, int], int]]) -> "Multiplicities":
         """A copy with the given (key, delta) adjustments applied.
 
         Deltas for the same key accumulate.  Raises if any resulting
@@ -334,12 +317,10 @@ def members(family: str, n: int, stratum: int | None = None) -> list[Multiplicit
     """Family "A", "A_tilde" (lifted) or "B" at order n, in ``stratum`` if set."""
     if family not in ("A", "A_tilde", "B"):
         raise DomainError(f"unknown family {family!r}")
-    minimum = 1 if family == "B" else 2
-    if n < minimum:
-        raise DomainError(f"family {family} starts at order {minimum}")
+    check_order(n, 1 if family == "B" else 2)
     if stratum is not None:
         upper = 2 * n - 1 if family == "B" else n - 1
-        if not 1 <= stratum <= upper:
+        if not 1 <= check_int(stratum, DomainError, "stratum") <= upper:
             raise DomainError(f"stratum {stratum} outside [1, {upper}] for {family}_{n}")
     out = enumerate_B(n) if family == "B" else enumerate_A(n)
     if stratum is not None:
@@ -387,12 +368,9 @@ def enumerate_Z(
     sum j * q[p,t,j] = s10.  Returns the (possibly empty) list of all
     systems as sparse maps (p, t, j) -> positive count, in a fixed order.
     """
-    if s10 < 0:
+    if check_int(s10, DomainError, "s10") < 0:
         raise DomainError("s10 must be non-negative")
-    for key, _ in gamma.items():
-        if key.l + key.r < 2:
-            raise DomainError(f"key {tuple(key)} has p + t < 2")
-    keys = list(gamma.items())
+    keys = list(canonical_entries(gamma.entries, BELOW_ORDER_TWO, DomainError))
     # largest j-weighted total each suffix of the key list can still add
     slack_after = [0] * (len(keys) + 1)
     for i in range(len(keys) - 1, -1, -1):
@@ -427,24 +405,26 @@ def enumerate_Z(
 # inverse decompositions and are what the coefficient recursion consumes.
 
 
-def successor_advance(alpha: Multiplicities, key: KeyLike) -> Multiplicities:
+def successor_advance(alpha: Multiplicities, key: tuple[int, int]) -> Multiplicities:
     """One block at ``key`` gains an x-differentiation: (l, r) -> (l+1, r)."""
-    k = _as_key(key)
-    if k.l + k.r < 2 or alpha.get(k) < 1:
-        raise DomainError(f"cannot advance at key {tuple(k)} in {alpha}")
-    return alpha.bumped([(k, -1), ((k.l + 1, k.r), +1)])
+    count = alpha.get(key)  # checks the key
+    l, r = key
+    if l + r < 2 or count < 1:
+        raise DomainError(f"cannot advance at key {(l, r)} in {alpha}")
+    return alpha.bumped([(key, -1), ((l + 1, r), +1)])
 
 
-def successor_trade(alpha: Multiplicities, key: KeyLike) -> Multiplicities:
+def successor_trade(alpha: Multiplicities, key: tuple[int, int]) -> Multiplicities:
     """One block trades an x- for a y-differentiation and spawns a (2, 0).
 
     (l, r) -> (l-1, r+1) together with a new (2, 0) block; requires l >= 1
     and key != (2, 0).
     """
-    k = _as_key(key)
-    if k.l < 1 or k == (2, 0) or alpha.get(k) < 1:
-        raise DomainError(f"cannot trade at key {tuple(k)} in {alpha}")
-    return alpha.bumped([(k, -1), ((k.l - 1, k.r + 1), +1), ((2, 0), +1)])
+    count = alpha.get(key)  # checks the key
+    l, r = key
+    if l < 1 or (l, r) == (2, 0) or count < 1:
+        raise DomainError(f"cannot trade at key {(l, r)} in {alpha}")
+    return alpha.bumped([(key, -1), ((l - 1, r + 1), +1), ((2, 0), +1)])
 
 
 def successor_mixed(alpha: Multiplicities) -> Multiplicities:
@@ -461,8 +441,7 @@ def predecessors(beta: Multiplicities, n_plus_1: int) -> list[PredecessorRecord]
     present.  Every returned predecessor is checked to lie in family A
     at order n.
     """
-    if n_plus_1 < 3:
-        raise DomainError("predecessors need order at least 3")
+    check_order(n_plus_1, 3)
     if not is_member_A(beta, n_plus_1):
         raise DomainError(f"{beta} is not a family-A element of order {n_plus_1}")
     n = n_plus_1 - 1
@@ -471,14 +450,14 @@ def predecessors(beta: Multiplicities, n_plus_1: int) -> list[PredecessorRecord]
         if key.l >= 1 and key.l + key.r >= 3:
             pred = beta.bumped([(key, -1), ((key.l - 1, key.r), +1)])
             records.append(PredecessorRecord("minus", key, pred))
-    if beta.get((2, 0)) >= 1:
+    if beta.get(VectorKey(2, 0)) >= 1:
         for key, _ in beta.items():
             if key.r >= 1 and key != (1, 1):
                 pred = beta.bumped(
                     [(key, -1), ((2, 0), -1), ((key.l + 1, key.r - 1), +1)]
                 )
                 records.append(PredecessorRecord("b", key, pred))
-    if beta.get((1, 1)) >= 1:
+    if beta.get(VectorKey(1, 1)) >= 1:
         records.append(PredecessorRecord("d", None, beta.bumped([((1, 1), -1)])))
     for record in records:
         if not is_member_A(record.predecessor, n):

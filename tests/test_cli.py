@@ -478,3 +478,19 @@ def test_command_that_checks_nothing_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "max_n, digest",
+    [
+        ("7", "f4340aaa59cd6d8eaaa26c4609538e9ee1e29bb2872642a2f1bb586ccd46c332"),
+        ("8", "501ef346e44da7c72fd216b8d489d3ba64b91343f40f1c49a5e3a2935cfbbc11"),
+        ("9", "23c3fae359fb856d485bb70167f49553dcb056dd4a807100f218999ad045f137"),
+    ],
+    ids=["max-n-7", "max-n-8", "max-n-9"],
+)
+def test_verify_stdout_is_pinned(capsys, max_n, digest):
+    # one JSON line per check: names, pass flags and check counts
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", max_n)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

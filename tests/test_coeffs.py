@@ -80,6 +80,8 @@ def test_C_recursion_passes(n):
 def test_C_recursion_rejects_low_order():
     with pytest.raises(DomainError):
         verify_C_recursion(1)
+    with pytest.raises(DomainError):
+        verify_C_recursion(3.0)
 
 
 def binomial_row(top):

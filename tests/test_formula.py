@@ -105,6 +105,10 @@ def test_block_form_rejects_bad_orders(build, minimum):
     assert not isinstance(info.value, CapError)
     with pytest.raises(CapError):
         build(31)
+    for order in (minimum + 1.0, True):
+        with pytest.raises(DomainError) as info:
+            build(order)
+        assert not isinstance(info.value, CapError)
 
 
 def test_first_derivative_expanded_form():
@@ -195,6 +199,16 @@ def test_single_x_block_expands_to_zero():
     assert expand_block(1, 0, 0) == {}
     with pytest.raises(FormulaError):
         DeltaMonomial((((1, 0), 1),), 3)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [(2.5,), (-1,), (2, 0, True), (2, -1, 0)],
+    ids=["float-l", "negative-l", "bool-t0", "negative-p0"],
+)
+def test_block_expansion_rejects_bad_indices(indices):
+    with pytest.raises(DomainError):
+        expand_block(*indices)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -1,11 +1,13 @@
-"""Tests for the one entries normalizer and the monomial checks that follow it."""
+"""Tests for the one entries normalizer, the one entries check and the monomials."""
+
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicit_derivatives import DeltaMonomial, ElemMonomial, FormulaError
-from implicit_derivatives.keys import VectorKey, merge_entries
+from implicit_derivatives.keys import VectorKey, canonical_entries, merge_entries
 
 
 def merge_reference(pairs):
@@ -35,12 +37,81 @@ def test_merge_matches_the_dict_sum_reference(pairs, as_tuple):
         assert type(key) is VectorKey and type(count) is int
 
 
-@given(pairs=_pairs)
-@settings(max_examples=200)
-def test_merging_a_canonical_tuple_returns_it(pairs):
-    canonical = merge_entries(pairs)
-    assert merge_entries(canonical) is canonical
-    assert merge_entries(list(canonical)) == canonical
+class Refused(Exception):
+    """The error class handed to :func:`canonical_entries` by these tests."""
+
+
+class Two(IntEnum):
+    TWO = 2
+
+
+def entries_are_valid(pairs, forbidden):
+    """The entries rule from its definition: exact ints, then checks on the merge."""
+    for item in pairs:
+        if not isinstance(item, (tuple, list)) or len(item) != 2:
+            return False
+        key, count = item
+        if not isinstance(key, (tuple, list)) or len(key) != 2:
+            return False
+        if any(type(value) is not int for value in (*key, count)):
+            return False
+    return all(
+        min(key) >= 0 and tuple(key) not in forbidden and count >= 0
+        for key, count in merge_reference(pairs)
+    )
+
+
+# every value the integer rule is asked about: ints, and what it refuses
+_loose_value = st.one_of(
+    st.integers(-1, 3),
+    st.booleans(),
+    st.sampled_from([2.0, 1.5, "1", Two.TWO, None]),
+)
+_loose_key = st.one_of(
+    _key,
+    st.tuples(_loose_value, _loose_value),
+    st.builds(VectorKey, _loose_value, _loose_value),
+)
+_loose_pair = st.one_of(
+    st.tuples(_key, st.integers(-3, 3)),
+    st.tuples(_loose_key, _loose_value),
+    st.sampled_from(
+        [5, (VectorKey(2, 0),), (VectorKey(2, 0), 1, 1), ((2, 0, 1), 1), [VectorKey(2, 0), 1]]
+    ),
+)
+# well-typed pairs that reach the one-scan path, in any order, with
+# repeated keys, zero and negative counts and negative indices
+_vector_pair = st.tuples(
+    st.builds(VectorKey, st.integers(-1, 3), st.integers(-1, 3)), st.integers(-1, 3)
+)
+_forbidden = st.sampled_from(
+    [frozenset(), frozenset({(0, 0), (0, 1)}), frozenset({(0, 0), (0, 1), (1, 0)})]
+)
+
+
+@given(
+    pairs=st.lists(_loose_pair, max_size=6),
+    vector_pairs=st.lists(_vector_pair, max_size=4),
+    canonical=st.lists(st.tuples(_key, st.integers(1, 3)), max_size=6),
+    forbidden=_forbidden,
+)
+@settings(max_examples=300)
+def test_canonical_entries_is_merge_entries_or_the_error(
+    pairs, vector_pairs, canonical, forbidden
+):
+    singles = [[pair] for pair in vector_pairs]
+    for drawn in (pairs, vector_pairs, *singles, list(merge_entries(canonical))):
+        valid = entries_are_valid(drawn, forbidden)
+        for given_pairs in (drawn, tuple(drawn)):  # a tuple may take the one scan
+            if not valid:
+                with pytest.raises(Refused):
+                    canonical_entries(given_pairs, forbidden, Refused)
+                continue
+            result = canonical_entries(given_pairs, forbidden, Refused)
+            assert result == merge_entries(drawn)
+            for item in result:
+                assert type(item) is tuple and type(item[0]) is VectorKey
+            assert canonical_entries(result, forbidden, Refused) is result
 
 
 @pytest.mark.parametrize(
@@ -79,6 +150,8 @@ def test_non_canonical_tuples_are_merged(pairs):
         (ElemMonomial, ((VectorKey(0, 1), 2),)),
         (ElemMonomial, ((VectorKey(1, 0), 1), (VectorKey(1, 1), -2))),
         (ElemMonomial, ((VectorKey(1, False), 1),)),
+        (DeltaMonomial, ((VectorKey(Two.TWO, 0), 1),)),
+        (ElemMonomial, ((VectorKey(0, 2), Two.TWO),)),
     ],
     ids=[
         "delta-float-power",
@@ -94,6 +167,8 @@ def test_non_canonical_tuples_are_merged(pairs):
         "elem-key-0-1",
         "elem-negative-power",
         "elem-bool-index",
+        "delta-intenum-index",
+        "elem-intenum-power",
     ],
 )
 def test_monomials_check_entries_given_in_canonical_order(monomial, entries):

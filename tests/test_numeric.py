@@ -2,6 +2,7 @@
 
 import math
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -67,12 +68,14 @@ def test_jet_validation():
         Jet(x0=0, y0=0, order=2, partials={(0, 1): 0.5}, kind="rational")
     with pytest.raises(JetError):
         Jet(x0=0.0, y0=0.0, order=2, partials={(0, 1): Fraction(1, 2)}, kind="float")
-    for order in (1.5, 2.0, True, "2"):
+    Two = IntEnum("Two", {"TWO": 2})
+    for order in (1.5, 2.0, True, "2", Two.TWO):
         with pytest.raises(JetError):
             Jet(x0=0, y0=0, order=order, partials={(0, 1): 1})
     # keys are (p, t) pairs whose indices follow the same rule: no
     # truncation, no booleans
-    for key in ((1.7, 0), (1.0, 0), (True, 0), (0, False), ("1", 0), (1, 0, 0), (1,), 5):
+    keys = ((1.7, 0), (1.0, 0), (True, 0), (0, False), ("1", 0), (Two.TWO, 0))
+    for key in (*keys, (1, 0, 0), (1,), 5):
         with pytest.raises(JetError):
             Jet(x0=0, y0=0, order=2, partials={key: 3, (0, 1): 1})
 
@@ -155,6 +158,12 @@ def test_jet_json_rejects_garbage():
         floaty % '{"0,1": [1.0]}',  # a list in a float jet
         floaty % ('{"0,1": 1%s}' % ("0" * 400)),  # an integer beyond binary64
         rational.replace('"order": 1', '"order": 2.9') % '{"0,1": 1}',
+        # partial keys are two JSON integers: no sign, digit separator or fraction
+        rational % '{"+0,1": 1}',
+        rational % '{"0,0_1": 1}',
+        rational % '{"0,1.0": 1}',
+        rational % '{"0,1,0": 1}',
+        rational % '{"0,1],[2": 1}',
     ):
         with pytest.raises(JetError):
             jet_from_json(text)
@@ -176,6 +185,10 @@ def test_block_values_on_known_jets():
 def test_block_requires_enough_order():
     with pytest.raises(JetError):
         eval_delta_block(circle_jet(order=2), 2, 1)
+    # and int indices, checked before the order
+    for l, r in ((2.5, 0), (2, True), (-1, 0)):
+        with pytest.raises(DomainError):
+            eval_delta_block(circle_jet(order=2), l, r)
 
 
 # --- the integer kernels against the plain Fraction loops -----------------------

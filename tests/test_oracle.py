@@ -133,6 +133,8 @@ def test_oracle_rejects_bad_orders():
     assert not isinstance(info.value, CapError)
     with pytest.raises(CapError):
         oracle_formula(31)
+    with pytest.raises(DomainError):
+        oracle_formula(3.0)
 
 
 def test_oracle_module_is_independent():

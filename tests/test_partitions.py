@@ -1,6 +1,7 @@
 """Tests for the vector-partition families and neighbor constructions."""
 
 from collections import Counter
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +257,8 @@ def test_counting_rejects_bad_orders():
         family_size(0, False)
     with pytest.raises(DomainError):
         family_counts(HARD_CAP + 1, False)
+    with pytest.raises(DomainError):
+        family_size(3.0, True)
 
 
 # --- the lifted presentation ----------------------------------------------------
@@ -308,6 +311,8 @@ def test_refinements_respect_counts():
 def test_refinements_reject_fx_key():
     with pytest.raises(DomainError):
         enumerate_Z(m({(1, 0): 1}), 0)
+    with pytest.raises(DomainError):
+        enumerate_Z(m({(2, 1): 2, (0, 3): 1}), 1.5)
 
 
 # --- predecessors and successors -------------------------------------------------
@@ -395,6 +400,21 @@ def test_multiplicities_normalization():
         Multiplicities((((-1, 3), 1),))
     with pytest.raises(DomainError):
         m({(2, 0): 1}).bumped([((2, 0), -2)])
+    # indices and counts are exact ints: nothing is truncated or coerced
+    Two = IntEnum("Two", {"TWO": 2})
+    for value in (2.5, 2.0, True, "2", Two.TWO):
+        for entries in ((((value, 0), 1),), (((2, value), 1),), (((2, 0), value),)):
+            with pytest.raises(DomainError):
+                Multiplicities(entries)
+    with pytest.raises(DomainError):
+        Multiplicities((((2, "0"), 1), ((2, 0), 1)))
+    alpha = m({(2, 0): 1, (1, 1): 1})
+    with pytest.raises(DomainError):
+        alpha.get((2.7, 0))
+    with pytest.raises(DomainError):
+        successor_advance(alpha, (2.7, 0))
+    with pytest.raises(DomainError):
+        successor_trade(alpha, (1.7, 1))
 
 
 def test_family_tag_validation():
@@ -412,6 +432,8 @@ def test_family_tag_validation():
         members("A", 1)
     with pytest.raises(DomainError):
         members("A_tilde", 4, 0)
+    with pytest.raises(DomainError):
+        members("A", 4, 1.5)
 
 
 @given(

@@ -141,6 +141,10 @@ def test_parse_rejects_malformed_documents():
         ElemMonomial((((2.0, 0), 1),), 1)
     with pytest.raises(FormulaError):
         ElemMonomial((((2, 0), 1),), True)
+    # every pair's types are checked before the merge sorts the keys
+    for entries in ((((2, "0"), 1), ((2, 0), 1)), (5,), (((2, 0, 1), 1),), 5):
+        with pytest.raises(FormulaError):
+            DeltaMonomial(entries, 3)
     # the well-formed documents these cases start from do parse
     good = delta_term % ('{"l": 2, "r": 0, "power": 1}', "3")
     assert formula_from_json(f'{{"n": 2, "form": "delta", "terms": [{good}]}}') == (
