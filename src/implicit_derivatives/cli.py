@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -31,12 +32,12 @@ from .errors import (
     SingularJetError,
     check_order,
 )
+from .expressions import FORMATS, render
 from .formula import (
     delta_formula,
     elementary_formula,
     fx_zero_formula,
     inverse_function_formula,
-    render,
 )
 from .numeric import (
     PROBLEM_NAMES,
@@ -72,12 +73,24 @@ ERROR_EXITS = (
     (JetError, EXIT_PARSE, "bad jet"),
 )
 
+#: Builder and the families bounding its terms (True for A), per ``--form``.
+#: Each builder is looked up when called, so a rebound module global is
+#: the one that runs.
+FORMS = {
+    "delta": (lambda n: delta_formula(n), (True,)),
+    "elementary": (lambda n: elementary_formula(n), (False,)),
+    "inverse": (lambda n: inverse_function_formula(n), ()),
+    "fx0": (lambda n: fx_zero_formula(n), (True,)),
+}
 
-def _cap(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"cap must be at least 1, got {value}")
-    return value
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The command line's one integer rule: ASCII digits after an optional ``-``."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,31 +100,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cap",
-        type=_cap,
+        type=_integer,
         default=DEFAULT_CAP,
         help=f"order cap, at least 1 (default {DEFAULT_CAP}, never above {HARD_CAP})",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_formula = commands.add_parser("formula", help="render a derivative formula")
-    p_formula.add_argument("n", type=int, help="derivative order")
-    p_formula.add_argument(
-        "--form",
-        choices=("delta", "elementary", "inverse", "fx0"),
-        default="delta",
-    )
-    p_formula.add_argument(
-        "--format", choices=("plain", "latex", "json"), default="plain"
-    )
+    p_formula.add_argument("n", type=_integer, help="derivative order")
+    p_formula.add_argument("--form", choices=FORMS, default="delta")
+    p_formula.add_argument("--format", choices=FORMATS, default="plain")
+    p_formula.set_defaults(run=_cmd_formula, families=lambda args: FORMS[args.form][1])
 
     p_verify = commands.add_parser("verify", help="run invariant suites")
-    p_verify.add_argument("--max-n", type=int, default=8)
     p_verify.add_argument(
-        "--suite", choices=tuple(SUITES) + ("all",), default="all"
+        "--max-n", dest="n", metavar="MAX_N", type=_integer, default=8
     )
+    p_verify.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
+    p_verify.set_defaults(run=_cmd_verify, families=lambda args: (True, False))
 
     p_eval = commands.add_parser("eval", help="evaluate a formula numerically")
-    p_eval.add_argument("n", type=int, help="derivative order")
+    p_eval.add_argument("n", type=_integer, help="derivative order")
     source = p_eval.add_mutually_exclusive_group(required=True)
     source.add_argument("--jet", metavar="FILE", help="jet JSON file")
     source.add_argument("--problem", choices=PROBLEM_NAMES)
@@ -121,10 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also compare against finite differences (problems only)",
     )
+    p_eval.set_defaults(run=_cmd_eval, families=lambda args: (True,))
 
     p_count = commands.add_parser("count", help="family sizes by stratum")
     p_count.add_argument("--family", choices=("A", "B"), required=True)
-    p_count.add_argument("--max-n", type=int, required=True)
+    p_count.add_argument(
+        "--max-n", dest="n", metavar="MAX_N", type=_integer, required=True
+    )
+    p_count.set_defaults(run=_cmd_count, families=lambda args: ())
 
     return parser
 
@@ -136,24 +149,15 @@ def _scalar_json(value):
 
 
 def _cmd_formula(args) -> int:
-    if args.form == "delta":
-        formula = delta_formula(args.n)
-    elif args.form == "elementary":
-        formula = elementary_formula(args.n)
-    elif args.form == "inverse":
-        formula = inverse_function_formula(args.n)
-    else:
-        formula = fx_zero_formula(args.n)
-    print(render(formula, args.format))
+    build, _ = FORMS[args.form]
+    print(render(build(args.n), args.format))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suites([args.suite], args.max_n)
+    reports = run_suites([args.suite], args.n)
     if not reports:
-        raise DomainError(
-            f"suite {args.suite!r} checks nothing up to order {args.max_n}"
-        )
+        raise DomainError(f"suite {args.suite!r} checks nothing up to order {args.n}")
     failed_reports = failed_checks = 0
     for report in reports:
         line = {
@@ -216,7 +220,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    counts = family_counts(args.max_n, args.family == "A")
+    counts = family_counts(args.n, args.family == "A")
     print("family\tn\tstratum\tcount")
     for n, strata in counts.items():
         for stratum, count in strata:
@@ -233,42 +237,29 @@ def _predicted_terms(args) -> int:
     ``max_n``.  Orders below a family's start count 0 and are left to the
     command's own checks; ``inverse`` and ``count`` build no such family.
     """
-    if args.command == "verify":
-        n, families = args.max_n, (True, False)
-    elif args.command == "eval" or args.form in ("delta", "fx0"):
-        n, families = args.n, (True,)
-    elif args.form == "elementary":
-        n, families = args.n, (False,)
-    else:
-        return 0
     return sum(
-        family_size(n, family_a)
-        for family_a in families
-        if n >= (2 if family_a else 1)
+        family_size(args.n, family_a)
+        for family_a in args.families(args)
+        if args.n >= (2 if family_a else 1)
     )
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    order = args.max_n if args.command in ("verify", "count") else args.n
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.cap < 1:
+        parser.error(f"cap must be at least 1, got {args.cap}")
     cap = min(args.cap, HARD_CAP)
     try:
-        if order > cap:
-            raise CapError(f"order {order} exceeds cap {cap}")
-        if args.command != "count":
-            terms = _predicted_terms(args)
-            if terms > TERM_BUDGET:
-                raise CapError(
-                    f"order {order} needs {terms} terms, above the budget of"
-                    f" {TERM_BUDGET}"
-                )
-        if args.command == "formula":
-            return _cmd_formula(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        return _cmd_count(args)
+        if args.n > cap:
+            raise CapError(f"order {args.n} exceeds cap {cap}")
+        terms = _predicted_terms(args)
+        if terms > TERM_BUDGET:
+            raise CapError(
+                f"order {args.n} needs {terms} terms, above the budget of"
+                f" {TERM_BUDGET}"
+            )
+        return args.run(args)
     except (DomainError, JetError) as exc:
         for kind, code, prefix in ERROR_EXITS:
             if isinstance(exc, kind):

@@ -23,13 +23,7 @@ from itertools import chain
 
 from .coeffs import _balls_in_boxes, binom, signed_recursion_weight
 from .errors import DomainError, FormulaError, check_order
-from .expressions import (
-    DeltaFormula,
-    DeltaMonomial,
-    ElemFormula,
-    ElemMonomial,
-    render,
-)
+from .expressions import DeltaFormula, DeltaMonomial, ElemFormula, ElemMonomial
 from .keys import VectorKey, check_int, merge_entries
 from .partitions import (
     Multiplicities,
@@ -41,20 +35,6 @@ from .partitions import (
     successor_mixed,
     successor_trade,
 )
-
-__all__ = [
-    "delta_formula",
-    "delta_formula_via_recursion",
-    "derive_next",
-    "recursion_step",
-    "expand_block",
-    "expand_delta",
-    "elementary_formula",
-    "specialize_fx_zero",
-    "fx_zero_formula",
-    "inverse_function_formula",
-    "render",
-]
 
 
 def _family_terms(n: int, monomial, fy_offset: int, family_a: bool) -> tuple:

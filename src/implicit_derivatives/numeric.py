@@ -17,12 +17,20 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import DomainError, JetError, NewtonError, SingularJetError, check_order
+from .errors import (
+    HARD_CAP,
+    DomainError,
+    JetError,
+    NewtonError,
+    SingularJetError,
+    check_order,
+)
 from .expressions import DeltaFormula, ElemFormula
 from .formula import delta_formula
 from .keys import check_int
@@ -79,8 +87,9 @@ class Jet:
     """Partial-derivative values of f at a base point, up to ``order``.
 
     All keys (p, t) with p + t <= order are present after construction
-    (absent ones fill with zero).  The value at (0, 0) must be 0 (the
-    base point solves f = 0) and the value at (0, 1) must be non-zero.
+    (absent ones fill with zero), so the order is held to ``HARD_CAP``
+    like every other order.  The value at (0, 0) must be 0 (the base
+    point solves f = 0) and the value at (0, 1) must be non-zero.
     One scalar kind per jet; mixing rationals and floats is rejected.
     """
 
@@ -95,6 +104,8 @@ class Jet:
             raise JetError(f"unknown jet kind {self.kind!r}")
         if check_int(self.order, JetError, "jet order") < 1:
             raise JetError("jet order must be at least 1")
+        if self.order > HARD_CAP:
+            raise JetError(f"jet order {self.order} exceeds the hard cap {HARD_CAP}")
         self.x0 = _coerce_scalar(self.x0, self.kind, "x0")
         self.y0 = _coerce_scalar(self.y0, self.kind, "y0")
         zero = Fraction(0) if self.kind == RATIONAL else 0.0
@@ -147,6 +158,18 @@ def jet_to_json(jet: Jet) -> str:
     return json.dumps(doc)
 
 
+#: A partial key as ``jet_to_json`` writes it: two JSON integers, no sign.
+_PARTIAL_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
+
+
+def _members(pairs: list) -> dict:
+    """A JSON object's members; a name given twice is refused, not overwritten."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        raise JetError("malformed jet document: a key is given twice")
+    return members
+
+
 def jet_from_json(text: str) -> Jet:
     """Parse a jet document; raises JetError for malformed content.
 
@@ -154,11 +177,13 @@ def jet_from_json(text: str) -> Jet:
     scalars, and a scalar it cannot convert is malformed content too.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_members)
         partials = {}
         for key, value in doc["partials"].items():
-            # "p,t" read as JSON numbers, so Jet's integer rule judges them
-            partials[tuple(json.loads(f"[{key}]"))] = value
+            match = _PARTIAL_KEY.fullmatch(key)
+            if match is None:
+                raise JetError(f"partial key {key!r} is not spelled \"p,t\"")
+            partials[int(match[1]), int(match[2])] = value
         return Jet(
             x0=doc["x0"],
             y0=doc["y0"],

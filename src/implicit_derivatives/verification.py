@@ -28,6 +28,8 @@ once per call.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .coeffs import CheckReport, binom, verify_C_recursion, zgamma_sum
 from .errors import DomainError
 from .formula import (
@@ -54,20 +56,9 @@ class FormulaTable:
     """
 
     def __init__(self) -> None:
-        self._delta: dict = {}
-        self._elementary: dict = {}
-
-    def delta(self, n: int):
-        formula = self._delta.get(n)
-        if formula is None:
-            formula = self._delta[n] = delta_formula(n)
-        return formula
-
-    def elementary(self, n: int):
-        formula = self._elementary.get(n)
-        if formula is None:
-            formula = self._elementary[n] = elementary_formula(n)
-        return formula
+        # the module's builders as bound now, so a rebound global is the one used
+        self.delta = cache(delta_formula)
+        self.elementary = cache(elementary_formula)
 
 
 def recursion_suite(

@@ -133,10 +133,41 @@ def test_cap_below_one_exits_two(capsys, cap):
 
 
 def test_bad_flags_exit_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["formula", "3", "--form", "nonsense"])
-    assert info.value.code == 2
+    # integers are ASCII digits after an optional "-": no "+", space,
+    # digit separator or non-ASCII digit
+    for argv in (
+        ["formula", "3", "--form", "nonsense"],
+        ["--cap", "1_6", "formula", "3"],
+        ["formula", " +3"],
+        ["formula", "\u0663"],  # ARABIC-INDIC DIGIT THREE
+        ["verify", "--max-n", "9 "],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("form", ["delta", "elementary", "inverse", "fx0"])
+def test_formula_builders_are_looked_up_when_called(capsys, monkeypatch, form):
+    # the benchmark's tracer rebinds these module globals after import
+    built = []
+    for name in (
+        "delta_formula",
+        "elementary_formula",
+        "inverse_function_formula",
+        "fx_zero_formula",
+    ):
+        honest = getattr(cli, name)
+
+        def counted(n, name=name, honest=honest):
+            built.append((name, n))
+            return honest(n)
+
+        monkeypatch.setattr(cli, name, counted)
+    code, out, _ = run(capsys, "formula", "4", "--form", form)
+    assert code == 0 and out
+    assert len(built) == 1 and built[0][1] == 4
 
 
 def test_formula_rejects_order_one_delta(capsys):
@@ -242,6 +273,19 @@ def test_eval_singular_jet_exits_four(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--jet", str(path), "2")
     assert code == 4
     assert "singular" in err
+
+
+def test_eval_jet_above_the_hard_cap_exits_five_at_once(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"x0":"0/1","y0":"1/1","order":3000,"kind":"rational","partials":{"0,1":"1/1"}}'
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--jet", str(path), "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 5
+    assert out == ""
+    assert "hard cap" in err
 
 
 def test_eval_parse_error_exits_five(capsys, tmp_path):

@@ -69,7 +69,7 @@ def test_jet_validation():
     with pytest.raises(JetError):
         Jet(x0=0.0, y0=0.0, order=2, partials={(0, 1): Fraction(1, 2)}, kind="float")
     Two = IntEnum("Two", {"TWO": 2})
-    for order in (1.5, 2.0, True, "2", Two.TWO):
+    for order in (1.5, 2.0, True, "2", Two.TWO, 31):  # 31: above the hard cap
         with pytest.raises(JetError):
             Jet(x0=0, y0=0, order=order, partials={(0, 1): 1})
     # keys are (p, t) pairs whose indices follow the same rule: no
@@ -147,6 +147,7 @@ def test_jet_json_round_trip(kind):
 
 def test_jet_json_rejects_garbage():
     rational = '{"x0": 0, "y0": 0, "order": 1, "kind": "rational", "partials": %s}'
+    second = rational.replace('"order": 1', '"order": 2')
     floaty = '{"x0": 0.0, "y0": 0.0, "order": 1, "kind": "float", "partials": %s}'
     for text in (
         "[not a jet]",
@@ -164,6 +165,13 @@ def test_jet_json_rejects_garbage():
         rational % '{"0,1.0": 1}',
         rational % '{"0,1,0": 1}',
         rational % '{"0,1],[2": 1}',
+        # spelled exactly "p,t": no space, no minus sign
+        rational % '{" 0,1": 1}',
+        rational % '{"-0,1": 1}',
+        second % '{"0,1": 1, "2 ,0": 1}',
+        # and each key given once: a repeat is refused, not overwritten
+        rational % '{"0,1": 1, "0,1": 2}',
+        second % '{"0,1": "2/1", " 0,1": "3/1", "-0,1": "5/1", "2,0": 1}',
     ):
         with pytest.raises(JetError):
             jet_from_json(text)
