@@ -197,7 +197,7 @@ def _cmd_eval(args) -> int:
         try:
             with open(args.jet, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise JetError(f"cannot read jet: {exc}") from exc
         jet = jet_from_json(text)
         report = eval_formula(delta_formula(args.n), jet)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, check_order
-from .keys import BELOW_ORDER_TWO, F_AND_FY, VectorKey, canonical_entries
+from .keys import BELOW_ORDER_TWO, F_AND_FY, canonical_entries
 from .partitions import Multiplicities, _compositions, predecessor_records
 
 
@@ -175,27 +175,6 @@ class CheckReport:
         return self.passed
 
 
-def _recursion_weight(record, beta: Multiplicities) -> int:
-    """Multiplier of the predecessor coefficient in the C-recursion."""
-    # a VectorKey takes the one-scan path of the key check in ``get``
-    if record.kind == "minus":
-        key = record.pivot
-        return beta.get(VectorKey(key.l - 1, key.r)) + 1
-    if record.kind == "b":
-        key = record.pivot
-        return (key.l + 1) * (beta.get(VectorKey(key.l + 1, key.r - 1)) + 1)
-    return beta.sum_r + 2 * beta.get(VectorKey(2, 0))
-
-
-def signed_recursion_weight(record, beta: Multiplicities) -> int:
-    """Multiplier of the predecessor's signed coefficient in the signed C-recursion.
-
-    "minus" records enter with +, "b" and "d" records with -.
-    """
-    weight = _recursion_weight(record, beta)
-    return weight if record.kind == "minus" else -weight
-
-
 def verify_C_recursion(n: int, records: list | None = None) -> CheckReport:
     """Rebuild every order-(n+1) coefficient from order-n ones and compare.
 
@@ -219,8 +198,8 @@ def verify_C_recursion(n: int, records: list | None = None) -> CheckReport:
             value = table.get(alpha)
             if value is None:
                 value = table[alpha] = coeff_C(alpha)
-            unsigned += _recursion_weight(rec, beta) * value
-            signed += signed_recursion_weight(rec, beta) * _sign(alpha) * value
+            unsigned += rec.weight * value
+            signed += rec.signed_weight * _sign(alpha) * value
         want = coeff_C(beta)
         signed_want = _sign(beta) * want
         report.record(

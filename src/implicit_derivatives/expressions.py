@@ -34,7 +34,6 @@ from .errors import DomainError, FormulaError
 from .keys import BELOW_ORDER_TWO, F_AND_FY, VectorKey, canonical_entries, check_int
 
 Coefficient = Fraction
-FORMATS = ("plain", "latex", "json")
 
 
 def _coefficient(value) -> Fraction:
@@ -198,30 +197,6 @@ def _plain_denominator(formula_form: str, fy_power: int) -> str:
     return " / " + (base if fy_power == 1 else f"{base}^{fy_power}")
 
 
-def _render_plain(formula: Formula) -> str:
-    if not formula.terms:
-        return "0"
-    form = formula.form
-    factor_text = _TextTable(lambda entry: _plain_factor(form, entry))
-    denominator_text = _TextTable(lambda power: _plain_denominator(form, power))
-    entries_of = _entries_of(formula)
-    chunks = []
-    for coeff, mono in formula.terms:
-        factors = " ".join(map(factor_text.__getitem__, entries_of(mono)))
-        numerator, denominator = abs(coeff.numerator), coeff.denominator
-        if numerator == 1 and denominator == 1 and factors:
-            body = factors
-        else:
-            body = str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
-            if factors:
-                body += " " + factors
-        sign = "- " if coeff.numerator < 0 else "+ "
-        chunks.append(sign + body + denominator_text[mono.fy_power])
-    if chunks[0][0] == "+":
-        chunks[0] = chunks[0][2:]
-    return " ".join(chunks)
-
-
 # --- LaTeX ------------------------------------------------------------------
 
 
@@ -263,28 +238,43 @@ def _latex_denominator(formula_form: str, fy_power: int) -> str:
     return "}{" + base + "}"
 
 
-def _render_latex(formula: Formula) -> str:
+# --- one term writer for plain text and LaTeX ------------------------------
+#
+# Per format: the factor and denominator spellers, the gap (between factors,
+# after the sign and between terms), the opening of a term body, and the
+# spelling of a non-integer coefficient.
+
+_TEXT = {
+    "plain": (_plain_factor, _plain_denominator, " ", "", "{}/{}".format),
+    "latex": (_latex_factor, _latex_denominator, "", "\\frac{", "\\tfrac{{{}}}{{{}}}".format),
+}
+FORMATS = (*_TEXT, "json")
+
+
+def _render_text(formula: Formula, format: str) -> str:
     if not formula.terms:
         return "0"
+    spell_factor, spell_denominator, gap, opening, fraction = _TEXT[format]
     form = formula.form
-    factor_text = _TextTable(lambda entry: _latex_factor(form, entry))
-    denominator_text = _TextTable(lambda power: _latex_denominator(form, power))
+    factor_text = _TextTable(lambda entry: spell_factor(form, entry))
+    denominator_text = _TextTable(lambda power: spell_denominator(form, power))
     entries_of = _entries_of(formula)
+    plus, minus = "+" + gap + opening, "-" + gap + opening
     chunks = []
     for coeff, mono in formula.terms:
-        factors = "".join(map(factor_text.__getitem__, entries_of(mono)))
+        factors = gap.join(map(factor_text.__getitem__, entries_of(mono)))
         numerator, denominator = abs(coeff.numerator), coeff.denominator
         if numerator == 1 and denominator == 1 and factors:
             body = factors
-        elif denominator == 1:
-            body = f"{numerator}{factors}"
         else:
-            body = f"\\tfrac{{{numerator}}}{{{denominator}}}{factors}"
-        sign = "-" if coeff.numerator < 0 else "+"
-        chunks.append(sign + "\\frac{" + body + denominator_text[mono.fy_power])
+            body = str(numerator) if denominator == 1 else fraction(numerator, denominator)
+            if factors:
+                body += gap + factors
+        sign = minus if coeff.numerator < 0 else plus
+        chunks.append(sign + body + denominator_text[mono.fy_power])
     if chunks[0][0] == "+":
-        chunks[0] = chunks[0][1:]
-    return "".join(chunks)
+        chunks[0] = chunks[0][1 + len(gap) :]
+    return gap.join(chunks)
 
 
 # --- JSON -------------------------------------------------------------------
@@ -359,10 +349,9 @@ def formula_from_json(text: str) -> Formula:
 
 def render(formula: Formula, format: str = "plain") -> str:
     """Render a formula as plain text, LaTeX, or the JSON interchange form."""
-    if format == "plain":
-        return _render_plain(formula)
-    if format == "latex":
-        return _render_latex(formula)
+    if format in _TEXT:
+        return _render_text(formula, format)
     if format == "json":
+        # looked up when called, so a rebound ``formula_to_json`` is the one used
         return formula_to_json(formula)
     raise DomainError(f"unknown render format {format!r}; expected one of {FORMATS}")

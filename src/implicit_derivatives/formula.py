@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-from .coeffs import _balls_in_boxes, binom, signed_recursion_weight
+from .coeffs import _balls_in_boxes, binom
 from .errors import DomainError, FormulaError, check_order
 from .expressions import DeltaFormula, DeltaMonomial, ElemFormula, ElemMonomial
 from .keys import VectorKey, check_int, merge_entries
@@ -120,10 +120,9 @@ def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaF
     """One step of the coefficient recursion: the next order's compact form.
 
     Every order-(n+1) coefficient is assembled from the coefficients of
-    its predecessor records in ``formula``, each weighted by
-    :func:`~implicit_derivatives.coeffs.signed_recursion_weight`.  A
-    predecessor with no term in ``formula`` has coefficient 0.
-    ``records`` is
+    its predecessor records in ``formula``, each weighted by its
+    ``signed_weight``.  A predecessor with no term in ``formula`` has
+    coefficient 0.  ``records`` is
     :func:`~implicit_derivatives.partitions.predecessor_records` at
     order n + 1, made here when not handed in.
     """
@@ -135,8 +134,7 @@ def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaF
     for beta, preds in records:
         value = Fraction(0)
         for record in preds:
-            weight = signed_recursion_weight(record, beta)
-            value += weight * table.get(record.predecessor, 0)
+            value += record.signed_weight * table.get(record.predecessor, 0)
         if value != 0:
             terms.append((value, DeltaMonomial(beta.entries, n + 1 + beta.total)))
     return DeltaFormula.from_terms(n + 1, terms)

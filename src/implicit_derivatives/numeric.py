@@ -18,6 +18,7 @@ import json
 import math
 import random
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -62,14 +63,14 @@ SUM_RUN = 8
 
 
 def _coerce_scalar(value, kind, what):
-    """The one check on jet scalars: one kind per jet, finite floats."""
+    """The one check on jet scalars: one kind per jet, finite floats, no booleans."""
     if kind == RATIONAL:
         if type(value) is Fraction:
             return value  # exact already; a subclass is still converted
-        if isinstance(value, float):
-            raise JetError(f"float value {value!r} in a rational jet ({what})")
+        if isinstance(value, (float, bool)):
+            raise JetError(f"non-rational value {value!r} in a rational jet ({what})")
         convert = Fraction
-    elif isinstance(value, (Fraction, str)):
+    elif isinstance(value, (Fraction, str, bool)):
         raise JetError(f"non-float value {value!r} in a float jet ({what})")
     else:
         convert = float
@@ -109,6 +110,8 @@ class Jet:
         self.x0 = _coerce_scalar(self.x0, self.kind, "x0")
         self.y0 = _coerce_scalar(self.y0, self.kind, "y0")
         zero = Fraction(0) if self.kind == RATIONAL else 0.0
+        if not isinstance(self.partials, Mapping):
+            raise JetError(f"jet partials must be a mapping, got {self.partials!r}")
         table = {}
         for key, value in self.partials.items():
             try:

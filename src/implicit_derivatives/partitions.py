@@ -112,11 +112,18 @@ class PredecessorRecord:
     ``kind`` is "minus" (a block loses one x-differentiation at the pivot
     key), "b" (the pivot trades an x- for a y-differentiation and a (2,0)
     block disappears), or "d" (a (1,1) block disappears; no pivot).
+    ``weight`` is read off the order-(n+1) element (see :func:`predecessors`).
     """
 
     kind: str
     pivot: VectorKey | None
     predecessor: Multiplicities
+    weight: int  # multiplier of the predecessor's coefficient in the C-recursion
+
+    @property
+    def signed_weight(self) -> int:
+        """Multiplier in the signed C-recursion: + for "minus", - for "b" and "d"."""
+        return self.weight if self.kind == "minus" else -self.weight
 
 
 def is_member_A(alpha: Multiplicities, n: int) -> bool:
@@ -438,27 +445,34 @@ def predecessors(beta: Multiplicities, n_plus_1: int) -> list[PredecessorRecord]
     Emits a "minus" record for every key with l >= 1 and l + r >= 3, a
     "b" record (provided a (2, 0) block is present) for every key with
     r >= 1 other than (1, 1), and a "d" record when a (1, 1) block is
-    present.  Every returned predecessor is checked to lie in family A
-    at order n.
+    present.  With m the counts of ``beta``, the weights are
+    m[l-1, r] + 1 for "minus" at (l, r), (l + 1) * (m[l+1, r-1] + 1) for
+    "b" at (l, r), and sum_r + 2 * m[2, 0] for "d".  Every returned
+    predecessor is checked to lie in family A at order n.
     """
     check_order(n_plus_1, 3)
     if not is_member_A(beta, n_plus_1):
         raise DomainError(f"{beta} is not a family-A element of order {n_plus_1}")
     n = n_plus_1 - 1
+    count = dict(beta.entries)
     records = []
     for key, _ in beta.items():
         if key.l >= 1 and key.l + key.r >= 3:
             pred = beta.bumped([(key, -1), ((key.l - 1, key.r), +1)])
-            records.append(PredecessorRecord("minus", key, pred))
-    if beta.get(VectorKey(2, 0)) >= 1:
+            weight = count.get((key.l - 1, key.r), 0) + 1
+            records.append(PredecessorRecord("minus", key, pred, weight))
+    if (2, 0) in count:
         for key, _ in beta.items():
             if key.r >= 1 and key != (1, 1):
                 pred = beta.bumped(
                     [(key, -1), ((2, 0), -1), ((key.l + 1, key.r - 1), +1)]
                 )
-                records.append(PredecessorRecord("b", key, pred))
-    if beta.get(VectorKey(1, 1)) >= 1:
-        records.append(PredecessorRecord("d", None, beta.bumped([((1, 1), -1)])))
+                weight = (key.l + 1) * (count.get((key.l + 1, key.r - 1), 0) + 1)
+                records.append(PredecessorRecord("b", key, pred, weight))
+    if (1, 1) in count:
+        pred = beta.bumped([((1, 1), -1)])
+        weight = beta.sum_r + 2 * count.get((2, 0), 0)
+        records.append(PredecessorRecord("d", None, pred, weight))
     for record in records:
         if not is_member_A(record.predecessor, n):
             raise DomainError(

@@ -8,9 +8,12 @@ import pytest
 
 from implicit_derivatives import (
     cli,
+    delta_formula,
+    expressions,
     jet_to_json,
     partitions,
     random_rational_jet,
+    render,
     verification,
 )
 from implicit_derivatives.cli import main
@@ -170,6 +173,23 @@ def test_formula_builders_are_looked_up_when_called(capsys, monkeypatch, form):
     assert len(built) == 1 and built[0][1] == 4
 
 
+def test_json_writer_is_looked_up_when_called(capsys, monkeypatch):
+    # the benchmark's tracer rebinds expressions.formula_to_json after import
+    written = []
+    honest = expressions.formula_to_json
+
+    def counted(formula):
+        written.append(formula.n)
+        return honest(formula)
+
+    monkeypatch.setattr(expressions, "formula_to_json", counted)
+    assert render(delta_formula(4), "json") == honest(delta_formula(4))
+    assert written == [4]
+    code, out, _ = run(capsys, "formula", "4", "--format", "json")
+    assert code == 0 and out
+    assert written == [4, 4]
+
+
 def test_formula_rejects_order_one_delta(capsys):
     code, _, err = run(capsys, "formula", "1", "--form", "delta")
     assert code == 2
@@ -286,6 +306,15 @@ def test_eval_jet_above_the_hard_cap_exits_five_at_once(capsys, tmp_path):
     assert code == 5
     assert out == ""
     assert "hard cap" in err
+
+
+def test_eval_undecodable_jet_file_exits_five(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "eval", "--jet", str(path), "2")
+    assert code == 5
+    assert out == ""
+    assert "jet" in err
 
 
 def test_eval_parse_error_exits_five(capsys, tmp_path):

@@ -78,6 +78,9 @@ def test_jet_validation():
     for key in (*keys, (1, 0, 0), (1,), 5):
         with pytest.raises(JetError):
             Jet(x0=0, y0=0, order=2, partials={key: 3, (0, 1): 1})
+    # partials are a mapping, not a list of (key, value) pairs
+    with pytest.raises(JetError):
+        Jet(x0=0, y0=0, order=2, partials=[((0, 1), 1)])
 
 
 def test_rational_jet_keeps_exact_fractions():
@@ -106,6 +109,8 @@ def test_rational_jet_keeps_exact_fractions():
         (10**400, "float"),  # an integer beyond binary64
         (object(), "float"),
         ([1.0], "float"),
+        (True, "rational"),  # booleans are not numbers here, as for check_int
+        (True, "float"),
     ],
     ids=[
         "zero-denominator",
@@ -114,6 +119,8 @@ def test_rational_jet_keeps_exact_fractions():
         "overflow",
         "float-object",
         "list",
+        "rational-bool",
+        "float-bool",
     ],
 )
 def test_scalar_conversion_errors_are_jet_errors(value, kind):
@@ -154,6 +161,7 @@ def test_jet_json_rejects_garbage():
         '{"x0": "1/2", "y0": 0, "order": 1, "kind": "rational"}',
         rational % "[]",
         rational % '{"0,1": 0.5}',  # a float in a rational jet
+        rational % '{"0,1": true}',  # a boolean is not a number
         rational % '{"0,1": "1/0"}',
         floaty % '{"0,1": "1.5"}',  # a string in a float jet
         floaty % '{"0,1": [1.0]}',  # a list in a float jet
