@@ -30,17 +30,11 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable
 
-from .errors import DomainError, FormulaError
+from .errors import DomainError, FormulaError, check_order
 from .keys import BELOW_ORDER_TWO, F_AND_FY, VectorKey, canonical_entries, check_int
+from .keys import check_rational, unique_members
 
 Coefficient = Fraction
-
-
-def _coefficient(value) -> Fraction:
-    # exact strings only, as the schema says: a JSON number may be a rounded float
-    if type(value) is not str:
-        raise FormulaError(f"coefficients must be exact strings, got {value!r}")
-    return Fraction(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,33 +311,33 @@ def formula_to_json(formula: Formula) -> str:
 def formula_from_json(text: str) -> Formula:
     """Parse a formula serialized by :func:`formula_to_json`."""
     try:
-        doc = json.loads(text)
-        n = check_int(doc["n"], FormulaError, "n")
+        doc = json.loads(text, object_pairs_hook=unique_members)
         form = doc["form"]
-        raw_terms = doc["terms"]
         if form == "delta":
             monomial, part, first, second = DeltaMonomial, "factors", "l", "r"
         elif form in ("elementary", "inverse"):
             monomial, part, first, second = ElemMonomial, "exponents", "p", "t"
         else:
             raise FormulaError(f"unknown form tag {form!r}")
+        n = doc["n"]
+        check_order(n, 2 if form == "delta" else 1)
         terms = [
             (
-                _coefficient(item["coeff"]),
+                check_rational(item["coeff"], FormulaError, "a coefficient"),
                 # the monomial checks the indices, powers and fy_power
                 monomial(
                     [((e[first], e[second]), e["power"]) for e in item[part]],
                     item["fy_power"],
                 ),
             )
-            for item in raw_terms
+            for item in doc["terms"]
         ]
         if form == "delta":
             return DeltaFormula.from_terms(n, terms)
         return ElemFormula.from_terms(n, terms, form)
     except FormulaError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise FormulaError(f"malformed formula document: {exc}") from exc
 
 

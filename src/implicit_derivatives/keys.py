@@ -2,10 +2,13 @@
 
 Every object of the package is a multiset of vectors (l, r), held as a
 tuple of (key, count) entries.  This module alone decides what a valid
-integer (:func:`check_int`) and entries tuple (:func:`canonical_entries`)
+integer (:func:`check_int`), rational text (:func:`check_rational`), entries
+tuple (:func:`canonical_entries`) and JSON object (:func:`unique_members`)
 are, and how entries are normalized (:func:`merge_entries`).
 """
 
+import re
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 
@@ -26,6 +29,8 @@ Entries = tuple[tuple[VectorKey, int], ...]
 # hold neither f nor f_y
 BELOW_ORDER_TWO = frozenset({(0, 0), (0, 1), (1, 0)})
 F_AND_FY = frozenset({(0, 0), (0, 1)})
+#: Rational text as ``str(Fraction)`` writes it: no exponent, point, space, + or _.
+_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 
 
 def check_int(value, error: type[Exception], what: str) -> int:
@@ -36,6 +41,24 @@ def check_int(value, error: type[Exception], what: str) -> int:
     if value.__class__ is not int:
         raise error(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def check_rational(value, error: type[Exception], what: str) -> Fraction:
+    """The one rational-text rule: the ``Fraction`` a ``str`` in :data:`_RATIONAL` spells."""
+    if not isinstance(value, str) or _RATIONAL.fullmatch(value) is None:
+        raise error(f'{what} must be rational text such as "-3/4", got {value!r}')
+    try:
+        return Fraction(value)
+    except ValueError as exc:  # more digits than int() converts
+        raise error(f"cannot read {what}: {exc}") from None
+
+
+def unique_members(pairs: list) -> dict:
+    """The one JSON object hook: the members, or ``ValueError`` for a name given twice."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        raise ValueError("a key is given twice")
+    return members
 
 
 def merge_entries(pairs: Iterable[tuple]) -> Entries:

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .expressions import DeltaFormula, ElemFormula
 from .formula import delta_formula
-from .keys import check_int
+from .keys import check_int, check_rational, unique_members
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -67,6 +67,8 @@ def _coerce_scalar(value, kind, what):
     if kind == RATIONAL:
         if type(value) is Fraction:
             return value  # exact already; a subclass is still converted
+        if isinstance(value, str):
+            return check_rational(value, JetError, what)
         if isinstance(value, (float, bool)):
             raise JetError(f"non-rational value {value!r} in a rational jet ({what})")
         convert = Fraction
@@ -165,14 +167,6 @@ def jet_to_json(jet: Jet) -> str:
 _PARTIAL_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 
 
-def _members(pairs: list) -> dict:
-    """A JSON object's members; a name given twice is refused, not overwritten."""
-    members = dict(pairs)
-    if len(members) < len(pairs):
-        raise JetError("malformed jet document: a key is given twice")
-    return members
-
-
 def jet_from_json(text: str) -> Jet:
     """Parse a jet document; raises JetError for malformed content.
 
@@ -180,7 +174,7 @@ def jet_from_json(text: str) -> Jet:
     scalars, and a scalar it cannot convert is malformed content too.
     """
     try:
-        doc = json.loads(text, object_pairs_hook=_members)
+        doc = json.loads(text, object_pairs_hook=unique_members)
         partials = {}
         for key, value in doc["partials"].items():
             match = _PARTIAL_KEY.fullmatch(key)
@@ -196,7 +190,7 @@ def jet_from_json(text: str) -> Jet:
         )
     except JetError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise JetError(f"malformed jet document: {exc}") from exc
 
 

@@ -106,6 +106,8 @@ class FormulaDiff:
 
 def formulas_equal(a: ElemFormula, b: ElemFormula) -> FormulaDiff:
     """Exact equality as maps monomial -> coefficient, with a difference report."""
+    if not (isinstance(a, ElemFormula) and isinstance(b, ElemFormula)):
+        raise FormulaError("formulas_equal compares expanded formulas only")
     problems: list[str] = []
     if a.n != b.n:
         problems.append(f"orders differ: {a.n} vs {b.n}")

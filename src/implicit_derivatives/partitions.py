@@ -305,9 +305,8 @@ def lift_to_tilde(alpha: Multiplicities, n: int) -> Multiplicities:
     """
     if not is_member_A(alpha, n):
         raise DomainError(f"{alpha} is not a family-A element of order {n}")
+    # membership gives sum (l + r - 1) m = n - 1 with each l + r - 1 >= 1, so h <= n - 1
     fy_count = n - 1 - alpha.total
-    if fy_count < 0:  # impossible for family-A members
-        raise DomainError(f"{alpha} has more than {n - 1} blocks")
     if fy_count == 0:
         return alpha
     return alpha.bumped([((0, 1), fy_count)])

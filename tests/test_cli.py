@@ -331,6 +331,15 @@ def test_eval_parse_error_exits_five(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", "--jet", str(path), "2")
     assert code == 5
     assert out == ""
+    for text in (
+        "[" * 100_000 + "]" * 100_000,
+        '{"x0": "0/1", "y0": "0/1", "order": 2, "kind": "rational",'
+        ' "partials": {"0,1": "1/1", "2,0": "1e3"}}',
+    ):
+        path.write_text(text)
+        code, out, _ = run(capsys, "eval", "--jet", str(path), "2")
+        assert code == 5
+        assert out == ""
 
 
 @pytest.mark.parametrize(

@@ -180,6 +180,14 @@ def test_jet_json_rejects_garbage():
         # and each key given once: a repeat is refused, not overwritten
         rational % '{"0,1": 1, "0,1": 2}',
         second % '{"0,1": "2/1", " 0,1": "3/1", "-0,1": "5/1", "2,0": 1}',
+        # rational scalars are spelled as jet_to_json writes them
+        rational % '{"0,1": "1e3"}',
+        rational % '{"0,1": "1.5"}',
+        rational % '{"0,1": " 3/4"}',
+        rational % '{"0,1": "1_0"}',
+        rational % '{"0,1": "+1"}',
+        # nested too deep to parse
+        "[" * 100_000 + "]" * 100_000,
     ):
         with pytest.raises(JetError):
             jet_from_json(text)

@@ -12,7 +12,9 @@ import implicit_derivatives.oracle
 from implicit_derivatives import (
     CapError,
     DomainError,
+    FormulaError,
     Multiplicities,
+    delta_formula,
     elementary_formula,
     formulas_equal,
     oracle_formula,
@@ -125,6 +127,8 @@ def test_formulas_equal_detects_differences():
     diff = formulas_equal(elementary_formula(3), elementary_formula(2))
     assert not diff
     assert any("orders differ" in line for line in diff.differences)
+    with pytest.raises(FormulaError):
+        formulas_equal(delta_formula(3), elementary_formula(3))
 
 
 def test_oracle_rejects_bad_orders():

@@ -96,6 +96,23 @@ def test_parse_rejects_malformed_documents():
         formula_from_json(
             '{"n": 2, "form": "delta", "terms": [{"coeff": "x", "factors": [], "fy_power": 1}]}'
         )
+    # coefficients are spelled as formula_to_json writes them
+    for coeff in ("1e3", "1.5", " 2", "1_0"):
+        with pytest.raises(FormulaError):
+            formula_from_json(
+                f'{{"n": 2, "form": "delta", "terms": [{{"coeff": "{coeff}",'
+                ' "factors": [{"l": 2, "r": 0, "power": 1}], "fy_power": 3}]}'
+            )
+    # each member given once, n an order of its form, and a parseable depth
+    for text in (
+        '{"n": 2, "n": 3, "form": "delta", "terms": []}',
+        '{"n": -3, "form": "elementary", "terms": []}',
+        '{"n": 1, "form": "delta", "terms": []}',
+        '{"n": 31, "form": "inverse", "terms": []}',
+        "[" * 100_000 + "]" * 100_000,
+    ):
+        with pytest.raises(FormulaError):
+            formula_from_json(text)
     # monomial validation runs on the merged entries of outside input
     for form, part, entry in [
         ("delta", "factors", '{"l": -1, "r": 3, "power": 1}'),
