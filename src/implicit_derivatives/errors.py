@@ -31,12 +31,12 @@ class NewtonError(RuntimeError):
     """Newton iteration failed to converge on the implicit equation."""
 
 
-def check_order(n: int, minimum: int) -> None:
+def check_order(n: int, minimum: int, error: type[Exception] | None = None) -> None:
     """Raise :class:`DomainError` below ``minimum``, :class:`CapError` above the cap.
 
-    The order must be an ``int`` (:func:`~implicit_derivatives.keys.check_int`).
+    The order must be an ``int`` (``keys.check_int``); an ``error`` replaces both.
     """
-    if check_int(n, DomainError, "order") < minimum:
-        raise DomainError(f"order must be at least {minimum}, got {n}")
+    if check_int(n, error or DomainError, "order") < minimum:
+        raise (error or DomainError)(f"order must be at least {minimum}, got {n}")
     if n > HARD_CAP:
-        raise CapError(f"order {n} exceeds the hard cap {HARD_CAP}")
+        raise (error or CapError)(f"order {n} exceeds the hard cap {HARD_CAP}")

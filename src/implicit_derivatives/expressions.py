@@ -115,6 +115,7 @@ class DeltaFormula:
     form = "delta"
 
     def __post_init__(self) -> None:
+        check_order(self.n, 2, FormulaError)
         _check_canonical(self.terms, _delta_key, "delta")
 
     @classmethod
@@ -136,6 +137,7 @@ class ElemFormula:
     def __post_init__(self) -> None:
         if self.form not in ("elementary", "inverse"):
             raise FormulaError(f"unknown elementary-form tag {self.form!r}")
+        check_order(self.n, 1, FormulaError)
         _check_canonical(self.terms, _elem_key, self.form)
 
     @classmethod
@@ -320,7 +322,6 @@ def formula_from_json(text: str) -> Formula:
         else:
             raise FormulaError(f"unknown form tag {form!r}")
         n = doc["n"]
-        check_order(n, 2 if form == "delta" else 1)
         terms = [
             (
                 check_rational(item["coeff"], FormulaError, "a coefficient"),

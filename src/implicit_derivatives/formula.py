@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 
 from .coeffs import _balls_in_boxes, binom
 from .errors import DomainError, FormulaError, check_order
@@ -158,34 +157,47 @@ def delta_formula_via_recursion(n: int) -> DeltaFormula:
 
 # --- block expansion into raw partials ---------------------------------------
 #
-# Sparse polynomials over the partial symbols, keyed by sorted exponent
-# tuples, with integer coefficients; f_x and f_y appear as the keys
-# (1, 0) and (0, 1).
+# expand_delta packs the tuple-keyed monomials of expand_block (Monagan and
+# Pearce, CASC 2007): each raw partial of the call gets a _BITS-bit slot in
+# canonical order and f_y's denominator power the top slot, where any int
+# fits, so a product of monomials is one integer addition.  Slot width: an
+# order-n term D[l,r]^m has sum l*m = n and h = sum m <= n - 1, and D[l,r]
+# sums f_x^j f_y^(l-j) times one partial, so f_x reaches n and a partial h:
+# 30 at HARD_CAP = 30, which five bits hold and four do not.
 
-_Poly = dict[tuple, int]
+_BITS = 5
+_LIMIT = (1 << _BITS) - 1
 
 
-def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
-    out: _Poly = {}
+def _pack(entries, slots: dict[VectorKey, int]) -> int:
+    """One packed monomial by the keys' bit offsets; f_y^e puts -e on top."""
+    return sum((-e if key == (0, 1) else e) << slots[key] for key, e in entries)
+
+
+def _unpack(packed: int, keys: list[VectorKey]) -> tuple[int, tuple]:
+    """The power of f_y below and the entries above, for ``keys`` in slot order."""
+    top = _BITS * (len(keys) - 1)
+    fy_power, packed = packed >> top, packed & ((1 << top) - 1)
+    entries = []
+    while packed:
+        slot = ((packed & -packed).bit_length() - 1) // _BITS
+        exponent = packed >> _BITS * slot & _LIMIT
+        entries.append((keys[slot], exponent))
+        packed ^= exponent << _BITS * slot
+    return fy_power, tuple(entries)
+
+
+def _product(a: dict[int, int], b: dict[int, int], out: dict[int, int]) -> dict[int, int]:
+    """``out`` plus the product of the packed polynomials ``a`` and ``b``."""
+    get = out.get
     for mono_a, ca in a.items():
         for mono_b, cb in b.items():
-            key = merge_entries(chain(mono_a, mono_b))
-            value = out.get(key, 0) + ca * cb
-            if value:
-                out[key] = value
-            elif key in out:
-                del out[key]
+            key = mono_a + mono_b
+            out[key] = get(key, 0) + ca * cb
     return out
 
 
-def _poly_pow(p: _Poly, exponent: int) -> _Poly:
-    out: _Poly = {(): 1}
-    for _ in range(exponent):
-        out = _poly_mul(out, p)
-    return out
-
-
-def expand_block(l: int, p0: int = 0, t0: int = 0) -> _Poly:
+def expand_block(l: int, p0: int = 0, t0: int = 0) -> dict[tuple, int]:
     """Expand one block applied to the partial f_{x^p0 y^t0} into raw partials.
 
     Returns sum_j (-1)^j binom(l, j) f_{x^(l-j+p0) y^(j+t0)} f_x^j f_y^(l-j)
@@ -194,7 +206,7 @@ def expand_block(l: int, p0: int = 0, t0: int = 0) -> _Poly:
     for index in (l, p0, t0):
         if check_int(index, DomainError, "a block index") < 0:
             raise DomainError("block indices must be non-negative")
-    out: _Poly = {}
+    out: dict[tuple, int] = {}
     for j in range(l + 1):
         entries = [(VectorKey(l - j + p0, j + t0), 1)]
         if j:
@@ -209,40 +221,42 @@ def expand_block(l: int, p0: int = 0, t0: int = 0) -> _Poly:
 def expand_delta(formula: DeltaFormula) -> ElemFormula:
     """Multiply out every block of the compact form and collect raw monomials.
 
-    Each distinct block power is expanded once per call.  The products
-    and the collection run on integers over the common denominator of
-    the coefficients; each term's coefficient is multiplied in once, at
-    the end of its expansion, and each collected coefficient becomes one
-    ``Fraction``.
+    Each distinct block power is packed and expanded once per call, on integers
+    over the common denominator.  A term that could leave a slot (a hand-made
+    block power beyond any order) raises :class:`FormulaError` at once.
     """
     if not isinstance(formula, DeltaFormula):
         raise FormulaError("expand_delta expects the compact block form")
+    entries = set()  # the distinct (key, power) factors
+    for _, mono in formula.terms:
+        fx_bound = sum(key.l * m for key, m in mono.factors)
+        if max(fx_bound, sum(m for _, m in mono.factors)) > _LIMIT:
+            raise FormulaError(f"the expansion of {mono} leaves the {_BITS}-bit slots")
+        entries.update(mono.factors)
+    blocks = {key: expand_block(key.l, 0, key.r) for key, _ in entries}
+    keys = sorted({k for b in blocks.values() for mono in b for k, _ in mono} - {(0, 1)})
+    keys.append(VectorKey(0, 1))  # f_y's slot on top
+    slots = {key: _BITS * slot for slot, key in enumerate(keys)}
+    powers = {}  # (key, power) -> packed block^power
+    for key, power in entries:
+        block, factor = {_pack(m, slots): c for m, c in blocks[key].items()}, {0: 1}
+        for _ in range(power):
+            factor = _product(factor, block, {})
+        powers[key, power] = factor
     den = math.lcm(*[coeff.denominator for coeff, _ in formula.terms])
-    powers: dict[tuple, _Poly] = {}  # (key, power) -> expanded block power
-    acc: dict[tuple, int] = {}  # (fy_power, exponents) -> numerator over den
+    acc: dict[int, int] = {}  # by packed monomial over f_y's power
     for coeff, mono in formula.terms:
-        poly: _Poly = {(): 1}
-        for entry in mono.factors:
-            factor = powers.get(entry)
-            if factor is None:
-                key, power = entry
-                factor = _poly_pow(expand_block(key.l, 0, key.r), power)
-                powers[entry] = factor
-            poly = _poly_mul(poly, factor)
-        scale = coeff.numerator * (den // coeff.denominator)
-        for exps, value in poly.items():
-            fy_numer = dict(exps).get(VectorKey(0, 1), 0)
-            kept = tuple((k, e) for k, e in exps if k != (0, 1))
-            target = (mono.fy_power - fy_numer, kept)
-            acc[target] = acc.get(target, 0) + scale * value
-    # exponents come canonical out of merge_entries, so sorting the
-    # targets is the canonical term order
-    terms = [
-        (Fraction(value, den), ElemMonomial(kept, fy_power))
-        for (fy_power, kept), value in sorted(acc.items())
-        if value
-    ]
-    return ElemFormula(formula.n, tuple(terms))
+        poly = {mono.fy_power << slots[0, 1]: coeff.numerator * (den // coeff.denominator)}
+        factors = [powers[entry] for entry in mono.factors] or [{0: 1}]
+        for factor in factors[:-1]:
+            poly = _product(poly, factor, {})
+        _product(poly, factors[-1], acc)  # the last product adds into acc
+    # sorted by (fy_power, exponents), the canonical term order
+    terms = sorted((*_unpack(packed, keys), v) for packed, v in acc.items() if v)
+    return ElemFormula(
+        formula.n,
+        tuple((Fraction(v, den), ElemMonomial(kept, fy)) for fy, kept, v in terms),
+    )
 
 
 def elementary_formula(n: int) -> ElemFormula:

@@ -64,10 +64,8 @@ def unique_members(pairs: list) -> dict:
 def merge_entries(pairs: Iterable[tuple]) -> Entries:
     """Canonical form of (key, count) pairs: the one normalizer of the package.
 
-    Counts of equal keys are summed, keys become :class:`VectorKey`, zero
-    counts are dropped and the result is sorted by (l, r).  Negative
-    counts are kept (the oracle stores denominators as negative f_y
-    exponents); nothing is validated here.
+    Equal keys' counts are summed, keys become :class:`VectorKey`, zero counts
+    are dropped and the rest sorted by (l, r); nothing is validated here.
     """
     merged: dict[VectorKey, int] = {}
     for key, count in pairs:

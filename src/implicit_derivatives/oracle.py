@@ -9,78 +9,125 @@ by the substitution rule
 applied symbol by symbol with the product rule.  Negative powers of f_y
 make the quotient rule automatic, so the whole computation is sparse
 polynomial bookkeeping on plain dicts {monomial: coefficient}, where a
-monomial is a canonical tuple of ((p, t), exponent) pairs.  There is one
-coefficient regime: the rule multiplies by integers only, so the chain
-from y' runs on plain integers, and its coefficients become exact
-rationals once, when an order is converted to a formula.  A polynomial
-handed in with ``Fraction`` coefficients stays ``Fraction``.
+monomial is one int, a packed exponent vector (Monagan and Pearce, CASC
+2007); :func:`pack` and :func:`unpack` convert from and to the canonical
+tuples of ((p, t), exponent) pairs.  There is one coefficient regime: the
+rule multiplies by integers only, so the chain from y' runs on plain
+integers, and its coefficients become exact rationals once, when an order
+is converted to a formula.  A polynomial handed in with ``Fraction``
+coefficients stays ``Fraction``.
 
 This module deliberately shares no code with the combinatorial
 construction: it must not import the partition-family, coefficient, or
-formula-building modules.  Its output (converted to the common
-elementary container type) is the independent reference that the closed
-formulas are tested against.
+formula-building modules, and it packs monomials with its own slots.  Its
+output (converted to the common elementary container type) is the
+independent reference that the closed formulas are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import cache
+from math import isqrt
 
 from .errors import FormulaError, check_order
 from .expressions import ElemFormula, ElemMonomial
-from .keys import VectorKey, merge_entries
+from .keys import VectorKey
 
-Monomial = tuple  # sorted ((p, t), exponent) pairs; only (0, 1) may be negative
-Poly = dict  # {Monomial: non-zero int or Fraction coefficient}
+Poly = dict  # {canonical ((p, t), exponent) pairs: non-zero coefficient}
+Packed = dict  # {packed monomial: non-zero int or Fraction coefficient}
 
-_FX = VectorKey(1, 0)
-_FY = VectorKey(0, 1)
+# The exponent of f_{x^p y^t} is a balanced digit in [-128, 128) in byte slot
+# d(d+1)/2 + t, d = p + t, so low orders give short ints.  Slot width: y' is
+# -f_y^-1 f_x, a step lowers f_y's exponent by at most 2 and raises any other
+# by at most 1, so order n holds f_y^-(2n-1) at worst (-59 at HARD_CAP = 30)
+# and no other exponent above n.  Seven bits would hold [-64, 64), six only
+# [-32, 32); a byte lets ``int.to_bytes`` read all digits at once.
 
 
-def total_derivative(expr: Poly) -> Poly:
-    """Differentiate ``expr`` along x through the implicitly defined y.
+@cache
+def _key(slot: int) -> VectorKey:
+    d = (isqrt(8 * slot + 1) - 1) // 2
+    t = slot - d * (d + 1) // 2
+    return VectorKey(d - t, t)
 
-    Integer coefficients stay integers and ``Fraction`` ones ``Fraction``.
-    """
-    out: Poly = {}
 
-    def add(mono: Monomial, value: int | Fraction) -> None:
-        total = out.get(mono, 0) + value
-        if total:
-            out[mono] = total
-        elif mono in out:
-            del out[mono]
+@cache
+def _step(slot: int) -> tuple[int, int]:
+    """The packed steps f_{x^p y^t} -> f_{x^(p+1) y^t} and -> f_{x^p y^(t+1)} f_x/f_y."""
+    d, own = sum(_key(slot)), 1 << 8 * slot  # slot(p+1, t) = slot + d + 1, and so on
+    return (own << 8 * (d + 1)) - own, (own << 8 * (d + 2)) - own + (1 << 8) - (1 << 16)
 
+
+def _digits(mono: int) -> bytes:
+    """Each slot's exponent plus 128, lowest slot first."""
+    size = abs(mono).bit_length() // 8 + 1  # covers the top non-zero digit
+    return (mono + int.from_bytes(b"\x80" * size, "little")).to_bytes(size, "little")
+
+
+def pack(expr: Poly) -> Packed:
+    """The packed form of a tuple-form polynomial, exponents non-zero in [-128, 128)."""
+    out: Packed = {}
     for mono, coeff in expr.items():
-        for key, exponent in mono:
-            p, t = key
-            base = coeff * exponent
-            along_x = ((key, -1), (VectorKey(p + 1, t), +1))
-            along_y = ((key, -1), (VectorKey(p, t + 1), +1), (_FX, +1), (_FY, -1))
-            add(merge_entries(chain(mono, along_x)), base)
-            add(merge_entries(chain(mono, along_y)), -base)
+        if len(dict(mono)) < len(mono) or any(
+            p < 0 or t < 0 or not (-128 <= e < 128 and e) for (p, t), e in mono
+        ):
+            raise FormulaError(f"cannot pack the monomial {mono}")
+        out[sum(e << 8 * ((p + t) * (p + t + 1) // 2 + t) for (p, t), e in mono)] = coeff
     return out
 
 
-def first_derivative() -> Poly:
+def unpack(expr: Packed) -> Poly:
+    """The tuple form of a packed polynomial."""
+    return {
+        tuple(sorted((_key(i), d - 128) for i, d in enumerate(_digits(m)) if d != 128)): c
+        for m, c in expr.items()
+    }
+
+
+def total_derivative(expr: Packed) -> Packed:
+    """Differentiate the packed ``expr`` along x through the implicitly defined y.
+
+    Integer coefficients stay integers and ``Fraction`` ones ``Fraction``;
+    an exponent beyond +-126 raises :class:`FormulaError`.
+    """
+    out: Packed = {}
+    get = out.get
+    for mono, coeff in expr.items():
+        digits = _digits(mono)
+        if min(digits) < 2 or max(digits) > 254:
+            raise FormulaError(f"an exponent of {unpack({mono: coeff})} is beyond +-126")
+        for slot, digit in enumerate(digits):
+            if digit != 128:
+                base = coeff * (digit - 128)
+                along_x, along_y = _step(slot)
+                key = mono + along_x
+                out[key] = get(key, 0) + base
+                key = mono + along_y
+                out[key] = get(key, 0) - base
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
+def first_derivative() -> Packed:
     """y' = -f_x / f_y, the start of the chain, with the integer coefficient -1."""
-    return {((_FY, -1), (_FX, 1)): -1}
+    return {(1 << 8) - (1 << 16): -1}  # f_x in slot 1, f_y in slot 2
 
 
-def as_elementary(n: int, expr: Poly) -> ElemFormula:
+def as_elementary(n: int, expr: Packed) -> ElemFormula:
     """The order-n derivative ``expr`` of the chain as an elementary formula.
 
     Its coefficients become ``Fraction`` in ``ElemFormula.from_terms``.
     """
     terms = []
     for mono, coeff in expr.items():
-        exps = dict(mono)
-        fy_exponent = exps.pop(_FY, 0)
-        if fy_exponent >= 0 or any(e <= 0 for e in exps.values()):
-            raise FormulaError(f"oracle produced a non-elementary monomial {mono}")
-        terms.append((coeff, ElemMonomial(tuple(exps.items()), -fy_exponent)))
+        digits = _digits(mono)
+        fy_exponent = digits[2] - 128 if len(digits) > 2 else 0  # f_y is slot 2
+        exps = [(_key(i), d - 128) for i, d in enumerate(digits) if d != 128 and i != 2]
+        exps.sort()
+        if fy_exponent >= 0 or any(e < 0 for _, e in exps):
+            raise FormulaError(f"non-elementary oracle term {unpack({mono: coeff})}")
+        terms.append((coeff, ElemMonomial(tuple(exps), -fy_exponent)))
     return ElemFormula.from_terms(n, terms)
 
 

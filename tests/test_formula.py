@@ -31,7 +31,8 @@ from implicit_derivatives import (
     signed_coeff,
     specialize_fx_zero,
 )
-from implicit_derivatives.keys import merge_entries
+from implicit_derivatives.formula import _pack, _unpack
+from implicit_derivatives.keys import VectorKey, merge_entries
 
 
 def dterm(coeff, factors, fy_power):
@@ -340,6 +341,33 @@ def test_expand_delta_keeps_fractional_coefficients():
     )
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((VectorKey(0, 31), 1), (VectorKey(1, 0), 30), (VectorKey(29, 2), 30)),
+        ((VectorKey(0, 31), 31), (VectorKey(1, 0), 31)),  # the slot range
+    ],
+)
+def test_expansion_packer_round_trips_at_the_slot_bounds(entries):
+    keys = [key for key, _ in entries] + [VectorKey(0, 1)]
+    slots = {key: 5 * slot for slot, key in enumerate(keys)}
+    for fy_power in (59, 0, -59):  # f_y^-59 is the order-30 extreme
+        packed = _pack(entries + ((VectorKey(0, 1), -fy_power),), slots)
+        assert _unpack(packed, keys) == (fy_power, entries)
+
+
+@pytest.mark.parametrize("power", [31, 32, 300])
+def test_expand_delta_refuses_a_block_power_past_the_slots(power):
+    # D[1,1]^power holds f_x^power and f_xy^power; 31 is the largest a slot holds
+    mono = DeltaMonomial(((VectorKey(1, 1), power),), power + 3)
+    hand_made = DeltaFormula(2, ((Fraction(-1), mono),))
+    if power > 31:
+        with pytest.raises(FormulaError):
+            expand_delta(hand_made)
+    else:
+        assert expand_delta(hand_made) == expand_delta_reference(hand_made)
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_triple_route_equality(n):
     expanded = expand_delta(delta_formula(n))
@@ -432,34 +460,47 @@ def test_fx_zero_formula_matches_route_via_enumerate(n):
 
 
 @pytest.mark.parametrize(
-    "cls, terms",
+    "cls, n, terms",
     [
         pytest.param(
             DeltaFormula,
+            3,
             [dterm(3, {(1, 1): 1, (2, 0): 1}, 5), dterm(-1, {(3, 0): 1}, 4)],
             id="delta-swapped",
         ),
         pytest.param(
             DeltaFormula,
+            3,
             [dterm(-1, {(3, 0): 1}, 4), dterm(-1, {(3, 0): 1}, 4)],
             id="delta-duplicate",
         ),
         pytest.param(
             ElemFormula,
+            3,
             [eterm(2, {(1, 1): 1, (1, 0): 1}, 2), eterm(-1, {(2, 0): 1}, 1)],
             id="elementary-swapped",
         ),
         pytest.param(
             ElemFormula,
+            3,
             [eterm(-1, {(2, 0): 1}, 1), eterm(-1, {(2, 0): 1}, 1)],
             id="elementary-duplicate",
         ),
+        # the value types hold n to the order policy
+        *[
+            pytest.param(DeltaFormula, n, [dterm(-1, {(3, 0): 1}, 4)], id=f"delta-order-{n}")
+            for n in ("x", -3, 1)
+        ],
+        *[
+            pytest.param(ElemFormula, n, [eterm(-1, {(2, 0): 1}, 1)], id=f"elementary-order-{n}")
+            for n in (0, 31)
+        ],
     ],
 )
-def test_formula_constructor_rejects_non_canonical_terms(cls, terms):
+def test_formula_constructor_rejects_non_canonical_terms(cls, n, terms):
     # the direct builders rely on this guard for their term order
     with pytest.raises(FormulaError):
-        cls(3, tuple(terms))
+        cls(n, tuple(terms))
     assert cls.from_terms(3, terms[:1]).terms == tuple(terms[:1])
 
 

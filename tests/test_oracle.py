@@ -21,10 +21,16 @@ from implicit_derivatives import (
     total_derivative,
 )
 from implicit_derivatives.keys import merge_entries
-from implicit_derivatives.oracle import as_elementary, first_derivative
+from implicit_derivatives.oracle import as_elementary, first_derivative, pack, unpack
 
 # polynomials are plain {monomial: coefficient} dicts; a monomial is a
-# sorted tuple of ((p, t), exponent) pairs, f_y's exponent may be negative
+# sorted tuple of ((p, t), exponent) pairs, f_y's exponent may be negative;
+# the chain takes and returns them packed, so the tests convert
+
+
+def step(expr):
+    """``total_derivative`` in the tuple form."""
+    return unpack(total_derivative(pack(expr)))
 
 
 def add(a, b):
@@ -41,13 +47,13 @@ def scale(c, a):
 
 
 def test_total_derivative_of_constant_is_zero():
-    assert total_derivative({(): 1}) == {}
-    assert total_derivative({}) == {}
+    assert step({(): 1}) == {}
+    assert step({}) == {}
 
 
 def test_total_derivative_of_fy():
     # d/dx f_y = f_xy - f_yy f_x / f_y
-    got = total_derivative({(((0, 1), 1),): 1})
+    got = step({(((0, 1), 1),): 1})
     expected = {
         (((1, 1), 1),): 1,
         (((0, 1), -1), ((0, 2), 1), ((1, 0), 1)): -1,
@@ -57,8 +63,8 @@ def test_total_derivative_of_fy():
 
 def test_total_derivative_of_first_derivative_gives_eq_one():
     start = {(((0, 1), -1), ((1, 0), 1)): -1}
-    assert first_derivative() == start
-    got = total_derivative(start)
+    assert unpack(first_derivative()) == start
+    got = step(start)
     expected = {
         (((0, 1), -1), ((2, 0), 1)): -1,
         (((0, 1), -2), ((1, 0), 1), ((1, 1), 1)): 2,
@@ -79,15 +85,15 @@ def test_total_derivative_of_first_derivative_gives_eq_one():
 def test_total_derivative_is_linear(c, exponents):
     e1 = {merge_entries(((p, t), e) for p, t, e in exponents): Fraction(3, 2)}
     e2 = {(((1, 1), 1),): 1, (((0, 2), 2),): 1}
-    lhs = total_derivative(add(scale(c, e1), e2))
-    rhs = add(scale(c, total_derivative(e1)), total_derivative(e2))
+    lhs = step(add(scale(c, e1), e2))
+    rhs = add(scale(c, step(e1)), step(e2))
     assert lhs == rhs
 
 
 def test_total_derivative_keeps_fractions():
     start = {(((0, 1), -2), ((2, 1), 1)): Fraction(3, 2)}
     for _ in range(2):
-        start = total_derivative(start)
+        start = step(start)
         assert start
         assert all(type(c) is Fraction for c in start.values())
 
@@ -99,6 +105,43 @@ def test_carried_chain_is_integer_and_matches_oracle():
         formula = as_elementary(n, chain)
         assert formula == oracle_formula(n) == elementary_formula(n)
         chain = total_derivative(chain)
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [
+        (((0, 1), -59), ((0, 31), 1), ((1, 0), 30)),  # the order-30 extremes
+        (((0, 0), -2), ((2, 29), 30), ((31, 0), -1)),
+        (((0, 1), -128), ((7, 3), 127)),  # the slot range
+    ],
+)
+def test_pack_round_trips_at_the_slot_bounds(mono):
+    assert unpack(pack({mono: 3})) == {mono: 3}
+
+
+@pytest.mark.parametrize("exponent", [128, -129])
+def test_pack_refuses_an_exponent_past_the_slot_range(exponent):
+    with pytest.raises(FormulaError):
+        pack({(((0, 1), -1), ((4, 4), exponent)): 1})
+
+
+@pytest.mark.parametrize("e", [-1, -59, -126])
+def test_total_derivative_at_the_slot_bound(e):
+    # d/dx f_y^e f_x = (e-1) f_y^(e-1) f_x f_xy - e f_y^(e-2) f_x^2 f_yy + f_y^e f_xx
+    expected = {
+        (((0, 1), e - 1), ((1, 0), 1), ((1, 1), 1)): e - 1,
+        (((0, 1), e - 2), ((0, 2), 1), ((1, 0), 2)): -e,
+        (((0, 1), e), ((2, 0), 1)): 1,
+    }
+    assert step({(((0, 1), e), ((1, 0), 1)): 1}) == expected
+
+
+@pytest.mark.parametrize(
+    "mono", [(((0, 1), -127), ((1, 0), 1)), (((0, 1), -1), ((1, 0), 127))]
+)
+def test_total_derivative_refuses_a_step_past_the_slot_range(mono):
+    with pytest.raises(FormulaError):
+        step({mono: 1})
 
 
 @pytest.mark.parametrize("n", [1, 5])
