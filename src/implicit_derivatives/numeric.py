@@ -3,7 +3,9 @@
 A jet records the values of all partials f_{x^p y^t} of f at a base
 point up to a total order, in one of two scalar kinds: exact rationals
 or binary64 floats.  Formulas evaluate to a scalar of the jet's kind,
-so rational jets give exact results.
+so rational jets give exact results.  Exact evaluation normalizes only
+the block values and the total; each term stays an unreduced integer
+pair until its value is first read from the report.
 
 The module also ships a few built-in implicit-function problems with
 known solutions, a Newton solver plus central finite differences for
@@ -19,9 +21,9 @@ import math
 import random
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .errors import (
@@ -48,17 +50,19 @@ FD_MAX_ORDER = 4
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 50
 #: Neighbouring terms summed over one lcm before the pairwise merges of
-#: the exact total (:func:`_exact_total`).  The sum alone in ms, per pass
-#: of block formulas 8..14 (best of 9, Python 3.11.7, 2-CPU shared host):
+#: the exact total (:func:`_exact_total`).  The sum alone in ms over the
+#: unreduced term pairs, per pass of block formulas 8..14 (best of 9,
+#: lowest of three sweeps, Python 3.11.7, 2-CPU shared host):
 #:
 #:   run length       1     4     8    16    32   one running lcm
-#:   32-bit entries  95    76    87   107   118   386
-#:   small entries   21   9.7   5.8   7.1   5.2   5.2
-#:   verify shift   160    67    51    43    37    34   (2 100 small sums)
+#:   32-bit entries  90    77    98   113   152   473
+#:   small entries   16   8.7   6.8   5.5   4.8   4.4
+#:   verify shift   140    49    44    38    31    23   (2 100 small sums)
 #:
 #: Short runs pay Python overhead on small sums and long runs widen the
-#: wide ones.  8 is near the best on wide entries and adds about 17 ms to
-#: a verify pass of about 1.8 s.
+#: wide ones.  4 sums the wide pairs fastest, but over whole evaluations
+#: the eval benchmark's op_p50_ms and op_p90_ms read 6-7% higher with it
+#: than with 8 (6 alternating pairs, wall_s unchanged), so 8 stays.
 SUM_RUN = 8
 
 
@@ -224,15 +228,28 @@ def eval_delta_block(jet: Jet, l: int, r: int):
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Evaluation outcome: the value, per-term contributions, optional targets."""
+    """Evaluation outcome: the value, per-term contributions, optional targets.
+
+    ``_terms`` holds each term as :func:`eval_formula` left it: the float
+    itself on a float jet, an unreduced ``(numerator, denominator)``
+    integer pair on a rational jet (the denominator of either sign).  It
+    is kept out of ``repr`` but compared, so two reports whose term values
+    differ compare unequal.  :attr:`term_values` normalizes the pairs on
+    its first read only, as most callers read just ``value``.
+    """
 
     n: int
     value: object
-    term_values: tuple
+    _terms: tuple = field(repr=False)
     analytic: object = None
     fd: float | None = None
     rel_error_analytic: float | None = None
     rel_error_fd: float | None = None
+
+    @cached_property
+    def term_values(self) -> tuple:
+        """Each term's value in term order: a normalized Fraction or the float."""
+        return tuple(t if type(t) is float else Fraction(*t) for t in self._terms)
 
 
 def relative_error(value, target) -> float:
@@ -241,23 +258,24 @@ def relative_error(value, target) -> float:
     return abs(v - t) / max(1.0, abs(t))
 
 
-def _exact_total(values: list) -> Fraction:
-    """Sum of ``values`` as one normalized Fraction, by pairwise merges.
+def _exact_total(pairs: list) -> Fraction:
+    """Sum of unreduced ``(numerator, denominator)`` pairs as one normalized Fraction.
 
-    Each run of :data:`SUM_RUN` neighbouring values is one integer sum
-    over the run's lcm.  Neighbouring partial sums p1/q1 and p2/q2 are
-    then merged level by level, as in a product tree, into one sum over
-    q1/g * q2 with g = gcd(q1, q2), so each denominator is the lcm of its
-    own subtree's; only the last sum is normalized.  Neighbours in
-    canonical term order share most of their factors, so the denominators
-    stay narrow until the top levels, where one running lcm over all the
-    values would be wide from its first few terms on.
+    Each run of :data:`SUM_RUN` neighbouring pairs is one integer sum over
+    the run's lcm (positive, whatever the denominators' signs).
+    Neighbouring partial sums p1/q1 and p2/q2 are then merged level by
+    level, as in a product tree, into one sum over q1/g * q2 with
+    g = gcd(q1, q2), so each denominator is the lcm of its own subtree's;
+    only the last sum is normalized.  Neighbours in canonical term order
+    share most of their factors, so the denominators stay narrow until the
+    top levels, where one running lcm over all the pairs would be wide
+    from its first few terms on.
     """
     parts = []
-    for start in range(0, len(values), SUM_RUN):
-        run = values[start : start + SUM_RUN]
-        den = math.lcm(*[v.denominator for v in run])
-        parts.append((sum(v.numerator * (den // v.denominator) for v in run), den))
+    for start in range(0, len(pairs), SUM_RUN):
+        run = pairs[start : start + SUM_RUN]
+        den = math.lcm(*[q for _, q in run])
+        parts.append((sum(p * (den // q) for p, q in run), den))
     while len(parts) > 1:
         merged = []
         for (p1, q1), (p2, q2) in zip(parts[::2], parts[1::2]):
@@ -276,9 +294,10 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
 
     Each distinct block D[l,r] (or partial, for the expanded shape) and
     each factor power, f_y power included, is computed once per call.  On
-    rational jets a term is built from integer numerators and denominators
-    and normalized once, and the total is summed by pairwise merges in
-    term order (:func:`_exact_total`) and normalized once.  On float jets
+    rational jets a term is an unreduced pair of integer products, the
+    total is summed from the pairs by pairwise merges in term order
+    (:func:`_exact_total`) and normalized once, and no term is normalized
+    unless :attr:`EvalReport.term_values` is read.  On float jets
     the operations and their order are those of the plain per-factor
     product, so every float is bit-identical to it.
     """
@@ -323,7 +342,7 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
                 fy_power = fy_powers.get(q)
                 if fy_power is None:
                     fy_power = fy_powers[q] = (fy.denominator**q, fy.numerator**q)
-                value = Fraction(num * fy_power[0], den * fy_power[1])
+                value = (num * fy_power[0], den * fy_power[1])
             else:
                 value = float(coeff * num / fy**q)
             contributions.append(value)
@@ -332,7 +351,7 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     total = _exact_total(contributions) if exact else sum(contributions, 0.0)
     if not exact and not math.isfinite(total):
         raise JetError(f"float evaluation is not finite: {total!r}")
-    return EvalReport(n=formula.n, value=total, term_values=tuple(contributions))
+    return EvalReport(n=formula.n, value=total, _terms=tuple(contributions))
 
 
 def shift_jet(jet: Jet, n: int) -> Jet:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
 
@@ -310,20 +311,28 @@ _boundaries = [k * SUM_RUN + d for k in range(4) for d in (-1, 0, 1)]
 _lengths = st.sampled_from(
     [m for m in _boundaries if 0 <= m <= 3 * SUM_RUN]
 ) | st.integers(0, 3 * SUM_RUN)
-_fractions = st.builds(
-    Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**40)
-) | st.fractions(max_denominator=12)
+_nonzero = (st.integers(-(2**40), 2**40) | st.integers(-12, 12)).filter(bool)
+# unreduced pairs as eval_formula leaves them: a common factor k >= 2 in
+# both parts, numerators and denominators of either sign
+_pairs = st.builds(
+    lambda p, q, k: (p * k, q * k),
+    st.integers(-(2**40), 2**40) | st.integers(-12, 12),
+    _nonzero,
+    st.integers(2, 2**20) | st.integers(2, 6),
+)
 
 
 @given(data=st.data(), length=_lengths, cancel=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_merged_total_is_the_fraction_sum(data, length, cancel):
-    values = data.draw(st.lists(_fractions, min_size=length, max_size=length))
-    if cancel and values:
-        values[-1] = -sum(values[:-1], Fraction(0))  # the sum cancels to 0
-    total = _exact_total(values)
+    pairs = data.draw(st.lists(_pairs, min_size=length, max_size=length))
+    if cancel and pairs:
+        rest = sum((Fraction(p, q) for p, q in pairs[:-1]), Fraction(0))
+        k = data.draw(st.integers(2, 2**20))
+        pairs[-1] = (-rest.numerator * k, rest.denominator * k)  # the sum cancels to 0
+    total = _exact_total(pairs)
     assert type(total) is Fraction
-    assert total == sum(values, Fraction(0))
+    assert total == sum((Fraction(p, q) for p, q in pairs), Fraction(0))
     if cancel:
         assert total == 0
 
@@ -391,17 +400,20 @@ def per_factor_reference(formula, jet):
 )
 def test_eval_matches_the_per_factor_product_bit_for_bit(build, n):
     formula = build(n)
-    jet = random_rational_jet(n, seed=700 + n)
-    # -f has the same solution; one of the two jets has a negative f_y
-    negated = Jet(jet.x0, jet.y0, n, {key: -v for key, v in jet.partials.items()})
-    for case in (jet, float_copy(jet), negated, float_copy(negated)):
-        report = eval_formula(formula, case)
-        value, terms = per_factor_reference(formula, case)
-        assert type(report.value) is type(value)
-        assert [type(t) for t in report.term_values] == [type(t) for t in terms]
-        # repr tells floats apart bit for bit (0.0 from -0.0 too)
-        assert repr(report.value) == repr(value)
-        assert repr(report.term_values) == repr(terms)
+    jets = [random_rational_jet(n, seed=700 + n)]
+    if build is delta_formula:
+        # 32-bit entries: the unreduced term pairs carry wide common factors
+        jets.append(wide_rational_jet(n, seed=720 + n))
+    for jet in jets:
+        # -f has the same solution; one of the two jets has a negative f_y
+        for case in (jet, float_copy(jet), negated(jet), float_copy(negated(jet))):
+            report = eval_formula(formula, case)
+            value, terms = per_factor_reference(formula, case)
+            assert type(report.value) is type(value)
+            assert [type(t) for t in report.term_values] == [type(t) for t in terms]
+            # repr tells floats apart bit for bit (0.0 from -0.0 too)
+            assert repr(report.value) == repr(value)
+            assert repr(report.term_values) == repr(terms)
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -419,6 +431,52 @@ def test_each_block_is_computed_once_per_call(monkeypatch, n):
     eval_formula(formula, random_rational_jet(n, seed=n))
     distinct = {(key.l, key.r) for _, mono in formula.terms for key, _ in mono.factors}
     assert sorted(calls) == sorted(distinct)
+
+
+def test_exact_eval_normalizes_only_the_blocks_and_the_total(monkeypatch):
+    import implicit_derivatives.numeric as numeric
+
+    formula = delta_formula(12)
+    jet = random_rational_jet(12, seed=1212)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(numeric, "Fraction", counted)
+    report = eval_formula(formula, jet)
+    monkeypatch.undo()
+    distinct = {key for _, mono in formula.terms for key, _ in mono.factors}
+    assert len(formula.terms) == 949
+    assert len(built) <= len(distinct) + 1
+    # the terms read afterwards are the normalized ones
+    assert report.term_values == per_factor_reference(formula, jet)[1]
+
+
+def test_term_values_are_read_once_and_survive_replace():
+    jet = wide_rational_jet(8, seed=808)
+    report = eval_formula(delta_formula(8), jet)
+    text = repr(report)
+    assert "_terms" not in text
+    assert not any(str(p) in text for p, _ in report._terms)  # no raw pairs
+    first = report.term_values
+    assert report.term_values is first
+    assert all(type(t) is Fraction for t in first)
+    assert repr(report) == text
+    targeted = replace(report, analytic=Fraction(1, 3))
+    assert targeted.term_values == first
+    assert targeted != report
+    assert eval_formula(delta_formula(8), jet) == report
+
+
+def test_reports_with_different_terms_compare_unequal():
+    jet = random_rational_jet(5, seed=505)
+    delta = eval_formula(delta_formula(5), jet)
+    expanded = eval_formula(elementary_formula(5), jet)
+    assert delta.value == expanded.value
+    assert delta.term_values != expanded.term_values
+    assert delta != expanded
 
 
 def test_eval_rejects_inverse_form_and_short_jets():
