@@ -299,7 +299,8 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     (:func:`_exact_total`) and normalized once, and no term is normalized
     unless :attr:`EvalReport.term_values` is read.  On float jets
     the operations and their order are those of the plain per-factor
-    product, so every float is bit-identical to it.
+    product, so every float is bit-identical to it, and the float total
+    is their plain left-to-right sum on every Python version.
     """
     if isinstance(formula, ElemFormula) and formula.form == "inverse":
         raise DomainError("inverse-function formulas are not evaluated on jets")
@@ -348,7 +349,13 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
             contributions.append(value)
     except (OverflowError, ZeroDivisionError) as exc:  # f_y powers out of range
         raise JetError(f"float evaluation out of range: {exc}") from exc
-    total = _exact_total(contributions) if exact else sum(contributions, 0.0)
+    if exact:
+        total = _exact_total(contributions)
+    else:
+        # left to right: the builtin sum compensates floats since Python 3.12
+        total = 0.0
+        for term in contributions:
+            total += term
     if not exact and not math.isfinite(total):
         raise JetError(f"float evaluation is not finite: {total!r}")
     return EvalReport(n=formula.n, value=total, _terms=tuple(contributions))

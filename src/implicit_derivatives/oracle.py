@@ -13,15 +13,19 @@ monomial is one int, a packed exponent vector (Monagan and Pearce, CASC
 2007); :func:`pack` and :func:`unpack` convert from and to the canonical
 tuples of ((p, t), exponent) pairs.  There is one coefficient regime: the
 rule multiplies by integers only, so the chain from y' runs on plain
-integers, and its coefficients become exact rationals once, when an order
+integers, and its coefficients become exact rationals only when an order
 is converted to a formula.  A polynomial handed in with ``Fraction``
 coefficients stays ``Fraction``.
 
 This module deliberately shares no code with the combinatorial
 construction: it must not import the partition-family, coefficient, or
 formula-building modules, and it packs monomials with its own slots.  Its
-output (converted to the common elementary container type) is the
-independent reference that the closed formulas are tested against.
+chain is the independent reference that the closed formulas are tested
+against: :func:`pack_formula` brings a built expanded formula into the
+chain's packed form, f_y at its negative exponent, where the two compare
+as plain dicts; :func:`as_elementary` converts an order of the chain to
+the common elementary container type, which :func:`formulas_equal`
+compares and diffs.
 """
 
 from __future__ import annotations
@@ -66,15 +70,31 @@ def _digits(mono: int) -> bytes:
     return (mono + int.from_bytes(b"\x80" * size, "little")).to_bytes(size, "little")
 
 
+def _packed(mono) -> int:
+    if len(dict(mono)) < len(mono) or any(
+        p < 0 or t < 0 or not (-128 <= e < 128 and e) for (p, t), e in mono
+    ):
+        raise FormulaError(f"cannot pack the monomial {mono}")
+    return sum(e << 8 * ((p + t) * (p + t + 1) // 2 + t) for (p, t), e in mono)
+
+
 def pack(expr: Poly) -> Packed:
     """The packed form of a tuple-form polynomial, exponents non-zero in [-128, 128)."""
+    return {_packed(mono): coeff for mono, coeff in expr.items()}
+
+
+def pack_formula(formula: ElemFormula) -> Packed:
+    """The packed form of an elementary formula, f_y at its negative exponent.
+
+    It equals the chain's order ``formula.n`` exactly when the formula
+    equals that order's :func:`as_elementary`; an integral coefficient is
+    packed as an ``int``, so the dicts compare like the chain's integers.
+    """
     out: Packed = {}
-    for mono, coeff in expr.items():
-        if len(dict(mono)) < len(mono) or any(
-            p < 0 or t < 0 or not (-128 <= e < 128 and e) for (p, t), e in mono
-        ):
-            raise FormulaError(f"cannot pack the monomial {mono}")
-        out[sum(e << 8 * ((p + t) * (p + t + 1) // 2 + t) for (p, t), e in mono)] = coeff
+    for coeff, mono in formula.terms:
+        fy = mono.fy_power
+        key = _packed(mono.exponents + (((0, 1), -fy),) if fy else mono.exponents)
+        out[key] = coeff.numerator if coeff.denominator == 1 else coeff
     return out
 
 
@@ -152,9 +172,16 @@ class FormulaDiff:
 
 
 def formulas_equal(a: ElemFormula, b: ElemFormula) -> FormulaDiff:
-    """Exact equality as maps monomial -> coefficient, with a difference report."""
+    """Exact equality as maps monomial -> coefficient, with a difference report.
+
+    Canonical term tuples are equal exactly when the maps are, so equal
+    formulas are recognized from their terms alone; only unequal ones are
+    diffed, monomial by monomial in canonical order.
+    """
     if not (isinstance(a, ElemFormula) and isinstance(b, ElemFormula)):
         raise FormulaError("formulas_equal compares expanded formulas only")
+    if a.n == b.n and a.terms == b.terms:
+        return FormulaDiff(True, ())
     problems: list[str] = []
     if a.n != b.n:
         problems.append(f"orders differ: {a.n} vs {b.n}")

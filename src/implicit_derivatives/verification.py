@@ -8,7 +8,11 @@ the mathematics:
   recursion-built formula reproduce the direct construction.
 * ``oracle``: block expansion, the direct expanded form, and the
   brute-force differentiation oracle agree exactly, order by order; the
-  oracle differentiates one integer chain from y' once per order.
+  oracle differentiates one integer chain from y' once per order, and
+  the expanded form is compared with it in the oracle's packed form
+  (:func:`~implicit_derivatives.oracle.pack_formula`), converted to an
+  elementary formula only for the failure text of an order that
+  disagrees.
 * ``johnson``: the refinement sums collapse to single binomials for
   every family-B element and every admissible split; one call of
   :func:`~implicit_derivatives.coeffs.zgamma_sum` per element gives the
@@ -42,7 +46,13 @@ from .formula import (
     specialize_fx_zero,
 )
 from .numeric import eval_formula, random_rational_jet, shift_jet
-from .oracle import as_elementary, first_derivative, formulas_equal, total_derivative
+from .oracle import (
+    as_elementary,
+    first_derivative,
+    formulas_equal,
+    pack_formula,
+    total_derivative,
+)
 from .partitions import Multiplicities, enumerate_B, predecessor_records
 
 JETS_PER_ORDER = 50
@@ -102,7 +112,8 @@ def oracle_suite(
 ) -> list[CheckReport]:
     """Triple agreement of expansion, direct expanded form, and the oracle.
 
-    The oracle's chain is carried forward, one differentiation per order.
+    The oracle's chain is carried forward, one differentiation per order,
+    and compared in its packed form with the packed expanded form.
     """
     if formulas is None:
         formulas = FormulaTable()
@@ -111,15 +122,16 @@ def oracle_suite(
     for n in range(1, max_n + 1):
         report = CheckReport(f"forms agree at order {n}")
         elementary = formulas.elementary(n)
-        diff = formulas_equal(elementary, as_elementary(n, chain))
+        report.record(
+            pack_formula(elementary) == chain,
+            lambda: f"expanded form vs oracle at {n}: "
+            + "; ".join(
+                formulas_equal(elementary, as_elementary(n, chain)).differences[:3]
+            ),
+        )
         # advance before the expansion, and drop the chain at max_n: the
         # expression held through expand_delta would raise peak memory
         chain = total_derivative(chain) if n < max_n else None
-        report.record(
-            diff.equal,
-            lambda: f"expanded form vs oracle at {n}: "
-            + "; ".join(diff.differences[:3]),
-        )
         if n >= 2:
             diff = formulas_equal(expand_delta(formulas.delta(n)), elementary)
             report.record(

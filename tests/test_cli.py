@@ -357,8 +357,23 @@ def test_eval_parse_error_exits_five(capsys, tmp_path):
             "eval --problem lambert 10 --kind float",
             "2340c5b5e1554a95b5ca96a3ad3180b796b2fa199e49eb0f8b364d1f7dcc1440",
         ),
+        # the float total is the left-to-right sum on every Python version
+        (
+            "--cap 20 eval --problem lambert 16 --kind float",
+            "acf8b3791bf3c7d67870454a0b6872334c1df2f974caca27a017b7dbbcb47f1c",
+        ),
+        (
+            "--cap 20 eval --problem lambert 20 --kind float",
+            "5e45cdcb108da4b36fef56179a2d770ea237229483bb04fed41475f5b28cb133",
+        ),
     ],
-    ids=["circle-12", "cubic-10", "lambert-10-float"],
+    ids=[
+        "circle-12",
+        "cubic-10",
+        "lambert-10-float",
+        "lambert-16-float",
+        "lambert-20-float",
+    ],
 )
 def test_eval_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())

@@ -389,8 +389,34 @@ def per_factor_reference(formula, jet):
                 product *= jet.partials[(key.l, key.r)] ** power
         value = coeff * product / jet.fy**mono.fy_power
         contributions.append(float(value) if jet.kind == "float" else value)
-    total = sum(contributions, Fraction(0) if jet.kind == "rational" else 0.0)
-    return total, tuple(contributions)
+    if jet.kind == "rational":
+        return sum(contributions, Fraction(0)), tuple(contributions)
+    return left_to_right(contributions), tuple(contributions)
+
+
+def left_to_right(values):
+    """The plain float sum in order; the builtin compensates since Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 20])
+def test_float_total_is_the_left_to_right_sum_of_the_terms(n):
+    formula = delta_formula(n)
+    jets = [builtin_problem("lambert").jet(n, "float")]
+    jets += [float_copy(random_rational_jet(n, seed=900 + 10 * n + i)) for i in range(3)]
+    for jet in jets:
+        report = eval_formula(formula, jet)
+        assert repr(report.value) == repr(left_to_right(report.term_values))
+
+
+def test_float_total_is_not_the_correctly_rounded_sum():
+    # lambert at order 10 tells the plain sum from a compensated one
+    report = eval_formula(delta_formula(10), builtin_problem("lambert").jet(10, "float"))
+    assert report.value == left_to_right(report.term_values) == -1.373817777594587
+    assert math.fsum(report.term_values) == -1.3738177775945652
 
 
 @pytest.mark.parametrize(

@@ -12,16 +12,26 @@ import implicit_derivatives.oracle
 from implicit_derivatives import (
     CapError,
     DomainError,
+    ElemFormula,
+    ElemMonomial,
     FormulaError,
     Multiplicities,
     delta_formula,
     elementary_formula,
+    expand_delta,
     formulas_equal,
     oracle_formula,
     total_derivative,
 )
 from implicit_derivatives.keys import merge_entries
-from implicit_derivatives.oracle import as_elementary, first_derivative, pack, unpack
+from implicit_derivatives.oracle import (
+    FormulaDiff,
+    as_elementary,
+    first_derivative,
+    pack,
+    pack_formula,
+    unpack,
+)
 
 # polynomials are plain {monomial: coefficient} dicts; a monomial is a
 # sorted tuple of ((p, t), exponent) pairs, f_y's exponent may be negative;
@@ -102,8 +112,11 @@ def test_carried_chain_is_integer_and_matches_oracle():
     chain = first_derivative()
     for n in range(1, 11):
         assert all(type(c) is int for c in chain.values())
-        formula = as_elementary(n, chain)
-        assert formula == oracle_formula(n) == elementary_formula(n)
+        built = elementary_formula(n)
+        assert as_elementary(n, chain) == oracle_formula(n) == built
+        # packed, the built formula is the chain, integer coefficients included
+        packed = pack_formula(built)
+        assert packed == chain and all(type(c) is int for c in packed.values())
         chain = total_derivative(chain)
 
 
@@ -170,8 +183,65 @@ def test_formulas_equal_detects_differences():
     diff = formulas_equal(elementary_formula(3), elementary_formula(2))
     assert not diff
     assert any("orders differ" in line for line in diff.differences)
+    # equal terms under another order are not equal formulas
+    fourth = elementary_formula(4)
+    relabelled = formulas_equal(ElemFormula(5, fourth.terms), fourth)
+    assert relabelled == FormulaDiff(False, ("orders differ: 5 vs 4",))
     with pytest.raises(FormulaError):
         formulas_equal(delta_formula(3), elementary_formula(3))
+
+
+def sorted_diff(a, b):
+    """``formulas_equal`` without its fast path: every monomial of either, sorted."""
+    problems = [f"orders differ: {a.n} vs {b.n}"] if a.n != b.n else []
+    left, right = a.as_dict(), b.as_dict()
+    for mono in sorted(set(left) | set(right), key=lambda m: (m.fy_power, m.exponents)):
+        if left.get(mono) != right.get(mono):
+            problems.append(f"monomial {mono}: {left.get(mono)} vs {right.get(mono)}")
+    return FormulaDiff(not problems, tuple(problems))
+
+
+def test_formulas_equal_fast_path_builds_no_maps(monkeypatch):
+    built, expanded = oracle_formula(6), expand_delta(delta_formula(6))
+
+    def refuse(self):
+        raise AssertionError("equal formulas compared as maps")
+
+    monkeypatch.setattr(ElemFormula, "as_dict", refuse)
+    assert formulas_equal(elementary_formula(6), built) == FormulaDiff(True, ())
+    assert formulas_equal(expanded, built) == FormulaDiff(True, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    other_n=st.integers(1, 6),
+    data=st.data(),
+)
+def test_formulas_equal_reports_the_sorted_diff(n, other_n, data):
+    a = elementary_formula(n)
+    # an edited copy: terms dropped or rescaled, possibly under another order
+    terms = []
+    for coeff, mono in a.terms:
+        edit = data.draw(st.sampled_from(["keep", "keep", "drop", "scale"]))
+        if edit != "drop":
+            terms.append((coeff * (-2 if edit == "scale" else 1), mono))
+    b = ElemFormula.from_terms(data.draw(st.sampled_from([n, other_n])), terms)
+    for left, right in ((a, b), (b, a)):
+        assert formulas_equal(left, right) == sorted_diff(left, right)
+
+
+def test_pack_formula_keeps_f_y_as_its_negative_exponent():
+    mono = ElemMonomial((((2, 0), 1),), 3)
+    no_fy = ElemMonomial((((1, 1), 2),), 0)
+    formula = ElemFormula(2, ((Fraction(1, 2), no_fy), (Fraction(-4), mono)))
+    assert unpack(pack_formula(formula)) == {
+        (((1, 1), 2),): Fraction(1, 2),
+        (((0, 1), -3), ((2, 0), 1)): -4,
+    }
+    too_deep = ElemFormula(2, ((Fraction(1), ElemMonomial((((2, 0), 1),), 129)),))
+    with pytest.raises(FormulaError):
+        pack_formula(too_deep)
 
 
 def test_oracle_rejects_bad_orders():

@@ -9,6 +9,7 @@ from implicit_derivatives import (
     coeff_C,
     coeffs,
     delta_formula,
+    elementary_formula,
     enumerate_A,
     enumerate_B,
     eval_formula,
@@ -18,9 +19,11 @@ from implicit_derivatives import (
     partitions,
     random_rational_jet,
     signed_coeff,
+    total_derivative,
     verification,
     verify_C_recursion,
 )
+from implicit_derivatives.oracle import as_elementary, first_derivative
 
 
 def test_passing_checks_format_no_text(monkeypatch):
@@ -115,6 +118,48 @@ def test_oracle_suite_failure_text(monkeypatch, n):
         f"block expansion vs expanded form at {n}: "
         + "; ".join(expansion.differences[:3]),
     ]
+
+
+def test_oracle_suite_matches_the_elementary_reference():
+    # the reference converts every order of the chain and diffs it as maps
+    expected = []
+    chain = first_derivative()
+    for n in range(1, 11):
+        elementary = elementary_formula(n)
+        verdict = formulas_equal(elementary, as_elementary(n, chain)).equal
+        if n >= 2:
+            expansion = formulas_equal(expand_delta(delta_formula(n)), elementary)
+            verdict = verdict and expansion.equal
+        expected.append((f"forms agree at order {n}", 1 if n == 1 else 2, verdict))
+        chain = total_derivative(chain)
+    reports = verification.oracle_suite(10)
+    assert [(r.name, r.checked, r.passed) for r in reports] == expected
+
+
+def corrupted(expr):
+    """The chain's next order with its first monomial dropped and its last doubled."""
+    out = total_derivative(expr)
+    first, *_, last = out
+    del out[first]
+    out[last] *= 2
+    return out
+
+
+@pytest.mark.parametrize("max_n", [2, 6])
+def test_oracle_suite_failure_text_on_a_corrupted_chain(monkeypatch, max_n):
+    monkeypatch.setattr(verification, "total_derivative", corrupted)
+    reports = verification.oracle_suite(max_n)
+    assert reports[0].passed
+    chain = first_derivative()
+    for n, report in enumerate(reports[1:], start=2):
+        chain = corrupted(chain)
+        diff = formulas_equal(elementary_formula(n), as_elementary(n, chain))
+        assert any(line.endswith(" vs None") for line in diff.differences)
+        assert not all(line.endswith(" vs None") for line in diff.differences)
+        assert report.checked == 2
+        assert report.failures == [
+            f"expanded form vs oracle at {n}: " + "; ".join(diff.differences[:3])
+        ]
 
 
 def test_recursion_suite_walks_each_order_once(monkeypatch):
