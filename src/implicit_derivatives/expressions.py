@@ -75,7 +75,14 @@ class ElemMonomial:
 def _collect(terms, sort_key):
     bag: dict = {}
     for coeff, mono in terms:
-        c = Fraction(coeff)
+        # the one coefficient rule: exact values only, so no float, bool or
+        # text is read as a rational on the way in
+        if coeff.__class__ is int:
+            c = Fraction(coeff)
+        elif isinstance(coeff, Fraction):
+            c = coeff
+        else:
+            raise FormulaError(f"a coefficient must be an int or a Fraction, got {coeff!r}")
         if mono in bag:
             bag[mono] += c
         else:

@@ -42,15 +42,23 @@ def _family_terms(n: int, monomial, fy_offset: int, family_a: bool) -> tuple:
     An element with count sum ``total`` has sum l * m = n and
     sum r * m = total - 1, so its coefficient is (-1)^total times the box
     count of those sums; its monomial has the element's entries over
-    f_y^(fy_offset + total).  The family comes sorted by (total, entries),
-    which is the monomials' canonical order.
+    f_y^(fy_offset + total).  The family comes grouped by ascending total,
+    each group in entry order, which is the monomials' canonical order;
+    the sign and the f_y power are set once per group.  Terms with equal
+    coefficients share one ``Fraction``, through a table this call drops.
     """
     weights: dict = {}  # (key, count) -> box weight, filled by this call
+    shared: dict[int, Fraction] = {}  # signed value -> its one Fraction
     terms = []
-    for total, entries in _family(n, family_a):
-        value = _balls_in_boxes(entries, n, total - 1, weights)
-        coeff = Fraction(-value if total % 2 else value)
-        terms.append((coeff, monomial(entries, fy_offset + total)))
+    for total, group in _family(n, family_a):
+        sign = -1 if total % 2 else 1
+        fy_power = fy_offset + total
+        for entries in group:
+            value = sign * _balls_in_boxes(entries, n, total - 1, weights)
+            coeff = shared.get(value)
+            if coeff is None:
+                coeff = shared[value] = Fraction(value)
+            terms.append((coeff, monomial(entries, fy_power)))
     return tuple(terms)
 
 

@@ -29,7 +29,10 @@ order.  A liveness table, built backwards over the keys like an
 unbounded knapsack, holds for every key index and weight the set of
 x-sums the later keys can still complete, so the walk only enters states
 with at least one completion, and it builds the completions of each
-state once per call.  Counting needs no walk: the family sizes by
+state once per call.  The walk hands the family over grouped by stratum,
+totals ascending and each group in lexicographic entry order, so a
+consumer sets up whatever depends on the stratum alone (the sign, the
+f_y power) once per group.  Counting needs no walk: the family sizes by
 stratum are coefficients of prod 1/(1 - x^l z^(l+r-1) u) over the keys
 with l + r >= 2, read from one packed table per call
 (:func:`family_counts`, :func:`family_size`).
@@ -45,7 +48,6 @@ recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import DomainError, check_order
@@ -148,8 +150,8 @@ def _family_keys(n: int, family_a: bool) -> list[tuple[VectorKey, int, int]]:
 
 def _family(
     n: int, family_a: bool
-) -> list[tuple[int, tuple[tuple[VectorKey, int], ...]]]:
-    """Family A (``family_a``) or family B at order n as sorted (total, entries) pairs.
+) -> list[tuple[int, list[tuple[tuple[VectorKey, int], ...]]]]:
+    """Family A (``family_a``) or family B at order n, grouped by stratum.
 
     The walk picks keys in canonical (l, r) order, each with a positive
     count, from the state (n - 1, n) of weight and x-differentiations
@@ -158,9 +160,11 @@ def _family(
     key is tried only when its remainder is live, and the first dead
     start ends the scan over later keys.  The completions of each
     state (start, weight, x) are built once per call and shared by every
-    prefix reaching that state.  Each element's entries are in
-    canonical (l, r) order; ``total`` is the count sum (the stratum h or
-    k), and the list is sorted by (total, entries).
+    prefix reaching that state, as two parallel lists: their count sums
+    and their entries.  Each element's entries are in canonical (l, r)
+    order.  Returns (total, [entries, ...]) groups, ``total`` being the
+    count sum (the stratum h or k): totals ascend, and each group lists
+    its elements in lexicographic entry order.
     """
     keys = _family_keys(n, family_a)
     # index of the next l-group: within a group the weight grows with r,
@@ -183,14 +187,14 @@ def _family(
         live.append(row)
     live.reverse()
 
-    done = [(0, ())]
+    done = ([0], [()])
     memo: dict = {}
 
     def complete(start, w, x):
         found = memo.get((start, w, x))
         if found is not None:
             return found
-        found = []
+        totals, entries = found = ([], [])
         i = start
         while i < len(keys) and live[i][w] >> x & 1:
             key, l, weight = keys[i]
@@ -201,9 +205,12 @@ def _family(
             count, w_left, x_left = 1, w - weight, x - l
             while w_left >= 0 and x_left >= 0:
                 if rows[w_left] >> x_left & 1:
-                    item = (key, count)
-                    rest = complete(i + 1, w_left, x_left) if w_left or x_left else done
-                    found += [(t + count, (item,) + e) for t, e in rest]
+                    item = ((key, count),)
+                    rest_totals, rest = (
+                        complete(i + 1, w_left, x_left) if w_left or x_left else done
+                    )
+                    totals += [t + count for t in rest_totals]
+                    entries += [item + e for e in rest]
                 count += 1
                 w_left -= weight
                 x_left -= l
@@ -211,13 +218,15 @@ def _family(
         memo[start, w, x] = found
         return found
 
-    out = complete(0, n - 1, n)
+    totals, entries = complete(0, n - 1, n)
     # the recursion is a reference cycle: drop the memo now, not at the next GC
     memo.clear()
-    # each list comes in lexicographic entry order, so a stable sort on
-    # the total alone gives the (total, entries) order
-    out.sort(key=itemgetter(0))
-    return out
+    # the completions come in lexicographic entry order, so appending each
+    # to the bucket of its total keeps that order within every stratum
+    groups: list[list] = [[] for _ in range(2 * n)]
+    for total, element in zip(totals, entries):
+        groups[total].append(element)
+    return [(total, group) for total, group in enumerate(groups) if group]
 
 
 #: Bytes per count in the packed counting table.  A slot counts the cores of
@@ -287,13 +296,13 @@ def family_size(n: int, family_a: bool) -> int:
 def enumerate_A(n: int) -> list[Multiplicities]:
     """All family-A elements of order n, stratified by h then lexicographic."""
     check_order(n, 2)
-    return [Multiplicities(entries) for _, entries in _family(n, family_a=True)]
+    return [Multiplicities(e) for _, group in _family(n, family_a=True) for e in group]
 
 
 def enumerate_B(n: int) -> list[Multiplicities]:
     """All family-B elements of order n, stratified by k then lexicographic."""
     check_order(n, 1)
-    return [Multiplicities(entries) for _, entries in _family(n, family_a=False)]
+    return [Multiplicities(e) for _, group in _family(n, family_a=False) for e in group]
 
 
 def lift_to_tilde(alpha: Multiplicities, n: int) -> Multiplicities:

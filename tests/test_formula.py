@@ -14,6 +14,7 @@ from implicit_derivatives import (
     ElemMonomial,
     FormulaError,
     Multiplicities,
+    coeff_C,
     coeff_D,
     delta_formula,
     delta_formula_via_recursion,
@@ -417,9 +418,9 @@ def test_direct_fx0_build_matches_specialization(n):
 
 # --- direct builders against the route through Multiplicities ------------------------
 #
-# The builders take their terms in order straight from the sorted family
-# list; the reference below is the earlier route: enumerate, score each
-# element from its Multiplicities, then collect and sort with from_terms.
+# The builders take their terms in order straight from the family grouped
+# by stratum; the reference below is the earlier route: enumerate, score
+# each element from its Multiplicities, then collect and sort with from_terms.
 
 
 def _route_via_enumerate(n, elements, signed, monomial, fy_offset, formula_cls):
@@ -457,6 +458,31 @@ def test_fx_zero_formula_matches_route_via_enumerate(n):
         n, alphas, signed_coeff, ElemMonomial, 0, ElemFormula
     )
     assert fx_zero_formula(n) == expected
+
+
+# builder, family, coefficient rule, monomial type, f_y offset (None: the order)
+_DIRECT_BUILDERS = {
+    "delta": (delta_formula, enumerate_A, coeff_C, DeltaMonomial, None),
+    "elementary": (elementary_formula, enumerate_B, coeff_D, ElemMonomial, 0),
+    "fx0": (fx_zero_formula, enumerate_A, coeff_C, ElemMonomial, 0),
+}
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+@pytest.mark.parametrize("build", sorted(_DIRECT_BUILDERS))
+def test_direct_builders_share_one_fraction_per_coefficient(build, n):
+    builder, family, coeff, monomial, fy_offset = _DIRECT_BUILDERS[build]
+    fy_offset = n if fy_offset is None else fy_offset
+    formula = builder(n)
+    # one term per element, in enumeration order, which is the canonical order
+    expected = []
+    for element in family(n):
+        sign = -1 if element.total % 2 else 1
+        mono = monomial(element.entries, fy_offset + element.total)
+        expected.append((Fraction(sign * coeff(element)), mono))
+    assert formula.terms == tuple(expected)
+    coeffs = [c for c, _ in formula.terms]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
 
 
 @pytest.mark.parametrize(
@@ -502,6 +528,24 @@ def test_formula_constructor_rejects_non_canonical_terms(cls, n, terms):
     with pytest.raises(FormulaError):
         cls(n, tuple(terms))
     assert cls.from_terms(3, terms[:1]).terms == tuple(terms[:1])
+
+
+@pytest.mark.parametrize(
+    "cls, mono",
+    [
+        pytest.param(DeltaFormula, DeltaMonomial(((VectorKey(2, 0), 1),), 3), id="delta"),
+        pytest.param(ElemFormula, ElemMonomial(((VectorKey(2, 0), 1),), 1), id="elementary"),
+    ],
+)
+@pytest.mark.parametrize(
+    "coeff", [0.1, -1.0, float("nan"), float("inf"), True, False, "1/3", "2", None]
+)
+def test_from_terms_takes_only_exact_coefficients(cls, mono, coeff):
+    with pytest.raises(FormulaError):
+        cls.from_terms(2, [(coeff, mono)])
+    # an int and a Fraction of the same value make the same formula
+    assert cls.from_terms(2, [(-1, mono)]) == cls.from_terms(2, [(Fraction(-1), mono)])
+    assert cls.from_terms(2, [(-1, mono)]).terms[0][0].__class__ is Fraction
 
 
 # --- inverse functions ---------------------------------------------------------------

@@ -94,11 +94,12 @@ def brute_B(n):
     return found
 
 
-def sorted_family(found):
-    """A brute-force family as ``_family`` lists it: sorted (total, entries) pairs."""
-    return sorted(
-        (sum(c for _, c in element), tuple(sorted(element))) for element in found
-    )
+def grouped_family(found):
+    """A brute-force family as ``_family`` lists it: (total, sorted entries) groups."""
+    groups = {}
+    for element in found:
+        groups.setdefault(sum(c for _, c in element), []).append(tuple(sorted(element)))
+    return [(total, sorted(groups[total])) for total in sorted(groups)]
 
 
 def in_family_B(gamma, n):
@@ -133,7 +134,7 @@ def test_family_A_order_five_has_ten_elements():
 @pytest.mark.parametrize("n", range(2, 17))
 def test_family_A_matches_brute_force(n):
     found = brute_A(n)
-    assert _family(n, True) == sorted_family(found)
+    assert _family(n, True) == grouped_family(found)
     assert as_key_set(enumerate_A(n)) == found
 
 
@@ -188,7 +189,7 @@ def test_family_B_small_orders():
 @pytest.mark.parametrize("n", range(1, 14))
 def test_family_B_matches_brute_force(n):
     found = brute_B(n)
-    assert _family(n, False) == sorted_family(found)
+    assert _family(n, False) == grouped_family(found)
     assert as_key_set(enumerate_B(n)) == found
 
 
@@ -227,9 +228,21 @@ def test_counting_table_matches_the_enumeration(family_a, max_n):
     counts = family_counts(max_n, family_a)
     assert list(counts) == list(range(2 if family_a else 1, max_n + 1))
     for n, strata in counts.items():
-        walked = Counter(total for total, _ in _family(n, family_a))
-        assert strata == sorted(walked.items())
-        assert family_size(n, family_a) == sum(walked.values())
+        walked = [(total, len(group)) for total, group in _family(n, family_a)]
+        assert strata == walked
+        assert family_size(n, family_a) == sum(size for _, size in walked)
+
+
+@pytest.mark.parametrize("family_a, top", [(True, 14), (False, 12)])
+def test_family_groups_ascend_by_total_then_entries(family_a, top):
+    for n in range(2 if family_a else 1, top + 1):
+        groups = _family(n, family_a)
+        totals = [total for total, _ in groups]
+        assert all(a < b for a, b in zip(totals, totals[1:]))
+        for total, group in groups:
+            assert group
+            assert all(a < b for a, b in zip(group, group[1:]))
+            assert all(sum(c for _, c in entries) == total for entries in group)
 
 
 def test_counting_table_at_the_hard_cap():
