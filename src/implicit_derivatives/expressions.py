@@ -319,6 +319,12 @@ def formula_to_json(formula: Formula) -> str:
 
 def formula_from_json(text: str) -> Formula:
     """Parse a formula serialized by :func:`formula_to_json`."""
+
+    def array(doc, name):  # ``terms`` and each term's entries are JSON arrays
+        if doc[name].__class__ is not list:
+            raise FormulaError(f"{name!r} must be a JSON array, got {doc[name]!r}")
+        return doc[name]
+
     try:
         doc = json.loads(text, object_pairs_hook=unique_members)
         form = doc["form"]
@@ -334,11 +340,11 @@ def formula_from_json(text: str) -> Formula:
                 check_rational(item["coeff"], FormulaError, "a coefficient"),
                 # the monomial checks the indices, powers and fy_power
                 monomial(
-                    [((e[first], e[second]), e["power"]) for e in item[part]],
+                    [((e[first], e[second]), e["power"]) for e in array(item, part)],
                     item["fy_power"],
                 ),
             )
-            for item in doc["terms"]
+            for item in array(doc, "terms")
         ]
         if form == "delta":
             return DeltaFormula.from_terms(n, terms)

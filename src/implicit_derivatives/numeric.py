@@ -2,10 +2,11 @@
 
 A jet records the values of all partials f_{x^p y^t} of f at a base
 point up to a total order, in one of two scalar kinds: exact rationals
-or binary64 floats.  Formulas evaluate to a scalar of the jet's kind,
-so rational jets give exact results.  Exact evaluation normalizes only
-the block values and the total; each term stays an unreduced integer
-pair until its value is first read from the report.
+or binary64 floats; every table of partials here has the one layout
+of :func:`_partial_keys`.  Formulas evaluate to a scalar of the jet's
+kind, so rational jets give exact results.  Exact evaluation normalizes
+only the block values and the total; each term stays an unreduced
+integer pair until its value is first read from the report.
 
 The module also ships a few built-in implicit-function problems with
 known solutions, a Newton solver plus central finite differences for
@@ -26,14 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable
 
-from .errors import (
-    HARD_CAP,
-    DomainError,
-    JetError,
-    NewtonError,
-    SingularJetError,
-    check_order,
-)
+from .errors import DomainError, JetError, NewtonError, SingularJetError, check_order
 from .expressions import DeltaFormula, ElemFormula
 from .formula import delta_formula
 from .keys import check_int, check_rational, unique_members
@@ -89,14 +83,19 @@ def _coerce_scalar(value, kind, what):
     return value
 
 
+def _partial_keys(order: int) -> list[tuple[int, int]]:
+    """The keys (p, t) with p + t <= order: the one jet layout, p ascending, then t."""
+    return [(p, t) for p in range(order + 1) for t in range(order + 1 - p)]
+
+
 @dataclass
 class Jet:
     """Partial-derivative values of f at a base point, up to ``order``.
 
-    All keys (p, t) with p + t <= order are present after construction
-    (absent ones fill with zero), so the order is held to ``HARD_CAP``
-    like every other order.  The value at (0, 0) must be 0 (the base
-    point solves f = 0) and the value at (0, 1) must be non-zero.
+    ``partials`` holds every key of :func:`_partial_keys` after construction,
+    absent ones zero; a given key must be one of them, with ``int`` indices.
+    The order follows :func:`errors.check_order`, refused with :class:`JetError`.
+    f must be 0 at the base point (it solves f = 0) and f_y non-zero there.
     One scalar kind per jet; mixing rationals and floats is rejected.
     """
 
@@ -109,29 +108,21 @@ class Jet:
     def __post_init__(self) -> None:
         if self.kind not in (RATIONAL, FLOAT):
             raise JetError(f"unknown jet kind {self.kind!r}")
-        if check_int(self.order, JetError, "jet order") < 1:
-            raise JetError("jet order must be at least 1")
-        if self.order > HARD_CAP:
-            raise JetError(f"jet order {self.order} exceeds the hard cap {HARD_CAP}")
+        check_order(self.order, 1, JetError)
         self.x0 = _coerce_scalar(self.x0, self.kind, "x0")
         self.y0 = _coerce_scalar(self.y0, self.kind, "y0")
         zero = Fraction(0) if self.kind == RATIONAL else 0.0
         if not isinstance(self.partials, Mapping):
             raise JetError(f"jet partials must be a mapping, got {self.partials!r}")
-        table = {}
+        table = dict.fromkeys(_partial_keys(self.order), zero)
         for key, value in self.partials.items():
-            try:
-                p, t = key
-            except (TypeError, ValueError):
-                raise JetError(f"partial key {key!r} is not a (p, t) pair") from None
-            check_int(p, JetError, "partial key index")
-            check_int(t, JetError, "partial key index")
-            if p < 0 or t < 0 or p + t > self.order:
-                raise JetError(f"partial key {(p, t)} outside jet of order {self.order}")
-            table[(p, t)] = _coerce_scalar(value, self.kind, f"partial ({p},{t})")
-        for p in range(self.order + 1):
-            for t in range(self.order + 1 - p):
-                table.setdefault((p, t), zero)
+            try:  # an equal key such as (1.0, 0) or (True, 0) is in the table too
+                known = key in table and key[0].__class__ is key[1].__class__ is int
+            except TypeError:  # unhashable or not indexable
+                known = False
+            if not known:
+                raise JetError(f"bad partial key {key!r} for jet order {self.order}")
+            table[key] = _coerce_scalar(value, self.kind, f"partial {tuple(key)}")
         if table[(0, 0)] != 0:
             raise JetError("f(x0, y0) must be 0 at the base point")
         if table[(0, 1)] == 0:
@@ -292,8 +283,10 @@ def _exact_total(pairs: list) -> Fraction:
 def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     """Evaluate either formula shape on a jet; exact on rational jets.
 
-    Each distinct block D[l,r] (or partial, for the expanded shape) and
-    each factor power, f_y power included, is computed once per call.  On
+    Each distinct block D[l,r] and each factor power, f_y power included,
+    is computed once per call; the expanded shape reads its partials
+    from the jet, and a partial beyond the jet's order raises
+    :class:`JetError`, as a block beyond it does.  On
     rational jets a term is an unreduced pair of integer products, the
     total is summed from the pairs by pairwise merges in term order
     (:func:`_exact_total`) and normalized once, and no term is normalized
@@ -311,7 +304,7 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     exact = jet.kind == RATIONAL
     blocks = isinstance(formula, DeltaFormula)
     fy = jet.fy
-    bases = {}  # key -> block or partial value
+    bases = {} if blocks else jet.partials  # key -> block or partial value
     # (key, power) -> (numerator, denominator) of value**power; a float
     # power is kept whole over 1, so the float product is the plain one
     powers = {}
@@ -326,11 +319,9 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
                     key, power = entry
                     base = bases.get(key)
                     if base is None:
-                        if blocks:
-                            base = eval_delta_block(jet, key.l, key.r)
-                        else:
-                            base = jet.partials[(key.l, key.r)]
-                        bases[key] = base
+                        if not blocks:
+                            raise JetError(f"partial {tuple(key)} beyond the jet's order")
+                        base = bases[key] = eval_delta_block(jet, key.l, key.r)
                     if exact:
                         factor = (base.numerator**power, base.denominator**power)
                     else:
@@ -383,7 +374,7 @@ def shift_jet(jet: Jet, n: int) -> Jet:
     # common denominator e, g_{x^l z^r} is one integer sum over
     # b^l * e:  sum_k C(l,k) a^k b^(l-k) P_{l-k, r+k}.
     a, b = lam.numerator, lam.denominator
-    keys = [(p, t) for p in range(n + 1) for t in range(n + 1 - p)]
+    keys = _partial_keys(n)
     e = math.lcm(*[jet.partials[key].denominator for key in keys])
     scaled = {}
     for key in keys:
@@ -391,15 +382,16 @@ def shift_jet(jet: Jet, n: int) -> Jet:
         scaled[key] = v.numerator * (e // v.denominator)
     a_pow = [a**k for k in range(n + 1)]
     b_pow = [b**k for k in range(n + 1)]
+    weights = [
+        [math.comb(l, k) * a_pow[k] * b_pow[l - k] for k in range(l + 1)]
+        for l in range(n + 1)
+    ]
     partials = {}
-    for l in range(n + 1):
-        weights = [math.comb(l, k) * a_pow[k] * b_pow[l - k] for k in range(l + 1)]
-        den = b_pow[l] * e
-        for r in range(n + 1 - l):
-            total = 0
-            for k, w in enumerate(weights):
-                total += w * scaled[(l - k, r + k)]
-            partials[(l, r)] = Fraction(total, den)
+    for l, r in keys:
+        total = 0
+        for k, w in enumerate(weights[l]):
+            total += w * scaled[(l - k, r + k)]
+        partials[(l, r)] = Fraction(total, b_pow[l] * e)
     partials[(1, 0)] = Fraction(0)  # exact by the choice of lambda
     return Jet(
         x0=jet.x0,
@@ -420,10 +412,7 @@ def random_rational_jet(order: int, seed: int) -> Jet:
             num = rng.randint(-9, 9)
         return Fraction(num, rng.randint(1, 4))
 
-    partials = {}
-    for p in range(order + 1):
-        for t in range(order + 1 - p):
-            partials[(p, t)] = small()
+    partials = {key: small() for key in _partial_keys(order)}
     partials[(0, 0)] = Fraction(0)
     partials[(0, 1)] = small(nonzero=True)
     return Jet(x0=small(), y0=small(), order=order, partials=partials, kind=RATIONAL)
@@ -461,13 +450,9 @@ class ProblemSpec:
             kind = RATIONAL if self.exact else FLOAT
         if kind == RATIONAL and not self.exact:
             raise JetError(f"problem {self.name!r} has no exact jet; use kind='float'")
-        values = {}
-        for p in range(order + 1):
-            for t in range(order + 1 - p):
-                v = self.partial(p, t)
-                values[(p, t)] = Fraction(v) if kind == RATIONAL else float(v)
-        x0 = Fraction(self.x0) if kind == RATIONAL else float(self.x0)
-        y0 = Fraction(self.y0) if kind == RATIONAL else float(self.y0)
+        convert = Fraction if kind == RATIONAL else float
+        values = {key: convert(self.partial(*key)) for key in _partial_keys(order)}
+        x0, y0 = convert(self.x0), convert(self.y0)
         return Jet(x0=x0, y0=y0, order=order, partials=values, kind=kind)
 
 
@@ -586,13 +571,12 @@ PROBLEM_NAMES = tuple(sorted(_PROBLEMS))
 
 
 def builtin_problem(name: str) -> ProblemSpec:
-    """Return a registered test problem by name."""
-    try:
-        return _PROBLEMS[name]
-    except KeyError:
+    """Return a registered test problem by name; anything else is a DomainError."""
+    if not isinstance(name, str) or name not in _PROBLEMS:
         raise DomainError(
             f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}"
-        ) from None
+        )
+    return _PROBLEMS[name]
 
 
 # --- Newton solving and finite differences -----------------------------------
@@ -648,7 +632,8 @@ def finite_difference_derivatives(problem: ProblemSpec, n: int) -> list[float]:
     :data:`FD_STEPS` and the finest extrapolation is returned, one value
     per derivative order 1..n, for n up to :data:`FD_MAX_ORDER`.
     """
-    if not 1 <= n <= FD_MAX_ORDER:
+    check_order(n, 1)
+    if n > FD_MAX_ORDER:
         raise DomainError(
             f"finite differences need an order in 1..{FD_MAX_ORDER}, got {n}"
         )

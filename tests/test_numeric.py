@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 
 from implicit_derivatives import (
     DeltaFormula,
+    DeltaMonomial,
     DomainError,
+    ElemFormula,
+    ElemMonomial,
     Jet,
     JetError,
     SingularJetError,
@@ -82,6 +86,26 @@ def test_jet_validation():
     # partials are a mapping, not a list of (key, value) pairs
     with pytest.raises(JetError):
         Jet(x0=0, y0=0, order=2, partials=[((0, 1), 1)])
+
+    class Pairs(Mapping):
+        """A mapping over the given keys, hashable or not, each valued 1."""
+
+        def __init__(self, *keys):
+            self.keys_ = keys
+
+        def __getitem__(self, key):
+            return 1
+
+        def __iter__(self):
+            return iter(self.keys_)
+
+        def __len__(self):
+            return len(self.keys_)
+
+    assert Jet(x0=0, y0=0, order=2, partials=Pairs((0, 1))).fy == 1
+    for key in ([1, 0], ([1], 0)):  # keys that cannot be hashed
+        with pytest.raises(JetError):
+            Jet(x0=0, y0=0, order=2, partials=Pairs((0, 1), key))
 
 
 def test_rational_jet_keeps_exact_fractions():
@@ -512,6 +536,14 @@ def test_eval_rejects_inverse_form_and_short_jets():
         eval_formula(inverse_function_formula(2), circle_jet())
     with pytest.raises(JetError):
         eval_formula(delta_formula(4), circle_jet(order=3))
+    # a hand-made formula may name a partial or a block beyond its own
+    # order; both are refused the same way
+    far = ElemMonomial((((4, 0), 1),), 1)
+    with pytest.raises(JetError):
+        eval_formula(ElemFormula.from_terms(2, [(1, far)]), circle_jet(order=3))
+    far = DeltaMonomial((((4, 0), 1),), 1)
+    with pytest.raises(JetError):
+        eval_formula(DeltaFormula.from_terms(2, [(1, far)]), circle_jet(order=3))
 
 
 @pytest.mark.parametrize("fy", [1e120, 1e-120])
@@ -569,8 +601,9 @@ def test_shear_identity_on_random_jets(seed, n):
 
 
 def test_problem_registry():
-    with pytest.raises(DomainError):
-        builtin_problem("sphere")
+    for name in ("sphere", ["circle"], None):  # a non-string name is unknown too
+        with pytest.raises(DomainError):
+            builtin_problem(name)
     with pytest.raises(JetError):
         builtin_problem("lambert").jet(3, "rational")
     for name in ("circle", "exp", "lambert", "cubic"):
@@ -630,7 +663,8 @@ def test_finite_differences_on_known_problems():
 def test_finite_differences_stop_at_order_four():
     circle = builtin_problem("circle")
     assert len(finite_difference_derivatives(circle, FD_MAX_ORDER)) == FD_MAX_ORDER
-    for n in (0, FD_MAX_ORDER + 1):
+    # orders follow the one order policy before the FD limit: no bool, no float
+    for n in (0, FD_MAX_ORDER + 1, True, 2.0, 31):
         with pytest.raises(DomainError):
             finite_difference_derivatives(circle, n)
     with pytest.raises(DomainError):

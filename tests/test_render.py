@@ -113,6 +113,15 @@ def test_parse_rejects_malformed_documents():
     ):
         with pytest.raises(FormulaError):
             formula_from_json(text)
+    # terms and each term's entries are arrays, never a string or an object
+    for terms in (
+        '""',
+        "{}",
+        '[{"coeff": "1", "exponents": "", "fy_power": 1}]',
+        '[{"coeff": "1", "exponents": {}, "fy_power": 1}]',
+    ):
+        with pytest.raises(FormulaError):
+            formula_from_json(f'{{"n": 2, "form": "elementary", "terms": {terms}}}')
     # monomial validation runs on the merged entries of outside input
     for form, part, entry in [
         ("delta", "factors", '{"l": -1, "r": 3, "power": 1}'),
