@@ -12,8 +12,15 @@ unparseable, unreadable or unusable jet.  ``main`` maps each error to its
 exit code by type.  The order cap is set by ``--cap N`` (N >= 1, default
 12) and can never exceed the hard limit of 30; an order above either
 exits 3.  So does a request whose formulas would hold more than
-``TERM_BUDGET`` terms, predicted from the counting table before anything
+``TERM_BUDGET`` terms, predicted from the family sizes before anything
 is built.
+
+Two pieces of set-up that no request changes are made once per process:
+the argument parser, built by :func:`build_parser` on the first call of
+``main``, and each family size the budget reads (kept by
+:func:`~implicit_derivatives.partitions.family_size`).  Nothing a
+command prints is cached: every call builds its own formulas, tables
+and reports.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import (
     HARD_CAP,
@@ -110,14 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_formula.add_argument("n", type=_integer, help="derivative order")
     p_formula.add_argument("--form", choices=FORMS, default="delta")
     p_formula.add_argument("--format", choices=FORMATS, default="plain")
-    p_formula.set_defaults(run=_cmd_formula, families=lambda args: FORMS[args.form][1])
+    p_formula.set_defaults(
+        run=_cmd_formula,
+        families=lambda args: [(args.n, a) for a in FORMS[args.form][1]],
+    )
 
     p_verify = commands.add_parser("verify", help="run invariant suites")
     p_verify.add_argument(
         "--max-n", dest="n", metavar="MAX_N", type=_integer, default=8
     )
     p_verify.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
-    p_verify.set_defaults(run=_cmd_verify, families=lambda args: (True, False))
+    p_verify.set_defaults(
+        run=_cmd_verify, families=lambda args: [(args.n + 1, True), (args.n, False)]
+    )
 
     p_eval = commands.add_parser("eval", help="evaluate a formula numerically")
     p_eval.add_argument("n", type=_integer, help="derivative order")
@@ -130,16 +143,22 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also compare against finite differences (problems only)",
     )
-    p_eval.set_defaults(run=_cmd_eval, families=lambda args: (True,))
+    p_eval.set_defaults(run=_cmd_eval, families=lambda args: [(args.n, True)])
 
     p_count = commands.add_parser("count", help="family sizes by stratum")
     p_count.add_argument("--family", choices=("A", "B"), required=True)
     p_count.add_argument(
         "--max-n", dest="n", metavar="MAX_N", type=_integer, required=True
     )
-    p_count.set_defaults(run=_cmd_count, families=lambda args: ())
+    p_count.set_defaults(run=_cmd_count, families=lambda args: [])
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use, not at import."""
+    return build_parser()
 
 
 def _scalar_json(value):
@@ -230,22 +249,24 @@ def _cmd_count(args) -> int:
 
 
 def _predicted_terms(args) -> int:
-    """Terms in the largest formulas the command builds, read from the counting table.
+    """Terms in the largest formulas the command builds, read from the family sizes.
 
     Block and f_x = 0 forms have one term per family-A element, the
-    expanded form one per family-B element; ``verify`` builds both at
-    ``max_n``.  Orders below a family's start count 0 and are left to the
+    expanded form one per family-B element.  ``verify`` builds the
+    compact form at ``max_n + 1`` (the recursion suite's last step) and
+    the expanded form at ``max_n``.  Orders outside a family's range,
+    below its start or above ``HARD_CAP``, count 0 and are left to the
     command's own checks; ``inverse`` and ``count`` build no such family.
     """
     return sum(
-        family_size(args.n, family_a)
-        for family_a in args.families(args)
-        if args.n >= (2 if family_a else 1)
+        family_size(n, family_a)
+        for n, family_a in args.families(args)
+        if (2 if family_a else 1) <= n <= HARD_CAP
     )
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.cap < 1:
         parser.error(f"cap must be at least 1, got {args.cap}")

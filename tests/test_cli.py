@@ -97,9 +97,19 @@ def test_order_above_hard_cap_exits_three(capsys, argv):
         ("--cap 30 formula 24 --form elementary", 15_516_710),
         ("--cap 30 formula 18 --form elementary", 557_335),
         ("--cap 30 eval --problem circle 25", 611_234),
-        ("--cap 30 verify --max-n 18", 23_032 + 557_335),
+        # family A at max_n + 1 (the recursion suite's last step), B at max_n
+        ("--cap 30 verify --max-n 18", 37_672 + 557_335),
+        # order 31 is above the hard cap and counts 0, like any order out of range
+        ("--cap 30 verify --max-n 30", 323_685_343),
     ],
-    ids=["delta-30", "elementary-24", "elementary-18", "eval-25", "verify-18"],
+    ids=[
+        "delta-30",
+        "elementary-24",
+        "elementary-18",
+        "eval-25",
+        "verify-18",
+        "verify-30",
+    ],
 )
 def test_request_over_the_term_budget_exits_three(capsys, argv, terms):
     start = time.perf_counter()
@@ -108,6 +118,7 @@ def test_request_over_the_term_budget_exits_three(capsys, argv, terms):
     assert code == 3
     assert out == ""
     assert f"needs {terms} terms" in err
+    assert "hard cap" not in err
     assert terms > cli.TERM_BUDGET
 
 
@@ -125,6 +136,73 @@ def test_largest_requests_under_the_term_budget(argv):
     # predicted only, not built: the highest order of each kind admitted
     args = cli.build_parser().parse_args(["--cap", "30", *argv.split()])
     assert cli._predicted_terms(args) <= cli.TERM_BUDGET
+
+
+def test_verify_budget_counts_the_recursion_step():
+    args = cli.build_parser().parse_args(["--cap", "30", "verify", "--max-n", "17"])
+    assert cli._predicted_terms(args) == 23_032 + 308_736
+
+
+# --- repeated calls in one process ---------------------------------------------
+
+
+def test_repeated_calls_share_no_cap(capsys):
+    code, out, _ = run(capsys, "--cap", "16", "formula", "14")
+    assert code == 0 and out
+    code, out, err = run(capsys, "formula", "14")
+    assert code == 3
+    assert out == ""
+    assert "exceeds cap 12" in err
+
+
+def test_call_after_a_usage_exit_prints_its_pinned_output(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["formula", "--form", "nope", "3"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "--cap", "16", "count", "--family", "A", "--max-n", "14")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "f3aef3bbfac6a2729caee38882567ff8a7e9cf79b0c8fd4d5142f82fbdf14a16"
+    )
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+
+    real_build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["formula", "3"], ["count", "--family", "B", "--max-n", "3"]):
+            assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "formula", "13")[0] == 3
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_count_builds_its_table_on_every_call(capsys, monkeypatch):
+    # nothing a command prints is served from a cache
+    calls = []
+    core_counts = partitions._core_counts
+
+    def counting_core_counts(max_n):
+        calls.append(max_n)
+        return core_counts(max_n)
+
+    monkeypatch.setattr(partitions, "_core_counts", counting_core_counts)
+    first = run(capsys, "count", "--family", "A", "--max-n", "8")
+    second = run(capsys, "count", "--family", "A", "--max-n", "8")
+    assert first == second
+    assert first[0] == 0
+    assert calls == [8, 8]
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
