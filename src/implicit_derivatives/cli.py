@@ -15,12 +15,11 @@ exits 3.  So does a request whose formulas would hold more than
 ``TERM_BUDGET`` terms, predicted from the family sizes before anything
 is built.
 
-Two pieces of set-up that no request changes are made once per process:
-the argument parser, built by :func:`build_parser` on the first call of
-``main``, and each family size the budget reads (kept by
-:func:`~implicit_derivatives.partitions.family_size`).  Nothing a
-command prints is cached: every call builds its own formulas, tables
-and reports.
+The argument parser is built once per process, by :func:`build_parser`
+on the first call of ``main``, so a program that calls ``main`` many
+times (the benchmark harness, the tests) pays for it once.  Nothing else
+is kept between calls: every call reads its own family sizes and builds
+its own formulas, tables and reports.
 """
 
 from __future__ import annotations

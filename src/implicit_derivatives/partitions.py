@@ -35,8 +35,7 @@ consumer sets up whatever depends on the stratum alone (the sign, the
 f_y power) once per group.  Counting needs no walk: the family sizes by
 stratum are coefficients of prod 1/(1 - x^l z^(l+r-1) u) over the keys
 with l + r >= 2, read from one packed table per call
-(:func:`family_counts`); :func:`family_size` keeps each family's total,
-one int per order and family, for the rest of the process.
+(:func:`family_counts`, :func:`family_size`).
 
 The module also provides the neighbor constructions that connect
 consecutive orders: three "successor" moves sending an order-n element
@@ -49,7 +48,6 @@ recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Iterator
 
 from .errors import DomainError, check_order
@@ -275,15 +273,6 @@ def _strata(rows: list[bytes], n: int, family_a: bool) -> list[tuple[int, int]]:
     return [(k, c) for k, c in enumerate(strata) if c]
 
 
-def _family_start(n: int, family_a: bool) -> int:
-    """The first order of the family, after checking ``family_a`` and ``n`` against it."""
-    if family_a.__class__ is not bool:
-        raise DomainError(f"family_a must be True or False, got {family_a!r}")
-    start = 2 if family_a else 1
-    check_order(n, start)
-    return start
-
-
 def family_counts(max_n: int, family_a: bool) -> dict[int, list[tuple[int, int]]]:
     """Stratum sizes of family A (``family_a``) or B at every order up to ``max_n``.
 
@@ -292,23 +281,15 @@ def family_counts(max_n: int, family_a: bool) -> dict[int, list[tuple[int, int]]
     for A, 1 for B) to its non-zero (stratum, count) pairs in ascending
     stratum order.
     """
-    start = _family_start(max_n, family_a)
+    start = 2 if family_a else 1
+    check_order(max_n, start)
     rows = _core_counts(max_n)
     return {n: _strata(rows, n, family_a) for n in range(start, max_n + 1)}
 
 
 def family_size(n: int, family_a: bool) -> int:
-    """Number of elements of family A (``family_a``) or B at order n, not enumerated.
-
-    The arguments are checked on every call; the count of each checked
-    (n, family_a) is then computed once per process.
-    """
-    _family_start(n, family_a)
-    return _family_size(n, family_a)
-
-
-@cache
-def _family_size(n: int, family_a: bool) -> int:
+    """Number of elements of family A (``family_a``) or B at order n, not enumerated."""
+    check_order(n, 2 if family_a else 1)
     return sum(count for _, count in _strata(_core_counts(n), n, family_a))
 
 

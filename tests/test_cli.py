@@ -122,25 +122,24 @@ def test_request_over_the_term_budget_exits_three(capsys, argv, terms):
     assert terms > cli.TERM_BUDGET
 
 
+LARGEST_ADMITTED = [
+    ("formula 24", 391_409),
+    ("formula 24 --form fx0", 391_409),
+    ("formula 17 --form elementary", 308_736),
+    ("eval --problem exp 24", 391_409),
+    # family A at max_n + 1 (the recursion suite's last step), B at max_n
+    ("verify --max-n 17", 23_032 + 308_736),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        "formula 24",
-        "formula 24 --form fx0",
-        "formula 17 --form elementary",
-        "eval --problem exp 24",
-        "verify --max-n 17",
-    ],
+    "argv, terms", LARGEST_ADMITTED, ids=[argv for argv, _ in LARGEST_ADMITTED]
 )
-def test_largest_requests_under_the_term_budget(argv):
+def test_largest_requests_under_the_term_budget(argv, terms):
     # predicted only, not built: the highest order of each kind admitted
     args = cli.build_parser().parse_args(["--cap", "30", *argv.split()])
-    assert cli._predicted_terms(args) <= cli.TERM_BUDGET
-
-
-def test_verify_budget_counts_the_recursion_step():
-    args = cli.build_parser().parse_args(["--cap", "30", "verify", "--max-n", "17"])
-    assert cli._predicted_terms(args) == 23_032 + 308_736
+    assert cli._predicted_terms(args) == terms
+    assert terms <= cli.TERM_BUDGET
 
 
 # --- repeated calls in one process ---------------------------------------------

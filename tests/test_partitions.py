@@ -272,21 +272,6 @@ def test_counting_rejects_bad_orders():
         family_counts(HARD_CAP + 1, False)
     with pytest.raises(DomainError):
         family_size(3.0, True)
-    with pytest.raises(DomainError):
-        family_counts(8, 1)
-
-
-def test_family_size_checks_before_its_memo():
-    # True == 1 and 16.0 == 16 hash alike: the checks run before the memo
-    # is read, so the counted entries do not answer for them
-    assert family_size(1, False) == 1
-    assert family_size(16, True) == 8_338
-    with pytest.raises(DomainError):
-        family_size(True, False)
-    with pytest.raises(DomainError):
-        family_size(16.0, True)
-    with pytest.raises(DomainError):
-        family_size(16, 1)
 
 
 # --- the lifted presentation ----------------------------------------------------
