@@ -4,9 +4,12 @@ A jet records the values of all partials f_{x^p y^t} of f at a base
 point up to a total order, in one of two scalar kinds: exact rationals
 or binary64 floats; every table of partials here has the one layout
 of :func:`_partial_keys`.  Formulas evaluate to a scalar of the jet's
-kind, so rational jets give exact results.  Exact evaluation normalizes
-only the block values and the total; each term stays an unreduced
-integer pair until its value is first read from the report.
+kind, so rational jets give exact results.  Exact evaluation lifts
+each block or partial once to an integer over its diagonal's common
+denominator, so a term's denominator depends only on the diagonals it
+uses; the terms are summed as plain integers per denominator, and only
+the block values and the total are normalized.  Each term stays an
+unreduced integer pair until its value is first read from the report.
 
 The module also ships a few built-in implicit-function problems with
 known solutions, a Newton solver plus central finite differences for
@@ -43,21 +46,6 @@ FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 FD_MAX_ORDER = 4
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 50
-#: Neighbouring terms summed over one lcm before the pairwise merges of
-#: the exact total (:func:`_exact_total`).  The sum alone in ms over the
-#: unreduced term pairs, per pass of block formulas 8..14 (best of 9,
-#: lowest of three sweeps, Python 3.11.7, 2-CPU shared host):
-#:
-#:   run length       1     4     8    16    32   one running lcm
-#:   32-bit entries  90    77    98   113   152   473
-#:   small entries   16   8.7   6.8   5.5   4.8   4.4
-#:   verify shift   140    49    44    38    31    23   (2 100 small sums)
-#:
-#: Short runs pay Python overhead on small sums and long runs widen the
-#: wide ones.  4 sums the wide pairs fastest, but over whole evaluations
-#: the eval benchmark's op_p50_ms and op_p90_ms read 6-7% higher with it
-#: than with 8 (6 alternating pairs, wall_s unchanged), so 8 stays.
-SUM_RUN = 8
 
 
 def _coerce_scalar(value, kind, what):
@@ -223,7 +211,8 @@ class EvalReport:
 
     ``_terms`` holds each term as :func:`eval_formula` left it: the float
     itself on a float jet, an unreduced ``(numerator, denominator)``
-    integer pair on a rational jet (the denominator of either sign).  It
+    integer pair over the term's class denominator on a rational jet (of
+    either sign; terms on the same diagonals share it).  It
     is kept out of ``repr`` but compared, so two reports whose term values
     differ compare unequal.  :attr:`term_values` normalizes the pairs on
     its first read only, as most callers read just ``value``.
@@ -252,32 +241,30 @@ def relative_error(value, target) -> float:
 def _exact_total(pairs: list) -> Fraction:
     """Sum of unreduced ``(numerator, denominator)`` pairs as one normalized Fraction.
 
-    Each run of :data:`SUM_RUN` neighbouring pairs is one integer sum over
-    the run's lcm (positive, whatever the denominators' signs).
-    Neighbouring partial sums p1/q1 and p2/q2 are then merged level by
-    level, as in a product tree, into one sum over q1/g * q2 with
-    g = gcd(q1, q2), so each denominator is the lcm of its own subtree's;
-    only the last sum is normalized.  Neighbours in canonical term order
-    share most of their factors, so the denominators stay narrow until the
-    top levels, where one running lcm over all the pairs would be wide
-    from its first few terms on.
+    Neighbouring sums p1/q1 and p2/q2 are merged level by level, as in a
+    product tree, into one sum over q1/g * q2 with g = gcd(q1, q2), so
+    each denominator is the lcm of its own subtree's (up to sign); only
+    the last sum is normalized.  :func:`eval_formula` hands in one pair
+    per term denominator, at most p(n - 1) for a compact formula of
+    order n, so the few gcds run on denominators that share most of
+    their factors.
     """
-    parts = []
-    for start in range(0, len(pairs), SUM_RUN):
-        run = pairs[start : start + SUM_RUN]
-        den = math.lcm(*[q for _, q in run])
-        parts.append((sum(p * (den // q) for p, q in run), den))
-    while len(parts) > 1:
+    while len(pairs) > 1:
         merged = []
-        for (p1, q1), (p2, q2) in zip(parts[::2], parts[1::2]):
+        for (p1, q1), (p2, q2) in zip(pairs[::2], pairs[1::2]):
             g = math.gcd(q1, q2)
             merged.append((p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2))
-        if len(parts) % 2:
-            merged.append(parts[-1])
-        parts = merged
-    if not parts:
+        if len(pairs) % 2:
+            merged.append(pairs[-1])
+        pairs = merged
+    if not pairs:
         return Fraction(0)
-    return Fraction(*parts[0])
+    return Fraction(*pairs[0])
+
+
+def _diagonal_lcm(jet: Jet, k: int) -> int:
+    """e_k: the lcm of the denominators of the jet's k + 1 partials of total order k."""
+    return math.lcm(*[jet.partials[(p, k - p)].denominator for p in range(k + 1)])
 
 
 def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
@@ -286,12 +273,20 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     Each distinct block D[l,r] and each factor power, f_y power included,
     is computed once per call; the expanded shape reads its partials
     from the jet, and a partial beyond the jet's order raises
-    :class:`JetError`, as a block beyond it does.  On
-    rational jets a term is an unreduced pair of integer products, the
-    total is summed from the pairs by pairwise merges in term order
+    :class:`JetError`, as a block beyond it does.  On rational jets,
+    with f_x = a/b and f_y = c/d, each distinct base is lifted once to an
+    integer numerator over its diagonal's denominator: a block D[l,r] on
+    diagonal k = l + r over e_k * (b*d)^l, a raw partial of order k over
+    e_k, where e_k is the lcm of the denominators of the jet's k + 1
+    partials of total order k.  A term is then an unreduced pair of
+    integer products whose denominator depends only on the diagonals it
+    uses, its f_y power and its coefficient's denominator: for a compact
+    formula those diagonals form a partition of n - 1, so at most
+    p(n - 1) denominators occur.  The terms' numerators are added as
+    plain integers per denominator, the class sums are merged
     (:func:`_exact_total`) and normalized once, and no term is normalized
-    unless :attr:`EvalReport.term_values` is read.  On float jets
-    the operations and their order are those of the plain per-factor
+    unless :attr:`EvalReport.term_values` is read.  On float jets the
+    operations and their order are those of the plain per-factor
     product, so every float is bit-identical to it, and the float total
     is their plain left-to-right sum on every Python version.
     """
@@ -304,11 +299,16 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     exact = jet.kind == RATIONAL
     blocks = isinstance(formula, DeltaFormula)
     fy = jet.fy
-    bases = {} if blocks else jet.partials  # key -> block or partial value
+    # key -> block or partial value; on a rational jet, its lifted
+    # (numerator, denominator) pair
+    bases = {} if exact or blocks else jet.partials
+    diagonals = {}  # k -> e_k, exact only
+    shear = jet.fx.denominator * fy.denominator if exact else 1  # b*d
     # (key, power) -> (numerator, denominator) of value**power; a float
     # power is kept whole over 1, so the float product is the plain one
     powers = {}
     fy_powers = {}  # q -> (numerator, denominator) of 1 / f_y**q, exact only
+    classes = {}  # term denominator -> sum of the numerators over it, exact only
     contributions = []
     try:
         for coeff, mono in formula.terms:
@@ -319,11 +319,22 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
                     key, power = entry
                     base = bases.get(key)
                     if base is None:
-                        if not blocks:
+                        if blocks:
+                            base = eval_delta_block(jet, key.l, key.r)
+                        elif key in jet.partials:
+                            base = jet.partials[key]
+                        else:
                             raise JetError(f"partial {tuple(key)} beyond the jet's order")
-                        base = bases[key] = eval_delta_block(jet, key.l, key.r)
+                        if exact:
+                            k = key.l + key.r
+                            e = diagonals.get(k)
+                            if e is None:
+                                e = diagonals[k] = _diagonal_lcm(jet, k)
+                            lift = e * shear**key.l if blocks else e
+                            base = (base.numerator * (lift // base.denominator), lift)
+                        bases[key] = base
                     if exact:
-                        factor = (base.numerator**power, base.denominator**power)
+                        factor = (base[0] ** power, base[1] ** power)
                     else:
                         factor = (base**power, 1)
                     powers[entry] = factor
@@ -334,14 +345,17 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
                 fy_power = fy_powers.get(q)
                 if fy_power is None:
                     fy_power = fy_powers[q] = (fy.denominator**q, fy.numerator**q)
-                value = (num * fy_power[0], den * fy_power[1])
+                num *= fy_power[0]
+                den *= fy_power[1]
+                classes[den] = classes.get(den, 0) + num
+                value = (num, den)
             else:
                 value = float(coeff * num / fy**q)
             contributions.append(value)
     except (OverflowError, ZeroDivisionError) as exc:  # f_y powers out of range
         raise JetError(f"float evaluation out of range: {exc}") from exc
     if exact:
-        total = _exact_total(contributions)
+        total = _exact_total([(p, q) for q, p in classes.items()])
     else:
         # left to right: the builtin sum compensates floats since Python 3.12
         total = 0.0

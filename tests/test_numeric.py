@@ -34,7 +34,6 @@ from implicit_derivatives import (
 )
 from implicit_derivatives.numeric import (
     FD_MAX_ORDER,
-    SUM_RUN,
     _central_stencil,
     _coerce_scalar,
     _exact_total,
@@ -330,11 +329,10 @@ def test_exact_total_is_the_fraction_sum_at_order_14():
     )
 
 
-# every length 0..3 runs can take, the run boundaries drawn more often
-_boundaries = [k * SUM_RUN + d for k in range(4) for d in (-1, 0, 1)]
-_lengths = st.sampled_from(
-    [m for m in _boundaries if 0 <= m <= 3 * SUM_RUN]
-) | st.integers(0, 3 * SUM_RUN)
+# lengths up to 33, those next to a power of two (where a merge level
+# carries an odd sum up) drawn more often
+_boundaries = [2**k + d for k in range(6) for d in (-1, 0, 1)]
+_lengths = st.sampled_from(sorted(set(_boundaries))) | st.integers(0, 33)
 _nonzero = (st.integers(-(2**40), 2**40) | st.integers(-12, 12)).filter(bool)
 # unreduced pairs as eval_formula leaves them: a common factor k >= 2 in
 # both parts, numerators and denominators of either sign
@@ -502,6 +500,98 @@ def test_exact_eval_normalizes_only_the_blocks_and_the_total(monkeypatch):
     assert len(built) <= len(distinct) + 1
     # the terms read afterwards are the normalized ones
     assert report.term_values == per_factor_reference(formula, jet)[1]
+
+
+def partition_count(m):
+    """p(m), the number of partitions of m, by the recurrence over the largest part."""
+    ways = [1] + [0] * m
+    for part in range(1, m + 1):
+        for total in range(part, m + 1):
+            ways[total] += ways[total - part]
+    return ways[m]
+
+
+def test_partition_count():
+    assert [partition_count(m) for m in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert partition_count(13) == 101
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_exact_terms_share_at_most_one_denominator_per_partition(n):
+    # a compact term's diagonals l + r, each counted with multiplicity m,
+    # give sum (l + r - 1) * m = n - 1: a partition of n - 1, which fixes
+    # the term's denominator
+    formula = delta_formula(n)
+    bound = partition_count(n - 1)
+    for jet in (wide_rational_jet(n, seed=1500 + n), random_rational_jet(n, seed=1520 + n)):
+        report = eval_formula(formula, jet)
+        assert len({q for _, q in report._terms}) <= bound
+        assert report.value == per_factor_reference(formula, jet)[0]
+    assert len({q for _, q in eval_formula(formula, exp_jet(n))._terms}) == 1
+
+
+def assert_matches_the_reference(formula, jet):
+    report = eval_formula(formula, jet)
+    value, terms = per_factor_reference(formula, jet)
+    assert type(report.value) is Fraction
+    assert report.value == value
+    assert report.term_values == terms
+
+
+def test_hand_made_terms_off_the_order_stay_exact():
+    # sum l * m is 4, 2 and 7 here, not n = 3; f_y powers and coefficient
+    # denominators are mixed, and two terms share their blocks
+    block = DeltaMonomial
+    terms = [
+        (Fraction(3, 7), block((((2, 0), 2),), 5)),
+        (Fraction(-1, 2), block((((2, 0), 1),), 2)),
+        (Fraction(5), block((((0, 2), 1), ((2, 0), 2)), 5)),
+        (Fraction(2, 9), block((((0, 3), 3), ((1, 1), 1)), 0)),
+        (Fraction(-4), block((((3, 1), 1), ((2, 2), 1), ((2, 0), 1)), 7)),
+        (Fraction(1, 3), block((), 1)),
+    ]
+    formula = DeltaFormula.from_terms(3, terms)
+    elem_terms = [(c, ElemMonomial(m.factors, m.fy_power)) for c, m in terms]
+    for jet in (wide_rational_jet(4, seed=1601), random_rational_jet(4, seed=1602)):
+        for case in (jet, negated(jet)):
+            assert_matches_the_reference(formula, case)
+            assert_matches_the_reference(ElemFormula.from_terms(3, elem_terms), case)
+
+
+@pytest.mark.parametrize("build", [delta_formula, elementary_formula])
+def test_exact_eval_on_a_jet_of_higher_order(build):
+    assert_matches_the_reference(build(6), wide_rational_jet(11, seed=1611))
+
+
+@pytest.mark.parametrize("build", [delta_formula, elementary_formula])
+def test_exact_eval_with_zero_partials_on_used_diagonals(build):
+    jet = wide_rational_jet(7, seed=1621)
+    partials = dict(jet.partials)
+    partials[(2, 1)] = Fraction(0)  # one zero partial on diagonal 3
+    partials.update({(p, 4 - p): Fraction(0) for p in range(5)})  # all of diagonal 4
+    zeroed = Jet(jet.x0, jet.y0, jet.order, partials)
+    assert eval_delta_block(zeroed, 2, 2) == 0
+    assert_matches_the_reference(build(7), zeroed)
+
+
+@pytest.mark.parametrize("build", [delta_formula, elementary_formula])
+def test_exact_eval_with_fx_zero_and_negative_fy(build):
+    jet = wide_rational_jet(8, seed=1631)
+    partials = dict(jet.partials)
+    partials[(1, 0)] = Fraction(0)
+    partials[(0, 1)] = -abs(partials[(0, 1)])
+    flat = Jet(jet.x0, jet.y0, jet.order, partials)
+    assert flat.fx == 0 and flat.fy.numerator < 0
+    assert_matches_the_reference(build(8), flat)
+
+
+@pytest.mark.parametrize("build", [elementary_formula, fx_zero_formula])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_expanded_forms_match_the_reference_on_wide_jets(build, n):
+    formula = build(n)
+    jet = wide_rational_jet(n, seed=1640 + n)
+    for case in (jet, negated(jet)):
+        assert_matches_the_reference(formula, case)
 
 
 def test_term_values_are_read_once_and_survive_replace():
