@@ -48,14 +48,19 @@ def _box_weight(key, count: int) -> int:
     return (factorial(l) * factorial(r)) ** count * factorial(count)
 
 
-def _balls_in_boxes(
-    entries, sum_l: int, sum_r: int, weights: dict | None = None
-) -> int:
-    """sum_l! sum_r! / prod l!^m r!^m m! over the (key, m) ``entries``.
+def _slot_orders(sum_l: int, sum_r: int) -> int:
+    """sum_l! sum_r!: the numerator of every box count with those slot sums."""
+    return math.factorial(sum_l) * math.factorial(sum_r)
 
-    ``weights`` maps (key, m) entries to their :func:`_box_weight` and is
-    filled as entries come; a caller computing many coefficients hands in
-    one table, so each distinct entry is weighed once.
+
+def _balls_in_boxes(entries, slots: int, weights: dict | None = None) -> int:
+    """``slots`` / prod l!^m r!^m m! over the (key, m) ``entries``.
+
+    ``slots`` is :func:`_slot_orders` of the entries' sums, which a caller
+    computes once for all the elements sharing them.  ``weights`` maps
+    (key, m) entries to their :func:`_box_weight` and is filled as entries
+    come; a caller computing many coefficients hands in one table, so each
+    distinct entry is weighed once.
     """
     if weights is None:
         weights = {}
@@ -65,23 +70,22 @@ def _balls_in_boxes(
         if weight is None:
             weight = weights[entry] = _box_weight(*entry)
         den *= weight
-    num = math.factorial(sum_l) * math.factorial(sum_r)
-    value, rest = divmod(num, den)
+    value, rest = divmod(slots, den)
     if rest:
-        raise ArithmeticError(f"coefficient for {entries} is not integral: {num}/{den}")
+        raise ArithmeticError(f"coefficient for {entries} is not integral: {slots}/{den}")
     return value
 
 
 def coeff_C(alpha: Multiplicities) -> int:
     """The box-counting coefficient of a family-A element."""
     canonical_entries(alpha.entries, BELOW_ORDER_TWO, DomainError)
-    return _balls_in_boxes(alpha.entries, alpha.sum_l, alpha.sum_r)
+    return _balls_in_boxes(alpha.entries, _slot_orders(alpha.sum_l, alpha.sum_r))
 
 
 def coeff_D(gamma: Multiplicities) -> int:
     """The box-counting coefficient of a family-B element; (1, 0) is allowed."""
     canonical_entries(gamma.entries, F_AND_FY, DomainError)
-    return _balls_in_boxes(gamma.entries, gamma.sum_l, gamma.sum_r)
+    return _balls_in_boxes(gamma.entries, _slot_orders(gamma.sum_l, gamma.sum_r))
 
 
 def _sign(alpha: Multiplicities) -> int:

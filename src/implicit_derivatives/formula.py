@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coeffs import _balls_in_boxes, binom
+from .coeffs import _balls_in_boxes, _slot_orders, binom
 from .errors import DomainError, FormulaError, check_order
 from .expressions import DeltaFormula, DeltaMonomial, ElemFormula, ElemMonomial
 from .keys import VectorKey, check_int, merge_entries
@@ -44,7 +44,8 @@ def _family_terms(n: int, monomial, fy_offset: int, family_a: bool) -> tuple:
     count of those sums; its monomial has the element's entries over
     f_y^(fy_offset + total).  The family comes grouped by ascending total,
     each group in entry order, which is the monomials' canonical order;
-    the sign and the f_y power are set once per group.  Terms with equal
+    the sign, the f_y power and the box count's numerator n! (total - 1)!
+    are set once per group.  Terms with equal
     coefficients share one ``Fraction``, through a table this call drops.
     """
     weights: dict = {}  # (key, count) -> box weight, filled by this call
@@ -53,8 +54,9 @@ def _family_terms(n: int, monomial, fy_offset: int, family_a: bool) -> tuple:
     for total, group in _family(n, family_a):
         sign = -1 if total % 2 else 1
         fy_power = fy_offset + total
+        slots = _slot_orders(n, total - 1)
         for entries in group:
-            value = sign * _balls_in_boxes(entries, n, total - 1, weights)
+            value = sign * _balls_in_boxes(entries, slots, weights)
             coeff = shared.get(value)
             if coeff is None:
                 coeff = shared[value] = Fraction(value)
@@ -314,7 +316,7 @@ def inverse_function_formula(n: int) -> ElemFormula:
         g_factors = tuple((VectorKey(0, j + 1), count) for j, count in parts)
         u = sum(count for _, count in parts)
         entries = g_factors + ((VectorKey(1, 0), n),)
-        coeff = _balls_in_boxes(entries, n, n - 1 + u, weights)
+        coeff = _balls_in_boxes(entries, _slot_orders(n, n - 1 + u), weights)
         coeff = -coeff if u % 2 else coeff
         terms.append((Fraction(coeff), ElemMonomial(g_factors, n + u)))
     return ElemFormula.from_terms(n, terms, form="inverse")
