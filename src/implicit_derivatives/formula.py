@@ -45,8 +45,8 @@ def _family_terms(n: int, monomial, fy_offset: int, family_a: bool) -> tuple:
     f_y^(fy_offset + total).  The family comes grouped by ascending total,
     each group in entry order, which is the monomials' canonical order;
     the sign, the f_y power and the box count's numerator n! (total - 1)!
-    are set once per group.  Terms with equal
-    coefficients share one ``Fraction``, through a table this call drops.
+    are set once per group.  Terms with equal coefficients share one
+    ``Fraction``, through a table this call drops.
     """
     weights: dict = {}  # (key, count) -> box weight, filled by this call
     shared: dict[int, Fraction] = {}  # signed value -> its one Fraction

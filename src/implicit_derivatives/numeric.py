@@ -245,9 +245,8 @@ def _exact_total(pairs: list) -> Fraction:
     product tree, into one sum over q1/g * q2 with g = gcd(q1, q2), so
     each denominator is the lcm of its own subtree's (up to sign); only
     the last sum is normalized.  :func:`eval_formula` hands in one pair
-    per term denominator, at most p(n - 1) for a compact formula of
-    order n, so the few gcds run on denominators that share most of
-    their factors.
+    per distinct term denominator, at most p(n - 1) of them for a compact
+    formula of order n.
     """
     while len(pairs) > 1:
         merged = []
@@ -312,7 +311,7 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     contributions = []
     try:
         for coeff, mono in formula.terms:
-            num, den = (coeff.numerator, coeff.denominator) if exact else (1.0, 1)
+            num, den = coeff.as_integer_ratio() if exact else (1.0, 1)
             for entry in mono.factors if blocks else mono.exponents:
                 factor = powers.get(entry)
                 if factor is None:
@@ -331,7 +330,8 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
                             if e is None:
                                 e = diagonals[k] = _diagonal_lcm(jet, k)
                             lift = e * shear**key.l if blocks else e
-                            base = (base.numerator * (lift // base.denominator), lift)
+                            numerator, denominator = base.as_integer_ratio()
+                            base = (numerator * (lift // denominator), lift)
                         bases[key] = base
                     if exact:
                         factor = (base[0] ** power, base[1] ** power)
