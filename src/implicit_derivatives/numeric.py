@@ -266,6 +266,51 @@ def _diagonal_lcm(jet: Jet, k: int) -> int:
     return math.lcm(*[jet.partials[(p, k - p)].denominator for p in range(k + 1)])
 
 
+def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
+    """The term pairs of :func:`eval_formula` on a rational jet, and their class sums."""
+    fy = jet.fy
+    shear = jet.fx.denominator * fy.denominator if blocks else 1  # b*d
+    bases = {}  # key -> lifted (numerator, denominator) of its block or partial
+    diagonals = {}  # k -> e_k
+    powers = {}  # (key, power) -> (numerator, denominator) of the lifted base**power
+    fy_powers = {}  # q -> (numerator, denominator) of 1 / f_y**q
+    classes = {}  # term denominator -> sum of the numerators over it
+    contributions = []
+    for coeff, mono in formula.terms:
+        num, den = coeff.as_integer_ratio()
+        for entry in mono.factors if blocks else mono.exponents:
+            factor = powers.get(entry)
+            if factor is None:
+                key, power = entry
+                base = bases.get(key)
+                if base is None:
+                    if blocks:
+                        value = eval_delta_block(jet, key.l, key.r)
+                    elif key in jet.partials:
+                        value = jet.partials[key]
+                    else:
+                        raise JetError(f"partial {tuple(key)} beyond the jet's order")
+                    k = key.l + key.r
+                    e = diagonals.get(k)
+                    if e is None:
+                        e = diagonals[k] = _diagonal_lcm(jet, k)
+                    lift = e * shear**key.l if blocks else e
+                    numerator, denominator = value.as_integer_ratio()
+                    base = bases[key] = (numerator * (lift // denominator), lift)
+                factor = powers[entry] = (base[0] ** power, base[1] ** power)
+            num *= factor[0]
+            den *= factor[1]
+        q = mono.fy_power
+        fy_power = fy_powers.get(q)
+        if fy_power is None:
+            fy_power = fy_powers[q] = (fy.denominator**q, fy.numerator**q)
+        num *= fy_power[0]
+        den *= fy_power[1]
+        classes[den] = classes.get(den, 0) + num
+        contributions.append((num, den))
+    return contributions, classes
+
+
 def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     """Evaluate either formula shape on a jet; exact on rational jets.
 
@@ -295,73 +340,37 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
         raise JetError(f"formula of order {formula.n} needs jet order >= {formula.n}")
     if jet.fy == 0:
         raise SingularJetError("jet has f_y = 0 at the base point")
-    exact = jet.kind == RATIONAL
     blocks = isinstance(formula, DeltaFormula)
+    if jet.kind == RATIONAL:
+        contributions, classes = _exact_terms(formula, jet, blocks)
+        total = _exact_total([(p, q) for q, p in classes.items()])
+        return EvalReport(n=formula.n, value=total, _terms=tuple(contributions))
     fy = jet.fy
-    # key -> block or partial value; on a rational jet, its lifted
-    # (numerator, denominator) pair
-    bases = {} if exact or blocks else jet.partials
-    diagonals = {}  # k -> e_k, exact only
-    shear = jet.fx.denominator * fy.denominator if exact else 1  # b*d
-    # (key, power) -> (numerator, denominator) of value**power; a float
-    # power is kept whole over 1, so the float product is the plain one
-    powers = {}
-    fy_powers = {}  # q -> (numerator, denominator) of 1 / f_y**q, exact only
-    classes = {}  # term denominator -> sum of the numerators over it, exact only
+    bases = {} if blocks else jet.partials  # key -> block or partial value
+    powers = {}  # (key, power) -> value**power
     contributions = []
     try:
         for coeff, mono in formula.terms:
-            num, den = coeff.as_integer_ratio() if exact else (1.0, 1)
+            num = 1.0
             for entry in mono.factors if blocks else mono.exponents:
                 factor = powers.get(entry)
                 if factor is None:
                     key, power = entry
                     base = bases.get(key)
                     if base is None:
-                        if blocks:
-                            base = eval_delta_block(jet, key.l, key.r)
-                        elif key in jet.partials:
-                            base = jet.partials[key]
-                        else:
+                        if not blocks:
                             raise JetError(f"partial {tuple(key)} beyond the jet's order")
-                        if exact:
-                            k = key.l + key.r
-                            e = diagonals.get(k)
-                            if e is None:
-                                e = diagonals[k] = _diagonal_lcm(jet, k)
-                            lift = e * shear**key.l if blocks else e
-                            numerator, denominator = base.as_integer_ratio()
-                            base = (numerator * (lift // denominator), lift)
-                        bases[key] = base
-                    if exact:
-                        factor = (base[0] ** power, base[1] ** power)
-                    else:
-                        factor = (base**power, 1)
-                    powers[entry] = factor
-                num *= factor[0]
-                den *= factor[1]
-            q = mono.fy_power
-            if exact:
-                fy_power = fy_powers.get(q)
-                if fy_power is None:
-                    fy_power = fy_powers[q] = (fy.denominator**q, fy.numerator**q)
-                num *= fy_power[0]
-                den *= fy_power[1]
-                classes[den] = classes.get(den, 0) + num
-                value = (num, den)
-            else:
-                value = float(coeff * num / fy**q)
-            contributions.append(value)
+                        base = bases[key] = eval_delta_block(jet, key.l, key.r)
+                    factor = powers[entry] = base**power
+                num *= factor
+            contributions.append(float(coeff * num / fy**mono.fy_power))
     except (OverflowError, ZeroDivisionError) as exc:  # f_y powers out of range
         raise JetError(f"float evaluation out of range: {exc}") from exc
-    if exact:
-        total = _exact_total([(p, q) for q, p in classes.items()])
-    else:
-        # left to right: the builtin sum compensates floats since Python 3.12
-        total = 0.0
-        for term in contributions:
-            total += term
-    if not exact and not math.isfinite(total):
+    # left to right: the builtin sum compensates floats since Python 3.12
+    total = 0.0
+    for term in contributions:
+        total += term
+    if not math.isfinite(total):
         raise JetError(f"float evaluation is not finite: {total!r}")
     return EvalReport(n=formula.n, value=total, _terms=tuple(contributions))
 
