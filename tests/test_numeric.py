@@ -539,16 +539,15 @@ def assert_matches_the_reference(formula, jet):
 
 
 def test_hand_made_terms_off_the_order_stay_exact():
-    # sum l * m is 4, 2 and 7 here, not n = 3; f_y powers and coefficient
-    # denominators are mixed, and two terms share their blocks
-    block = DeltaMonomial
+    # sum l * m is 4, 2, 4, 1, 7 and 0 here, never n = 3; f_y powers and
+    # coefficient denominators are mixed, and four terms share D[2,0]
     terms = [
-        (Fraction(3, 7), block((((2, 0), 2),), 5)),
-        (Fraction(-1, 2), block((((2, 0), 1),), 2)),
-        (Fraction(5), block((((0, 2), 1), ((2, 0), 2)), 5)),
-        (Fraction(2, 9), block((((0, 3), 3), ((1, 1), 1)), 0)),
-        (Fraction(-4), block((((3, 1), 1), ((2, 2), 1), ((2, 0), 1)), 7)),
-        (Fraction(1, 3), block((), 1)),
+        (Fraction(3, 7), DeltaMonomial((((2, 0), 2),), 5)),
+        (Fraction(-1, 2), DeltaMonomial((((2, 0), 1),), 2)),
+        (Fraction(5), DeltaMonomial((((0, 2), 1), ((2, 0), 2)), 5)),
+        (Fraction(2, 9), DeltaMonomial((((0, 3), 3), ((1, 1), 1)), 0)),
+        (Fraction(-4), DeltaMonomial((((3, 1), 1), ((2, 2), 1), ((2, 0), 1)), 7)),
+        (Fraction(1, 3), DeltaMonomial((), 1)),
     ]
     formula = DeltaFormula.from_terms(3, terms)
     elem_terms = [(c, ElemMonomial(m.factors, m.fy_power)) for c, m in terms]
