@@ -4,12 +4,13 @@ A jet records the values of all partials f_{x^p y^t} of f at a base
 point up to a total order, in one of two scalar kinds: exact rationals
 or binary64 floats; every table of partials here has the one layout
 of :func:`_partial_keys`.  Formulas evaluate to a scalar of the jet's
-kind, so rational jets give exact results.  Exact evaluation lifts
-each block or partial once to an integer over its diagonal's common
-denominator, so a term's denominator depends only on the diagonals it
-uses; the terms are summed as plain integers per denominator, and only
-the block values and the total are normalized.  Each term stays an
-unreduced integer pair until its value is first read from the report.
+kind, so rational jets give exact results.  Exact evaluation of a
+formula of order :data:`LIFT_MIN_ORDER` or more lifts each block or
+partial once to an integer over its diagonal's common denominator, so a
+term's denominator depends only on the diagonals it uses.  The terms
+are summed as plain integers per denominator, and only the block values
+and the total are normalized.  Each term stays an unreduced integer
+pair until its value is first read from the report.
 
 The module also ships a few built-in implicit-function problems with
 known solutions, a Newton solver plus central finite differences for
@@ -46,6 +47,26 @@ FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 FD_MAX_ORDER = 4
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 50
+#: Lowest formula order at which exact evaluation lifts each base to its
+#: diagonal's common denominator (:func:`_exact_terms`).  The lift reads
+#: every partial of each diagonal used, which small formulas do not win
+#: back.  Time of a lifted delta_formula(n) evaluation over an unlifted
+#: one, on four jets whose entries have w-bit numerators and
+#: denominators, and on the verify shift suite's jets (compact formula on
+#: small-entry jets, fx_zero formula on their shears); best of 9
+#: interleaved runs, median of three sweeps, Python 3.11.7, 2-CPU shared
+#: host:
+#:
+#:   n              4     6     8     9    10    12    14
+#:   w = 2       1.18  1.10  1.12  1.08  1.03  0.96  0.96
+#:   w = 8       1.15  1.03  0.91  0.83  0.77  0.69  0.67
+#:   w = 32      1.12  0.95  0.78  0.67  0.65  0.56  0.45
+#:   shift       1.24  1.14  1.04  1.05
+#:
+#: The benchmark's verify workload evaluates up to order 9, where the lift
+#: still loses on the shift suite's jets; from 10 on it is about even on
+#: small entries and wins on wider ones.
+LIFT_MIN_ORDER = 10
 
 
 def _coerce_scalar(value, kind, what):
@@ -211,8 +232,8 @@ class EvalReport:
 
     ``_terms`` holds each term as :func:`eval_formula` left it: the float
     itself on a float jet, an unreduced ``(numerator, denominator)``
-    integer pair over the term's class denominator on a rational jet (of
-    either sign; terms on the same diagonals share it).  It
+    integer pair on a rational jet (the denominator of either sign; from
+    :data:`LIFT_MIN_ORDER` on, terms on the same diagonals share it).  It
     is kept out of ``repr`` but compared, so two reports whose term values
     differ compare unequal.  :attr:`term_values` normalizes the pairs on
     its first read only, as most callers read just ``value``.
@@ -245,8 +266,8 @@ def _exact_total(pairs: list) -> Fraction:
     product tree, into one sum over q1/g * q2 with g = gcd(q1, q2), so
     each denominator is the lcm of its own subtree's (up to sign); only
     the last sum is normalized.  :func:`eval_formula` hands in one pair
-    per distinct term denominator, at most p(n - 1) of them for a compact
-    formula of order n.
+    per distinct term denominator: at most p(n - 1) of them for a compact
+    formula of order n once its bases are lifted.
     """
     while len(pairs) > 1:
         merged = []
@@ -267,12 +288,19 @@ def _diagonal_lcm(jet: Jet, k: int) -> int:
 
 
 def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
-    """The term pairs of :func:`eval_formula` on a rational jet, and their class sums."""
+    """The term pairs of :func:`eval_formula` on a rational jet, and their class sums.
+
+    From order :data:`LIFT_MIN_ORDER` on, each distinct base is lifted to
+    its diagonal's denominator; below it, a base stays its own normalized
+    pair, and only terms whose denominators happen to be equal share a
+    class.
+    """
     fy = jet.fy
+    lift = formula.n >= LIFT_MIN_ORDER
     shear = jet.fx.denominator * fy.denominator if blocks else 1  # b*d
-    bases = {}  # key -> lifted (numerator, denominator) of its block or partial
+    bases = {}  # key -> (numerator, denominator) of its block or partial, lifted or not
     diagonals = {}  # k -> e_k
-    powers = {}  # (key, power) -> (numerator, denominator) of the lifted base**power
+    powers = {}  # (key, power) -> (numerator, denominator) of the base**power
     fy_powers = {}  # q -> (numerator, denominator) of 1 / f_y**q
     classes = {}  # term denominator -> sum of the numerators over it
     contributions = []
@@ -290,13 +318,20 @@ def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
                         value = jet.partials[key]
                     else:
                         raise JetError(f"partial {tuple(key)} beyond the jet's order")
-                    k = key.l + key.r
-                    e = diagonals.get(k)
-                    if e is None:
-                        e = diagonals[k] = _diagonal_lcm(jet, k)
-                    lift = e * shear**key.l if blocks else e
-                    numerator, denominator = value.as_integer_ratio()
-                    base = bases[key] = (numerator * (lift // denominator), lift)
+                    base = value.as_integer_ratio()
+                    if lift:
+                        k = key.l + key.r
+                        e = diagonals.get(k)
+                        if e is None:
+                            e = diagonals[k] = _diagonal_lcm(jet, k)
+                        target = e * shear**key.l if blocks else e
+                        scale, rest = divmod(target, base[1])
+                        if rest:
+                            raise ArithmeticError(
+                                f"{tuple(key)} = {value} does not lift over {target}"
+                            )
+                        base = (base[0] * scale, target)
+                    bases[key] = base
                 factor = powers[entry] = (base[0] ** power, base[1] ** power)
             num *= factor[0]
             den *= factor[1]
@@ -317,17 +352,19 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     Each distinct block D[l,r] and each factor power, f_y power included,
     is computed once per call; the expanded shape reads its partials
     from the jet, and a partial beyond the jet's order raises
-    :class:`JetError`, as a block beyond it does.  On rational jets,
-    with f_x = a/b and f_y = c/d, each distinct base is lifted once to an
-    integer numerator over its diagonal's denominator: a block D[l,r] on
+    :class:`JetError`, as a block beyond it does.  On rational jets, from
+    order :data:`LIFT_MIN_ORDER` on and with f_x = a/b and f_y = c/d, each
+    distinct base is lifted once, by one exact integer division, to a
+    numerator over its diagonal's denominator: a block D[l,r] on
     diagonal k = l + r over e_k * (b*d)^l, a raw partial of order k over
     e_k, where e_k is the lcm of the denominators of the jet's k + 1
     partials of total order k.  A term is then an unreduced pair of
     integer products whose denominator depends only on the diagonals it
     uses, its f_y power and its coefficient's denominator: for a compact
     formula those diagonals form a partition of n - 1, so at most
-    p(n - 1) denominators occur.  The terms' numerators are added as
-    plain integers per denominator, the class sums are merged
+    p(n - 1) denominators occur.  Below that order each base stays its
+    own normalized pair.  Either way the terms' numerators are added as
+    plain integers per exact denominator, the class sums are merged
     (:func:`_exact_total`) and normalized once, and no term is normalized
     unless :attr:`EvalReport.term_values` is read.  On float jets the
     operations and their order are those of the plain per-factor

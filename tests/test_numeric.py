@@ -34,6 +34,7 @@ from implicit_derivatives import (
 )
 from implicit_derivatives.numeric import (
     FD_MAX_ORDER,
+    LIFT_MIN_ORDER,
     _central_stencil,
     _coerce_scalar,
     _exact_total,
@@ -516,11 +517,23 @@ def test_partition_count():
     assert partition_count(13) == 101
 
 
+@pytest.fixture(params=["lifted", "unlifted"])
+def lift(request, monkeypatch):
+    """Run exact evaluation with every base lifted, or with none lifted."""
+    import implicit_derivatives.numeric as numeric
+
+    monkeypatch.setattr(numeric, "LIFT_MIN_ORDER", 0 if request.param == "lifted" else math.inf)
+    return request.param
+
+
 @pytest.mark.parametrize("n", range(2, 15))
-def test_exact_terms_share_at_most_one_denominator_per_partition(n):
+def test_exact_terms_share_at_most_one_denominator_per_partition(monkeypatch, n):
     # a compact term's diagonals l + r, each counted with multiplicity m,
     # give sum (l + r - 1) * m = n - 1: a partition of n - 1, which fixes
-    # the term's denominator
+    # the term's denominator once every base is lifted
+    import implicit_derivatives.numeric as numeric
+
+    monkeypatch.setattr(numeric, "LIFT_MIN_ORDER", 0)
     formula = delta_formula(n)
     bound = partition_count(n - 1)
     for jet in (wide_rational_jet(n, seed=1500 + n), random_rational_jet(n, seed=1520 + n)):
@@ -528,6 +541,31 @@ def test_exact_terms_share_at_most_one_denominator_per_partition(n):
         assert len({q for _, q in report._terms}) <= bound
         assert report.value == per_factor_reference(formula, jet)[0]
     assert len({q for _, q in eval_formula(formula, exp_jet(n))._terms}) == 1
+
+
+def test_bases_are_lifted_from_their_order_on():
+    # unlifted, the terms of a wide jet keep about as many denominators as
+    # there are terms
+    for n in (LIFT_MIN_ORDER - 1, LIFT_MIN_ORDER):
+        formula = delta_formula(n)
+        jet = wide_rational_jet(n, seed=1530 + n)
+        classes = len({q for _, q in eval_formula(formula, jet)._terms})
+        assert (classes <= partition_count(n - 1)) == (n >= LIFT_MIN_ORDER)
+
+
+def test_a_block_that_does_not_lift_raises(monkeypatch):
+    import implicit_derivatives.numeric as numeric
+
+    def foreign(jet, l, r):
+        # 1_000_003 is a prime that divides no denominator of the jet
+        return eval_delta_block(jet, l, r) + Fraction(1, 1_000_003)
+
+    monkeypatch.setattr(numeric, "eval_delta_block", foreign)
+    n = LIFT_MIN_ORDER
+    with pytest.raises(ArithmeticError, match="does not lift"):
+        eval_formula(delta_formula(n), random_rational_jet(n, seed=1540))
+    # below the lift's order the stand-in's value is taken as it is
+    eval_formula(delta_formula(n - 1), random_rational_jet(n - 1, seed=1540))
 
 
 def assert_matches_the_reference(formula, jet):
@@ -538,7 +576,7 @@ def assert_matches_the_reference(formula, jet):
     assert report.term_values == terms
 
 
-def test_hand_made_terms_off_the_order_stay_exact():
+def test_hand_made_terms_off_the_order_stay_exact(lift):
     # sum l * m is 4, 2, 4, 1, 7 and 0 here, never n = 3; f_y powers and
     # coefficient denominators are mixed, and four terms share D[2,0]
     terms = [
@@ -558,12 +596,12 @@ def test_hand_made_terms_off_the_order_stay_exact():
 
 
 @pytest.mark.parametrize("build", [delta_formula, elementary_formula])
-def test_exact_eval_on_a_jet_of_higher_order(build):
+def test_exact_eval_on_a_jet_of_higher_order(lift, build):
     assert_matches_the_reference(build(6), wide_rational_jet(11, seed=1611))
 
 
 @pytest.mark.parametrize("build", [delta_formula, elementary_formula])
-def test_exact_eval_with_zero_partials_on_used_diagonals(build):
+def test_exact_eval_with_zero_partials_on_used_diagonals(lift, build):
     jet = wide_rational_jet(7, seed=1621)
     partials = dict(jet.partials)
     partials[(2, 1)] = Fraction(0)  # one zero partial on diagonal 3
@@ -574,7 +612,7 @@ def test_exact_eval_with_zero_partials_on_used_diagonals(build):
 
 
 @pytest.mark.parametrize("build", [delta_formula, elementary_formula])
-def test_exact_eval_with_fx_zero_and_negative_fy(build):
+def test_exact_eval_with_fx_zero_and_negative_fy(lift, build):
     jet = wide_rational_jet(8, seed=1631)
     partials = dict(jet.partials)
     partials[(1, 0)] = Fraction(0)
@@ -586,7 +624,7 @@ def test_exact_eval_with_fx_zero_and_negative_fy(build):
 
 @pytest.mark.parametrize("build", [elementary_formula, fx_zero_formula])
 @pytest.mark.parametrize("n", range(2, 11))
-def test_expanded_forms_match_the_reference_on_wide_jets(build, n):
+def test_expanded_forms_match_the_reference_on_wide_jets(lift, build, n):
     formula = build(n)
     jet = wide_rational_jet(n, seed=1640 + n)
     for case in (jet, negated(jet)):
