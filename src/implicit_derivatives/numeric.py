@@ -341,7 +341,8 @@ def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
             fy_power = fy_powers[q] = (fy.denominator**q, fy.numerator**q)
         num *= fy_power[0]
         den *= fy_power[1]
-        classes[den] = classes.get(den, 0) + num
+        held = classes.get(den)
+        classes[den] = num if held is None else held + num
         contributions.append((num, den))
     return contributions, classes
 
