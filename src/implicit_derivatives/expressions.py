@@ -46,7 +46,8 @@ class DeltaMonomial:
 
     def __post_init__(self) -> None:
         factors = canonical_entries(self.factors, BELOW_ORDER_TWO, FormulaError)
-        check_int(self.fy_power, FormulaError, "fy_power")
+        if check_int(self.fy_power, FormulaError, "fy_power") < 0:
+            raise FormulaError(f"fy_power must be 0 or more, got {self.fy_power}")
         object.__setattr__(self, "factors", factors)
 
 
@@ -64,7 +65,8 @@ class ElemMonomial:
 
     def __post_init__(self) -> None:
         exponents = canonical_entries(self.exponents, F_AND_FY, FormulaError)
-        check_int(self.fy_power, FormulaError, "fy_power")
+        if check_int(self.fy_power, FormulaError, "fy_power") < 0:
+            raise FormulaError(f"fy_power must be 0 or more, got {self.fy_power}")
         object.__setattr__(self, "exponents", exponents)
 
     def has_key(self, key) -> bool:

@@ -4,13 +4,12 @@ A jet records the values of all partials f_{x^p y^t} of f at a base
 point up to a total order, in one of two scalar kinds: exact rationals
 or binary64 floats; every table of partials here has the one layout
 of :func:`_partial_keys`.  Formulas evaluate to a scalar of the jet's
-kind, so rational jets give exact results.  Exact evaluation of a
-formula of order :data:`LIFT_MIN_ORDER` or more lifts each block or
-partial once to an integer over its diagonal's common denominator, so a
-term's denominator depends only on the diagonals it uses.  The terms
-are summed as plain integers per denominator, and only the block values
-and the total are normalized.  Each term stays an unreduced integer
-pair until its value is first read from the report.
+kind, so rational jets give exact results.  Exact evaluation builds
+each block or partial it uses as one integer over its diagonal's common
+denominator, so a term's denominator depends only on the diagonals it
+uses.  The terms are summed as plain integers per denominator, and only
+the total is normalized.  Each term stays an unreduced integer pair
+until its value is first read from the report.
 
 The module also ships a few built-in implicit-function problems with
 known solutions, a Newton solver plus central finite differences for
@@ -47,26 +46,6 @@ FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 FD_MAX_ORDER = 4
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 50
-#: Lowest formula order at which exact evaluation lifts each base to its
-#: diagonal's common denominator (:func:`_exact_terms`).  The lift reads
-#: every partial of each diagonal used, which small formulas do not win
-#: back.  Time of a lifted delta_formula(n) evaluation over an unlifted
-#: one, on four jets whose entries have w-bit numerators and
-#: denominators, and on the verify shift suite's jets (compact formula on
-#: small-entry jets, fx_zero formula on their shears); best of 9
-#: interleaved runs, median of three sweeps, Python 3.11.7, 2-CPU shared
-#: host:
-#:
-#:   n              4     6     8     9    10    12    14
-#:   w = 2       1.18  1.10  1.12  1.08  1.03  0.96  0.96
-#:   w = 8       1.15  1.03  0.91  0.83  0.77  0.69  0.67
-#:   w = 32      1.12  0.95  0.78  0.67  0.65  0.56  0.45
-#:   shift       1.24  1.14  1.04  1.05
-#:
-#: The benchmark's verify workload evaluates up to order 9, where the lift
-#: still loses on the shift suite's jets; from 10 on it is about even on
-#: small entries and wins on wider ones.
-LIFT_MIN_ORDER = 10
 
 
 def _coerce_scalar(value, kind, what):
@@ -207,22 +186,41 @@ def eval_delta_block(jet: Jet, l: int, r: int):
         raise JetError(f"block ({l},{r}) needs jet order {l + r}, have {jet.order}")
     fx, fy = jet.fx, jet.fy
     if jet.kind == RATIONAL:
-        # With f_x = a/b, f_y = c/d and the l + 1 partials over their
-        # common denominator e, the block is one integer sum over
-        # e * (b*d)^l:  sum_j C(l,j) P_j (-a*d)^j (b*c)^(l-j).
-        values = [jet.partials[(l - j, r + j)] for j in range(l + 1)]
-        e = math.lcm(*[v.denominator for v in values])
-        x = -fx.numerator * fy.denominator
-        y = fx.denominator * fy.numerator
-        total = 0
-        for j, v in enumerate(values):
-            scaled = v.numerator * (e // v.denominator)
-            total += math.comb(l, j) * scaled * x**j * y ** (l - j)
-        return Fraction(total, e * (fx.denominator * fy.denominator) ** l)
+        e, scaled = _diagonal(jet, l + r)
+        shear = fx.denominator * fy.denominator  # b*d
+        return Fraction(_block_numerator(jet, scaled, l), e * shear**l)
     total = 0.0
     for j in range(l + 1):
         term = math.comb(l, j) * jet.partials[(l - j, r + j)] * fx**j * fy ** (l - j)
         total += -term if j % 2 else term
+    return total
+
+
+def _diagonal(jet: Jet, k: int) -> tuple[int, list[int]]:
+    """e_k and the jet's partials of total order k as integers over it.
+
+    e_k is the lcm of the denominators of the k + 1 partials
+    f_{x^p y^(k-p)}; item p of the list is the numerator of that partial
+    over e_k.
+    """
+    values = [jet.partials[(p, k - p)] for p in range(k + 1)]
+    e = math.lcm(*[v.denominator for v in values])
+    return e, [v.numerator * (e // v.denominator) for v in values]
+
+
+def _block_numerator(jet: Jet, scaled: list[int], l: int) -> int:
+    """The numerator of D[l,r] over e_k * (b*d)^l, from ``_diagonal(jet, l + r)[1]``.
+
+    With f_x = a/b, f_y = c/d and P_p the partial f_{x^p y^(k-p)} over
+    e_k, the block is the one integer sum
+    sum_j C(l,j) P_(l-j) (-a*d)^j (b*c)^(l-j).
+    """
+    fx, fy = jet.fx, jet.fy
+    x = -fx.numerator * fy.denominator
+    y = fx.denominator * fy.numerator
+    total = 0
+    for j in range(l + 1):
+        total += math.comb(l, j) * scaled[l - j] * x**j * y ** (l - j)
     return total
 
 
@@ -232,11 +230,12 @@ class EvalReport:
 
     ``_terms`` holds each term as :func:`eval_formula` left it: the float
     itself on a float jet, an unreduced ``(numerator, denominator)``
-    integer pair on a rational jet (the denominator of either sign; from
-    :data:`LIFT_MIN_ORDER` on, terms on the same diagonals share it).  It
-    is kept out of ``repr`` but compared, so two reports whose term values
-    differ compare unequal.  :attr:`term_values` normalizes the pairs on
-    its first read only, as most callers read just ``value``.
+    integer pair on a rational jet (the denominator of either sign, the
+    same for terms on the same diagonals with the same f_y power and
+    coefficient denominator).  It is kept out of ``repr`` but compared, so
+    two reports whose term values differ compare unequal.
+    :attr:`term_values` normalizes the pairs on its first read only, as
+    most callers read just ``value``.
     """
 
     n: int
@@ -267,7 +266,7 @@ def _exact_total(pairs: list) -> Fraction:
     each denominator is the lcm of its own subtree's (up to sign); only
     the last sum is normalized.  :func:`eval_formula` hands in one pair
     per distinct term denominator: at most p(n - 1) of them for a compact
-    formula of order n once its bases are lifted.
+    formula of order n.
     """
     while len(pairs) > 1:
         merged = []
@@ -282,24 +281,17 @@ def _exact_total(pairs: list) -> Fraction:
     return Fraction(*pairs[0])
 
 
-def _diagonal_lcm(jet: Jet, k: int) -> int:
-    """e_k: the lcm of the denominators of the jet's k + 1 partials of total order k."""
-    return math.lcm(*[jet.partials[(p, k - p)].denominator for p in range(k + 1)])
-
-
 def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
     """The term pairs of :func:`eval_formula` on a rational jet, and their class sums.
 
-    From order :data:`LIFT_MIN_ORDER` on, each distinct base is lifted to
-    its diagonal's denominator; below it, a base stays its own normalized
-    pair, and only terms whose denominators happen to be equal share a
-    class.
+    Each distinct base is one integer over its diagonal's denominator: a
+    block D[l,r] from :func:`_block_numerator` over e_k * (b*d)^l, a raw
+    partial from :func:`_diagonal` over e_k; each diagonal is read once.
     """
     fy = jet.fy
-    lift = formula.n >= LIFT_MIN_ORDER
-    shear = jet.fx.denominator * fy.denominator if blocks else 1  # b*d
-    bases = {}  # key -> (numerator, denominator) of its block or partial, lifted or not
-    diagonals = {}  # k -> e_k
+    shear = jet.fx.denominator * fy.denominator  # b*d
+    diagonals = {}  # k -> e_k and the diagonal's partials as integers over it
+    bases = {}  # key -> (numerator, denominator) of its block or partial
     powers = {}  # (key, power) -> (numerator, denominator) of the base**power
     fy_powers = {}  # q -> (numerator, denominator) of 1 / f_y**q
     classes = {}  # term denominator -> sum of the numerators over it
@@ -312,25 +304,18 @@ def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
                 key, power = entry
                 base = bases.get(key)
                 if base is None:
+                    k = key.l + key.r
+                    if k > jet.order:
+                        what = "block" if blocks else "partial"
+                        raise JetError(f"{what} {tuple(key)} beyond the jet's order")
+                    diagonal = diagonals.get(k)
+                    if diagonal is None:
+                        diagonal = diagonals[k] = _diagonal(jet, k)
+                    e, scaled = diagonal
                     if blocks:
-                        value = eval_delta_block(jet, key.l, key.r)
-                    elif key in jet.partials:
-                        value = jet.partials[key]
+                        base = (_block_numerator(jet, scaled, key.l), e * shear**key.l)
                     else:
-                        raise JetError(f"partial {tuple(key)} beyond the jet's order")
-                    base = value.as_integer_ratio()
-                    if lift:
-                        k = key.l + key.r
-                        e = diagonals.get(k)
-                        if e is None:
-                            e = diagonals[k] = _diagonal_lcm(jet, k)
-                        target = e * shear**key.l if blocks else e
-                        scale, rest = divmod(target, base[1])
-                        if rest:
-                            raise ArithmeticError(
-                                f"{tuple(key)} = {value} does not lift over {target}"
-                            )
-                        base = (base[0] * scale, target)
+                        base = (scaled[key.l], e)
                     bases[key] = base
                 factor = powers[entry] = (base[0] ** power, base[1] ** power)
             num *= factor[0]
@@ -353,19 +338,17 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     Each distinct block D[l,r] and each factor power, f_y power included,
     is computed once per call; the expanded shape reads its partials
     from the jet, and a partial beyond the jet's order raises
-    :class:`JetError`, as a block beyond it does.  On rational jets, from
-    order :data:`LIFT_MIN_ORDER` on and with f_x = a/b and f_y = c/d, each
-    distinct base is lifted once, by one exact integer division, to a
-    numerator over its diagonal's denominator: a block D[l,r] on
-    diagonal k = l + r over e_k * (b*d)^l, a raw partial of order k over
-    e_k, where e_k is the lcm of the denominators of the jet's k + 1
-    partials of total order k.  A term is then an unreduced pair of
-    integer products whose denominator depends only on the diagonals it
-    uses, its f_y power and its coefficient's denominator: for a compact
-    formula those diagonals form a partition of n - 1, so at most
-    p(n - 1) denominators occur.  Below that order each base stays its
-    own normalized pair.  Either way the terms' numerators are added as
-    plain integers per exact denominator, the class sums are merged
+    :class:`JetError`, as a block beyond it does.  On rational jets, with
+    f_x = a/b and f_y = c/d, each distinct base is one integer over its
+    diagonal's denominator, summed once with no division: a block D[l,r]
+    on diagonal k = l + r over e_k * (b*d)^l, a raw partial of order k
+    over e_k, where e_k is the lcm of the denominators of the jet's
+    k + 1 partials of total order k.  A term is then an unreduced pair
+    of integer products whose denominator depends only on the diagonals
+    it uses, its f_y power and its coefficient's denominator: for a
+    compact formula those diagonals form a partition of n - 1, so at
+    most p(n - 1) denominators occur.  The terms' numerators are added
+    as plain integers per exact denominator, the class sums are merged
     (:func:`_exact_total`) and normalized once, and no term is normalized
     unless :attr:`EvalReport.term_values` is read.  On float jets the
     operations and their order are those of the plain per-factor

@@ -34,9 +34,9 @@ from implicit_derivatives import (
 )
 from implicit_derivatives.numeric import (
     FD_MAX_ORDER,
-    LIFT_MIN_ORDER,
     _central_stencil,
     _coerce_scalar,
+    _diagonal,
     _exact_total,
     evaluate_problem,
     newton_solve,
@@ -399,17 +399,24 @@ def float_copy(jet):
     return Jet(float(jet.x0), float(jet.y0), jet.order, partials, kind="float")
 
 
-def per_factor_reference(formula, jet):
-    """The plain term loop: every factor evaluated and multiplied in afresh."""
+def read_partial(jet, p, t):
+    return jet.partials[(p, t)]
+
+
+def per_factor_reference(formula, jet, block=eval_delta_block, partial=read_partial):
+    """The plain term loop: every factor evaluated and multiplied in afresh.
+
+    ``block(jet, l, r)`` and ``partial(jet, p, t)`` give the factor bases.
+    """
     contributions = []
     for coeff, mono in formula.terms:
         product = Fraction(1) if jet.kind == "rational" else 1.0
         if isinstance(formula, DeltaFormula):
             for key, power in mono.factors:
-                product *= eval_delta_block(jet, key.l, key.r) ** power
+                product *= block(jet, key.l, key.r) ** power
         else:
             for key, power in mono.exponents:
-                product *= jet.partials[(key.l, key.r)] ** power
+                product *= partial(jet, key.l, key.r) ** power
         value = coeff * product / jet.fy**mono.fy_power
         contributions.append(float(value) if jet.kind == "float" else value)
     if jet.kind == "rational":
@@ -449,10 +456,9 @@ def test_float_total_is_not_the_correctly_rounded_sum():
 )
 def test_eval_matches_the_per_factor_product_bit_for_bit(build, n):
     formula = build(n)
-    jets = [random_rational_jet(n, seed=700 + n)]
-    if build is delta_formula:
-        # 32-bit entries: the unreduced term pairs carry wide common factors
-        jets.append(wide_rational_jet(n, seed=720 + n))
+    # 32-bit entries: the unreduced term pairs carry wide common factors,
+    # and each block or raw partial is put over its diagonal's wide lcm
+    jets = [random_rational_jet(n, seed=700 + n), wide_rational_jet(n, seed=720 + n)]
     for jet in jets:
         # -f has the same solution; one of the two jets has a negative f_y
         for case in (jet, float_copy(jet), negated(jet), float_copy(negated(jet))):
@@ -470,19 +476,42 @@ def test_each_block_is_computed_once_per_call(monkeypatch, n):
     import implicit_derivatives.numeric as numeric
 
     formula = delta_formula(n)
-    calls = []
+    jet = random_rational_jet(n, seed=n)
+    distinct = {(key.l, key.r) for _, mono in formula.terms for key, _ in mono.factors}
+    blocks, diagonals, floats = [], [], []
 
-    def counted(jet, l, r):
-        calls.append((l, r))
+    def counted_block(jet, scaled, l):
+        blocks.append((l, len(scaled) - 1 - l))  # r = k - l
+        return numerator(jet, scaled, l)
+
+    def counted_diagonal(jet, k):
+        diagonals.append(k)
+        return diagonal(jet, k)
+
+    def counted_float(jet, l, r):
+        floats.append((l, r))
         return eval_delta_block(jet, l, r)
 
-    monkeypatch.setattr(numeric, "eval_delta_block", counted)
-    eval_formula(formula, random_rational_jet(n, seed=n))
-    distinct = {(key.l, key.r) for _, mono in formula.terms for key, _ in mono.factors}
-    assert sorted(calls) == sorted(distinct)
+    numerator, diagonal = numeric._block_numerator, numeric._diagonal
+    monkeypatch.setattr(numeric, "_block_numerator", counted_block)
+    monkeypatch.setattr(numeric, "_diagonal", counted_diagonal)
+    monkeypatch.setattr(numeric, "eval_delta_block", counted_float)
+    # exact: one numerator per distinct block, one read per diagonal used
+    eval_formula(formula, jet)
+    assert sorted(blocks) == sorted(distinct)
+    assert sorted(diagonals) == sorted({l + r for l, r in distinct})
+    assert floats == []
+    # binary64: one eval_delta_block call per distinct block
+    blocks.clear()
+    diagonals.clear()
+    eval_formula(formula, float_copy(jet))
+    assert sorted(floats) == sorted(distinct)
+    assert blocks == diagonals == []
 
 
 def test_exact_eval_normalizes_only_the_blocks_and_the_total(monkeypatch):
+    # the blocks stay integers over their diagonals' denominators: the
+    # total is the one Fraction built
     import implicit_derivatives.numeric as numeric
 
     formula = delta_formula(12)
@@ -496,9 +525,9 @@ def test_exact_eval_normalizes_only_the_blocks_and_the_total(monkeypatch):
     monkeypatch.setattr(numeric, "Fraction", counted)
     report = eval_formula(formula, jet)
     monkeypatch.undo()
-    distinct = {key for _, mono in formula.terms for key, _ in mono.factors}
     assert len(formula.terms) == 949
-    assert len(built) <= len(distinct) + 1
+    assert len(built) == 1
+    assert Fraction(*built[0]) == report.value
     # the terms read afterwards are the normalized ones
     assert report.term_values == per_factor_reference(formula, jet)[1]
 
@@ -517,23 +546,32 @@ def test_partition_count():
     assert partition_count(13) == 101
 
 
-@pytest.fixture(params=["lifted", "unlifted"])
-def lift(request, monkeypatch):
-    """Run exact evaluation with every base lifted, or with none lifted."""
-    import implicit_derivatives.numeric as numeric
+def lifted_partial(jet, p, t):
+    """f_{x^p y^t} read back from its integer over its diagonal's denominator."""
+    e, scaled = _diagonal(jet, p + t)
+    return Fraction(scaled[p], e)
 
-    monkeypatch.setattr(numeric, "LIFT_MIN_ORDER", 0 if request.param == "lifted" else math.inf)
-    return request.param
+
+@pytest.fixture(params=["lifted", "unlifted"])
+def bases(request):
+    """Where the reference reads its bases: the package's lift, or plain Fractions.
+
+    "lifted" takes each block from eval_delta_block and each raw partial
+    from its integer over e_k, the values eval_formula's terms are built
+    from, so the products, classes and merge are checked on their own;
+    "unlifted" sums each block term by term in Fractions and reads each
+    partial from the jet, independent of the package's kernel.
+    """
+    if request.param == "lifted":
+        return {"block": eval_delta_block, "partial": lifted_partial}
+    return {"block": block_reference, "partial": read_partial}
 
 
 @pytest.mark.parametrize("n", range(2, 15))
-def test_exact_terms_share_at_most_one_denominator_per_partition(monkeypatch, n):
+def test_exact_terms_share_at_most_one_denominator_per_partition(n):
     # a compact term's diagonals l + r, each counted with multiplicity m,
     # give sum (l + r - 1) * m = n - 1: a partition of n - 1, which fixes
-    # the term's denominator once every base is lifted
-    import implicit_derivatives.numeric as numeric
-
-    monkeypatch.setattr(numeric, "LIFT_MIN_ORDER", 0)
+    # the term's denominator
     formula = delta_formula(n)
     bound = partition_count(n - 1)
     for jet in (wide_rational_jet(n, seed=1500 + n), random_rational_jet(n, seed=1520 + n)):
@@ -543,40 +581,15 @@ def test_exact_terms_share_at_most_one_denominator_per_partition(monkeypatch, n)
     assert len({q for _, q in eval_formula(formula, exp_jet(n))._terms}) == 1
 
 
-def test_bases_are_lifted_from_their_order_on():
-    # unlifted, the terms of a wide jet keep about as many denominators as
-    # there are terms
-    for n in (LIFT_MIN_ORDER - 1, LIFT_MIN_ORDER):
-        formula = delta_formula(n)
-        jet = wide_rational_jet(n, seed=1530 + n)
-        classes = len({q for _, q in eval_formula(formula, jet)._terms})
-        assert (classes <= partition_count(n - 1)) == (n >= LIFT_MIN_ORDER)
-
-
-def test_a_block_that_does_not_lift_raises(monkeypatch):
-    import implicit_derivatives.numeric as numeric
-
-    def foreign(jet, l, r):
-        # 1_000_003 is a prime that divides no denominator of the jet
-        return eval_delta_block(jet, l, r) + Fraction(1, 1_000_003)
-
-    monkeypatch.setattr(numeric, "eval_delta_block", foreign)
-    n = LIFT_MIN_ORDER
-    with pytest.raises(ArithmeticError, match="does not lift"):
-        eval_formula(delta_formula(n), random_rational_jet(n, seed=1540))
-    # below the lift's order the stand-in's value is taken as it is
-    eval_formula(delta_formula(n - 1), random_rational_jet(n - 1, seed=1540))
-
-
-def assert_matches_the_reference(formula, jet):
+def assert_matches_the_reference(formula, jet, bases):
     report = eval_formula(formula, jet)
-    value, terms = per_factor_reference(formula, jet)
+    value, terms = per_factor_reference(formula, jet, **bases)
     assert type(report.value) is Fraction
     assert report.value == value
     assert report.term_values == terms
 
 
-def test_hand_made_terms_off_the_order_stay_exact(lift):
+def test_hand_made_terms_off_the_order_stay_exact(bases):
     # sum l * m is 4, 2, 4, 1, 7 and 0 here, never n = 3; f_y powers and
     # coefficient denominators are mixed, and four terms share D[2,0]
     terms = [
@@ -591,44 +604,44 @@ def test_hand_made_terms_off_the_order_stay_exact(lift):
     elem_terms = [(c, ElemMonomial(m.factors, m.fy_power)) for c, m in terms]
     for jet in (wide_rational_jet(4, seed=1601), random_rational_jet(4, seed=1602)):
         for case in (jet, negated(jet)):
-            assert_matches_the_reference(formula, case)
-            assert_matches_the_reference(ElemFormula.from_terms(3, elem_terms), case)
+            assert_matches_the_reference(formula, case, bases)
+            assert_matches_the_reference(ElemFormula.from_terms(3, elem_terms), case, bases)
 
 
 @pytest.mark.parametrize("build", [delta_formula, elementary_formula])
-def test_exact_eval_on_a_jet_of_higher_order(lift, build):
-    assert_matches_the_reference(build(6), wide_rational_jet(11, seed=1611))
+def test_exact_eval_on_a_jet_of_higher_order(bases, build):
+    assert_matches_the_reference(build(6), wide_rational_jet(11, seed=1611), bases)
 
 
 @pytest.mark.parametrize("build", [delta_formula, elementary_formula])
-def test_exact_eval_with_zero_partials_on_used_diagonals(lift, build):
+def test_exact_eval_with_zero_partials_on_used_diagonals(bases, build):
     jet = wide_rational_jet(7, seed=1621)
     partials = dict(jet.partials)
     partials[(2, 1)] = Fraction(0)  # one zero partial on diagonal 3
     partials.update({(p, 4 - p): Fraction(0) for p in range(5)})  # all of diagonal 4
     zeroed = Jet(jet.x0, jet.y0, jet.order, partials)
     assert eval_delta_block(zeroed, 2, 2) == 0
-    assert_matches_the_reference(build(7), zeroed)
+    assert_matches_the_reference(build(7), zeroed, bases)
 
 
 @pytest.mark.parametrize("build", [delta_formula, elementary_formula])
-def test_exact_eval_with_fx_zero_and_negative_fy(lift, build):
+def test_exact_eval_with_fx_zero_and_negative_fy(bases, build):
     jet = wide_rational_jet(8, seed=1631)
     partials = dict(jet.partials)
     partials[(1, 0)] = Fraction(0)
     partials[(0, 1)] = -abs(partials[(0, 1)])
     flat = Jet(jet.x0, jet.y0, jet.order, partials)
     assert flat.fx == 0 and flat.fy.numerator < 0
-    assert_matches_the_reference(build(8), flat)
+    assert_matches_the_reference(build(8), flat, bases)
 
 
 @pytest.mark.parametrize("build", [elementary_formula, fx_zero_formula])
 @pytest.mark.parametrize("n", range(2, 11))
-def test_expanded_forms_match_the_reference_on_wide_jets(lift, build, n):
+def test_expanded_forms_match_the_reference_on_wide_jets(bases, build, n):
     formula = build(n)
     jet = wide_rational_jet(n, seed=1640 + n)
     for case in (jet, negated(jet)):
-        assert_matches_the_reference(formula, case)
+        assert_matches_the_reference(formula, case, bases)
 
 
 def test_term_values_are_read_once_and_survive_replace():

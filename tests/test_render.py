@@ -151,6 +151,10 @@ def test_parse_rejects_malformed_documents():
         ("2", "elementary", elem_term % ('{"p": 2.5, "t": 0, "power": 1}', "1")),
         ("2", "elementary", elem_term % ('{"p": 2, "t": 0.0, "power": 1}', "1")),
         ("2", "inverse", elem_term % ('{"p": 0, "t": 2, "power": 1}', "true")),
+        # f_y only ever divides: fy_power is 0 or more
+        ("2", "delta", delta_term % ('{"l": 2, "r": 0, "power": 1}', "-1")),
+        ("2", "elementary", elem_term % ('{"p": 2, "t": 0, "power": 1}', "-1")),
+        ("2", "inverse", elem_term % ('{"p": 0, "t": 2, "power": 1}', "-3")),
     ]:
         with pytest.raises(FormulaError):
             formula_from_json(f'{{"n": {n}, "form": "{form}", "terms": [{term}]}}')
@@ -167,6 +171,10 @@ def test_parse_rejects_malformed_documents():
         ElemMonomial((((2.0, 0), 1),), 1)
     with pytest.raises(FormulaError):
         ElemMonomial((((2, 0), 1),), True)
+    with pytest.raises(FormulaError):
+        DeltaMonomial((((2, 0), 1),), -1)
+    with pytest.raises(FormulaError):
+        ElemMonomial((((2, 0), 1),), -1)
     # every pair's types are checked before the merge sorts the keys
     for entries in ((((2, "0"), 1), ((2, 0), 1)), (5,), (((2, 0, 1), 1),), 5):
         with pytest.raises(FormulaError):
@@ -176,6 +184,9 @@ def test_parse_rejects_malformed_documents():
     assert formula_from_json(f'{{"n": 2, "form": "delta", "terms": [{good}]}}') == (
         delta_formula(2)
     )
+    free = elem_term % ('{"p": 2, "t": 0, "power": 1}', "0")  # f_y^0 = 1
+    parsed = formula_from_json(f'{{"n": 2, "form": "elementary", "terms": [{free}]}}')
+    assert parsed.terms == ((Fraction(-1), ElemMonomial((((2, 0), 1),), 0)),)
 
 
 # --- the renderers against the per-term reference -------------------------
