@@ -50,6 +50,19 @@ class DeltaMonomial:
             raise FormulaError(f"fy_power must be 0 or more, got {self.fy_power}")
         object.__setattr__(self, "factors", factors)
 
+    @classmethod
+    def _trusted(cls, factors: tuple, fy_power: int) -> "DeltaMonomial":
+        """A monomial of entries already canonical and valid, set without a scan.
+
+        For the builders of :mod:`~implicit_derivatives.formula` alone, whose
+        entries are canonical by construction; the tests rebuild every built
+        monomial through the checked constructor.
+        """
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "factors", factors)
+        object.__setattr__(mono, "fy_power", fy_power)
+        return mono
+
 
 @dataclass(frozen=True, slots=True)
 class ElemMonomial:
@@ -68,6 +81,17 @@ class ElemMonomial:
         if check_int(self.fy_power, FormulaError, "fy_power") < 0:
             raise FormulaError(f"fy_power must be 0 or more, got {self.fy_power}")
         object.__setattr__(self, "exponents", exponents)
+
+    @classmethod
+    def _trusted(cls, exponents: tuple, fy_power: int) -> "ElemMonomial":
+        """A monomial of entries already canonical and valid, set without a scan.
+
+        The same contract as :meth:`DeltaMonomial._trusted`.
+        """
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "exponents", exponents)
+        object.__setattr__(mono, "fy_power", fy_power)
+        return mono
 
     def has_key(self, key) -> bool:
         target = VectorKey(*key)

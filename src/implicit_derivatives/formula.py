@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .coeffs import _balls_in_boxes, _slot_orders, binom
 from .errors import DomainError, FormulaError, check_order
-from .expressions import DeltaFormula, DeltaMonomial, ElemFormula, ElemMonomial
+from .expressions import DeltaFormula, DeltaMonomial, ElemFormula, ElemMonomial, _elem_key
 from .keys import VectorKey, check_int, merge_entries
 from .partitions import (
     Multiplicities,
@@ -47,6 +47,12 @@ def _family_terms(n: int, monomial, fy_offset: int, family_a: bool) -> tuple:
     the sign, the f_y power and the box count's numerator n! (total - 1)!
     are set once per group.  Terms with equal coefficients share one
     ``Fraction``, through a table this call drops.
+
+    ``monomial`` is a ``_trusted`` constructor: ``_family`` hands each
+    element's entries over as a canonical tuple of (``VectorKey``, positive
+    ``int``) pairs, ascending, with keys of l + r >= 2 (family A) or other
+    than f and f_y (family B), so no entry is scanned again; the formula's
+    constructor still checks the term order.
     """
     weights: dict = {}  # (key, count) -> box weight, filled by this call
     shared: dict[int, Fraction] = {}  # signed value -> its one Fraction
@@ -67,7 +73,7 @@ def _family_terms(n: int, monomial, fy_offset: int, family_a: bool) -> tuple:
 def delta_formula(n: int) -> DeltaFormula:
     """The order-n derivative in compact block form, one term per family-A element."""
     check_order(n, 2)
-    return DeltaFormula(n, _family_terms(n, DeltaMonomial, n, family_a=True))
+    return DeltaFormula(n, _family_terms(n, DeltaMonomial._trusted, n, family_a=True))
 
 
 def _block_terms(formula: DeltaFormula, caller: str) -> dict[Multiplicities, Fraction]:
@@ -97,6 +103,10 @@ def derive_next(formula: DeltaFormula) -> DeltaFormula:
     correction of -(2n - 1) also land on the mixed neighbor.  Every
     contribution is added separately and like products are collected
     generically, so no cancellation is special-cased.
+
+    Every successor is a canonical ``Multiplicities`` whose keys keep
+    l + r >= 2, since each move raises l + r or keeps it, so its entries
+    make a monomial without a second scan; ``from_terms`` sorts the terms.
     """
     n = formula.n
     acc: dict[Multiplicities, Fraction] = {}
@@ -118,7 +128,7 @@ def derive_next(formula: DeltaFormula) -> DeltaFormula:
         add(mixed, -coeff * (2 * n - 1))
 
     terms = [
-        (coeff, DeltaMonomial(beta.entries, n + 1 + beta.total))
+        (coeff, DeltaMonomial._trusted(beta.entries, n + 1 + beta.total))
         for beta, coeff in acc.items()
         if coeff != 0
     ]
@@ -134,6 +144,10 @@ def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaF
     coefficient 0.  ``records`` is
     :func:`~implicit_derivatives.partitions.predecessor_records` at
     order n + 1, made here when not handed in.
+
+    Each ``beta`` is a family-A element, canonical as a ``Multiplicities``
+    with keys of l + r >= 2, so its entries make a monomial without a
+    second scan.
     """
     table = _block_terms(formula, "recursion_step")
     n = formula.n
@@ -145,7 +159,7 @@ def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaF
         for record in preds:
             value += record.signed_weight * table.get(record.predecessor, 0)
         if value != 0:
-            terms.append((value, DeltaMonomial(beta.entries, n + 1 + beta.total)))
+            terms.append((value, DeltaMonomial._trusted(beta.entries, n + 1 + beta.total)))
     return DeltaFormula.from_terms(n + 1, terms)
 
 
@@ -234,6 +248,11 @@ def expand_delta(formula: DeltaFormula) -> ElemFormula:
     Each distinct block power is packed and expanded once per call, on integers
     over the common denominator.  A term that could leave a slot (a hand-made
     block power beyond any order) raises :class:`FormulaError` at once.
+
+    The unpacked entries come in slot order, which is canonical key order,
+    with positive exponents and keys of p + t >= 2 or (1, 0), so the
+    monomials are made without a second scan; only a negative power of
+    f_y, which a hand-made term over too low a power can leave, is refused.
     """
     if not isinstance(formula, DeltaFormula):
         raise FormulaError("expand_delta expects the compact block form")
@@ -263,16 +282,18 @@ def expand_delta(formula: DeltaFormula) -> ElemFormula:
         _product(poly, factors[-1], acc)  # the last product adds into acc
     # sorted by (fy_power, exponents), the canonical term order
     terms = sorted((*_unpack(packed, keys), v) for packed, v in acc.items() if v)
+    if terms and terms[0][0] < 0:
+        raise FormulaError(f"the expansion leaves f_y^{-terms[0][0]} in a numerator")
     return ElemFormula(
         formula.n,
-        tuple((Fraction(v, den), ElemMonomial(kept, fy)) for fy, kept, v in terms),
+        tuple((Fraction(v, den), ElemMonomial._trusted(kept, fy)) for fy, kept, v in terms),
     )
 
 
 def elementary_formula(n: int) -> ElemFormula:
     """The order-n derivative in expanded form, one term per family-B element."""
     check_order(n, 1)
-    return ElemFormula(n, _family_terms(n, ElemMonomial, 0, family_a=False))
+    return ElemFormula(n, _family_terms(n, ElemMonomial._trusted, 0, family_a=False))
 
 
 def specialize_fx_zero(formula: ElemFormula) -> ElemFormula:
@@ -295,7 +316,7 @@ def fx_zero_formula(n: int) -> ElemFormula:
     ``specialize_fx_zero(elementary_formula(n))``; order 1 has no term.
     """
     check_order(n, 1)
-    return ElemFormula(n, _family_terms(n, ElemMonomial, 0, family_a=True))
+    return ElemFormula(n, _family_terms(n, ElemMonomial._trusted, 0, family_a=True))
 
 
 def inverse_function_formula(n: int) -> ElemFormula:
@@ -308,6 +329,10 @@ def inverse_function_formula(n: int) -> ElemFormula:
     the index set is the partitions of n - 1: a part j gives the symbol
     g^(j+1) (stored as the key (0, j+1)), u is the number of parts, and
     the term has coefficient (-1)^u D(gamma) over g'^(n+u).
+
+    The parts ascend, so each monomial's entries are canonical as made,
+    with keys (0, j + 1) of j >= 1, and distinct partitions give distinct
+    monomials: a plain sort puts the terms in canonical order.
     """
     check_order(n, 1)
     weights: dict = {}
@@ -318,5 +343,6 @@ def inverse_function_formula(n: int) -> ElemFormula:
         entries = g_factors + ((VectorKey(1, 0), n),)
         coeff = _balls_in_boxes(entries, _slot_orders(n, n - 1 + u), weights)
         coeff = -coeff if u % 2 else coeff
-        terms.append((Fraction(coeff), ElemMonomial(g_factors, n + u)))
-    return ElemFormula.from_terms(n, terms, form="inverse")
+        terms.append((Fraction(coeff), ElemMonomial._trusted(g_factors, n + u)))
+    terms.sort(key=lambda term: _elem_key(term[1]))
+    return ElemFormula(n, tuple(terms), form="inverse")

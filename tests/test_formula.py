@@ -1,5 +1,7 @@
 """Tests for formula construction, differentiation, expansion, specialization."""
 
+import dataclasses
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -24,14 +26,17 @@ from implicit_derivatives import (
     enumerate_B,
     expand_block,
     expand_delta,
+    formula_from_json,
     formulas_equal,
     fx_zero_formula,
     inverse_function_formula,
     lift_to_tilde,
     recursion_step,
+    render,
     signed_coeff,
     specialize_fx_zero,
 )
+from implicit_derivatives import formula as formula_module
 from implicit_derivatives.formula import _pack, _unpack
 from implicit_derivatives.keys import VectorKey, merge_entries
 
@@ -546,6 +551,109 @@ def test_from_terms_takes_only_exact_coefficients(cls, mono, coeff):
     # an int and a Fraction of the same value make the same formula
     assert cls.from_terms(2, [(-1, mono)]) == cls.from_terms(2, [(Fraction(-1), mono)])
     assert cls.from_terms(2, [(-1, mono)]).terms[0][0].__class__ is Fraction
+
+
+# --- canonical by construction -------------------------------------------------------
+
+
+def assert_canonical_by_construction(formula):
+    """Every monomial equals its rebuild by the checked constructor, entries and all.
+
+    The check hands a canonical, valid entries tuple back as it is, so the
+    rebuild holds the very same tuple only when the builder made it canonical.
+    """
+    if isinstance(formula, DeltaFormula):
+        monomial, part = DeltaMonomial, "factors"
+    else:
+        monomial, part = ElemMonomial, "exponents"
+    for _, mono in formula.terms:
+        entries = getattr(mono, part)
+        rebuilt = monomial(entries, mono.fy_power)
+        assert rebuilt == mono, mono
+        assert getattr(rebuilt, part) is entries, mono
+
+
+# builder of order n, lowest and highest order checked
+_TRUSTED_BUILDERS = {
+    "delta": (delta_formula, 2, 12),
+    "elementary": (elementary_formula, 1, 10),
+    "fx0": (fx_zero_formula, 1, 12),
+    "inverse": (inverse_function_formula, 1, 12),
+    "derive_next": (lambda n: derive_next(delta_formula(n - 1)), 3, 12),
+    "recursion_step": (lambda n: recursion_step(delta_formula(n - 1)), 3, 12),
+    "expand_delta": (lambda n: expand_delta(delta_formula(n)), 2, 10),
+}
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        pytest.param(build, n, id=f"{name}-{n}")
+        for name, (build, low, high) in _TRUSTED_BUILDERS.items()
+        for n in range(low, high + 1)
+    ],
+)
+def test_builders_make_canonical_monomials(build, n):
+    assert_canonical_by_construction(build(n))
+
+
+@pytest.mark.parametrize("build", [delta_formula, elementary_formula, fx_zero_formula])
+def test_a_family_walk_with_one_unsorted_element_fails_the_guarantee(monkeypatch, build):
+    walk = formula_module._family
+
+    def swapped(n, family_a):
+        groups = walk(n, family_a)
+        total, group = groups[-1]
+        first, second, *rest = group[-1]
+        return groups[:-1] + [(total, group[:-1] + [(second, first, *rest)])]
+
+    monkeypatch.setattr(formula_module, "_family", swapped)
+    # the swap makes the last term larger still, so the term order holds and
+    # the formula renders; only the rebuild sees the unsorted entries
+    formula = build(6)
+    render(formula)
+    with pytest.raises(AssertionError):
+        assert_canonical_by_construction(formula)
+
+
+def _delta_document(entries):
+    factors = [{"l": l, "r": r, "power": count} for (l, r), count in entries]
+    term = {"coeff": "1", "factors": factors, "fy_power": 5}
+    return json.dumps({"n": 3, "form": "delta", "terms": [term]})
+
+
+# the public ways to make a monomial from (key, count) entries
+_ENTRY_POINTS = {
+    "DeltaMonomial": lambda entries: DeltaMonomial(entries, 5),
+    "ElemMonomial": lambda entries: ElemMonomial(entries, 5),
+    "from_terms": lambda entries: DeltaFormula.from_terms(
+        3, [(1, DeltaMonomial(entries, 5))]
+    ).terms[0][1],
+    "formula_from_json": lambda entries: formula_from_json(_delta_document(entries)).terms[0][1],
+    "replace": lambda entries: dataclasses.replace(DeltaMonomial((), 3), factors=entries),
+}
+
+
+@pytest.mark.parametrize("make", _ENTRY_POINTS.values(), ids=list(_ENTRY_POINTS))
+def test_public_entry_points_check_every_entry(make):
+    for bad in (
+        [((0, 1), 1)],  # f_y: forbidden in both monomial types
+        [((2, 0), 2), ((1, 1), -1)],
+        [((True, 1), 1)],
+    ):
+        with pytest.raises(FormulaError):
+            make(bad)
+    mono = make([((2, 0), 1), ((1, 1), 2)])
+    made = mono.factors if isinstance(mono, DeltaMonomial) else mono.exponents
+    assert made == ((VectorKey(1, 1), 2), (VectorKey(2, 0), 1))
+    assert all(key.__class__ is VectorKey for key, _ in made)
+
+
+def test_expand_delta_refuses_a_negative_power_of_fy():
+    # D[2,0] over f_y^0 expands to f_xx f_y^2 - ..., f_y left in a numerator
+    hand_made = DeltaFormula(2, ((Fraction(-1), DeltaMonomial(((VectorKey(2, 0), 1),), 0)),))
+    with pytest.raises(FormulaError):
+        expand_delta(hand_made)
 
 
 # --- inverse functions ---------------------------------------------------------------
