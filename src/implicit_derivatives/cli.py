@@ -53,7 +53,7 @@ from .numeric import (
     evaluate_problem,
     jet_from_json,
 )
-from .partitions import family_counts, family_size
+from .partitions import family_counts, family_sizes
 from .verification import SUITES, run_suites
 
 DEFAULT_CAP = 12
@@ -256,11 +256,14 @@ def _predicted_terms(args) -> int:
     the expanded form at ``max_n``.  Orders outside a family's range,
     below its start or above ``HARD_CAP``, count 0 and are left to the
     command's own checks; ``inverse`` and ``count`` build no such family.
+    All sizes come from one counting table, at the largest order counted.
     """
     return sum(
-        family_size(n, family_a)
-        for n, family_a in args.families(args)
-        if (2 if family_a else 1) <= n <= HARD_CAP
+        family_sizes(
+            (n, family_a)
+            for n, family_a in args.families(args)
+            if (2 if family_a else 1) <= n <= HARD_CAP
+        )
     )
 
 

@@ -9,7 +9,10 @@ each block or partial it uses as one integer over its diagonal's common
 denominator, so a term's denominator depends only on the diagonals it
 uses.  The terms are summed as plain integers per denominator, and only
 the total is normalized.  Each term stays an unreduced integer pair
-until its value is first read from the report.
+until its value is first read from the report.  A formula object
+evaluated a second time records its structure, never a jet value, in an
+evaluation plan kept on the object (about 56 bytes per term), which that
+evaluation and every later one read in place of the terms.
 
 The module also ships a few built-in implicit-function problems with
 known solutions, a Newton solver plus central finite differences for
@@ -24,10 +27,13 @@ import json
 import math
 import random
 import re
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
+from operator import mul
 from typing import Callable
 
 from .errors import DomainError, JetError, NewtonError, SingularJetError, check_order
@@ -332,6 +338,187 @@ def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
     return contributions, classes
 
 
+class _EvalPlan:
+    """The structure :func:`eval_formula` reads from a formula, recorded once.
+
+    It holds no jet value, only indices into what each evaluation
+    computes from its jet, in flat integer arrays with one item per
+    term or per factor.  ``slots`` holds every term's entry indices,
+    term after term, ``lengths`` how many each term has: an entry is a
+    distinct ``(key, power)``, whose value is its base to the power.
+    Besides them a term has two indices:
+
+    * its *head*, a distinct pair of coefficient and f_y power q: on a
+      rational jet the coefficient's numerator times d^q (f_y = c/d)
+      starts the term's product, on a float jet the product is scaled
+      by the coefficient and divided by f_y^q, as in the single pass;
+    * its denominator class, fixed by structure alone: the coefficient
+      denominator, q, each diagonal k = l + r with the summed power m_k
+      of the term's bases on it, and s = sum l * power over its blocks
+      (0 for raw partials).  With f_x = a/b the class's denominator is
+      cden * prod e_k^m_k * (b*d)^s * c^q.
+    """
+
+    __slots__ = (
+        "blocks",
+        "bases",
+        "entry_bases",
+        "entry_powers",
+        "head_coeffs",
+        "head_numerators",
+        "head_powers",
+        "fy_powers",
+        "classes",
+        "slots",
+        "lengths",
+        "term_heads",
+        "term_classes",
+    )
+
+    def __init__(self, formula, blocks: bool) -> None:
+        bases, entries, heads, classes = {}, {}, {}, {}
+        slots, lengths, term_heads, term_classes = (array("I") for _ in range(4))
+        for coeff, mono in formula.terms:
+            diagonals = {}  # k -> summed power of the term's bases on diagonal k
+            shear = 0
+            factors = mono.factors if blocks else mono.exponents
+            for entry in factors:
+                key, power = entry
+                k = key.l + key.r
+                diagonals[k] = diagonals.get(k, 0) + power
+                shear += key.l * power
+                index = entries.get(entry)
+                if index is None:
+                    index = entries[entry] = len(entries)
+                    bases.setdefault(key, len(bases))
+                slots.append(index)
+            lengths.append(len(factors))
+            term_heads.append(heads.setdefault((coeff, mono.fy_power), len(heads)))
+            used = tuple(sorted(diagonals.items()))
+            cls = (coeff.denominator, mono.fy_power, used, shear if blocks else 0)
+            term_classes.append(classes.setdefault(cls, len(classes)))
+        self.blocks = blocks
+        self.bases = tuple((key.l, key.r) for key in bases)
+        self.entry_bases = tuple(bases[key] for key, _ in entries)
+        self.entry_powers = tuple(power for _, power in entries)
+        self.head_coeffs = tuple(coeff for coeff, _ in heads)
+        self.head_numerators = tuple(coeff.numerator for coeff in self.head_coeffs)
+        self.head_powers = tuple(q for _, q in heads)
+        self.fy_powers = tuple(set(self.head_powers))
+        self.classes = tuple(classes)
+        self.slots = slots
+        self.lengths = lengths
+        self.term_heads = term_heads
+        self.term_classes = term_classes
+
+
+def _float_terms(formula, jet: Jet, blocks: bool) -> list[float]:
+    """The float terms of :func:`eval_formula` in one pass over the terms."""
+    fy = jet.fy
+    bases = {} if blocks else jet.partials  # key -> block or partial value
+    powers = {}  # (key, power) -> value**power
+    contributions = []
+    for coeff, mono in formula.terms:
+        num = 1.0
+        for entry in mono.factors if blocks else mono.exponents:
+            factor = powers.get(entry)
+            if factor is None:
+                key, power = entry
+                base = bases.get(key)
+                if base is None:
+                    if not blocks:
+                        raise JetError(f"partial {tuple(key)} beyond the jet's order")
+                    base = bases[key] = eval_delta_block(jet, key.l, key.r)
+                factor = powers[entry] = base**power
+            num *= factor
+        contributions.append(float(coeff * num / fy**mono.fy_power))
+    return contributions
+
+
+def _plan_of(formula, blocks: bool):
+    """The formula's evaluation plan, or None on its first evaluation.
+
+    The first evaluation only marks the object; the second records the
+    plan, which every later one reads.  The mark and the plan live
+    outside the dataclass fields, so ``==``, ``hash``, ``repr`` and JSON
+    never see them and :func:`dataclasses.replace` starts afresh.
+    """
+    plan = vars(formula).get("_eval_plan")
+    if plan is None:
+        object.__setattr__(formula, "_eval_plan", False)
+        return None
+    if plan is False:
+        plan = _EvalPlan(formula, blocks)
+        object.__setattr__(formula, "_eval_plan", plan)
+    return plan
+
+
+def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[list, Fraction]:
+    """The term pairs and total of :func:`eval_formula` on a rational jet, by the plan.
+
+    The pairs are those of :func:`_exact_terms`, as integers: each
+    numerator is the same product, each denominator its class's.
+    """
+    fy = jet.fy
+    c, d = fy.numerator, fy.denominator
+    shear = jet.fx.denominator * d  # b*d
+    diagonals = {}  # k -> e_k and the diagonal's partials as integers over it
+    numerators = []  # per base: its numerator over its diagonal's denominator
+    for l, r in plan.bases:
+        k = l + r
+        if k > jet.order:
+            what = "block" if plan.blocks else "partial"
+            raise JetError(f"{what} {(l, r)} beyond the jet's order")
+        diagonal = diagonals.get(k)
+        if diagonal is None:
+            diagonal = diagonals[k] = _diagonal(jet, k)
+        scaled = diagonal[1]
+        numerators.append(_block_numerator(jet, scaled, l) if plan.blocks else scaled[l])
+    d_powers = {q: d**q for q in plan.fy_powers}
+    heads = list(map(mul, plan.head_numerators, map(d_powers.__getitem__, plan.head_powers)))
+    values = list(map(pow, map(numerators.__getitem__, plan.entry_bases), plan.entry_powers))
+    dens = []
+    for cden, q, used, s in plan.classes:
+        den = cden * shear**s * c**q
+        for k, m in used:
+            den *= diagonals[k][0] ** m
+        dens.append(den)
+    sums = [0] * len(dens)
+    factors, prod = map(values.__getitem__, plan.slots), math.prod
+    pairs = []
+    for length, head, cls in zip(plan.lengths, plan.term_heads, plan.term_classes):
+        num = prod(islice(factors, length), start=heads[head])
+        sums[cls] += num
+        pairs.append((num, dens[cls]))
+    return pairs, _exact_total(list(zip(sums, dens)))
+
+
+def _planned_float(plan: _EvalPlan, jet: Jet) -> list[float]:
+    """The float terms of :func:`eval_formula` by the plan, bit for bit those of the single pass.
+
+    A term is float(coeff) * (1.0 * its factors in term order) / f_y**q,
+    which is what ``coeff * num / fy**q`` computes for a Fraction ``coeff``.
+    """
+    fy = jet.fy
+    bases = []
+    for l, r in plan.bases:
+        if plan.blocks:
+            bases.append(eval_delta_block(jet, l, r))
+        elif l + r > jet.order:
+            raise JetError(f"partial {(l, r)} beyond the jet's order")
+        else:
+            bases.append(jet.partials[(l, r)])
+    fy_powers = {q: fy**q for q in plan.fy_powers}
+    coeffs = list(map(float, plan.head_coeffs))
+    divisors = list(map(fy_powers.__getitem__, plan.head_powers))
+    values = list(map(pow, map(bases.__getitem__, plan.entry_bases), plan.entry_powers))
+    factors, prod = map(values.__getitem__, plan.slots), math.prod
+    return [
+        coeffs[head] * prod(islice(factors, length), start=1.0) / divisors[head]
+        for length, head in zip(plan.lengths, plan.term_heads)
+    ]
+
+
 def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     """Evaluate either formula shape on a jet; exact on rational jets.
 
@@ -354,6 +541,15 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     operations and their order are those of the plain per-factor
     product, so every float is bit-identical to it, and the float total
     is their plain left-to-right sum on every Python version.
+
+    A formula object's first evaluation walks its terms in one pass and
+    marks the object.  Its second records a plan of the formula's
+    structure on the object (:class:`_EvalPlan`: the distinct bases,
+    entries and coefficients, and each term's denominator class, all as
+    indices; about 56 bytes per term, no jet value), and that
+    evaluation and every later one compute each base, entry power and
+    class denominator once and then only each term's numerator product.
+    The results are the same on either path, term pairs included.
     """
     if isinstance(formula, ElemFormula) and formula.form == "inverse":
         raise DomainError("inverse-function formulas are not evaluated on jets")
@@ -362,29 +558,19 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     if jet.fy == 0:
         raise SingularJetError("jet has f_y = 0 at the base point")
     blocks = isinstance(formula, DeltaFormula)
+    plan = _plan_of(formula, blocks)
     if jet.kind == RATIONAL:
-        contributions, classes = _exact_terms(formula, jet, blocks)
-        total = _exact_total([(p, q) for q, p in classes.items()])
+        if plan is None:
+            contributions, classes = _exact_terms(formula, jet, blocks)
+            total = _exact_total([(p, q) for q, p in classes.items()])
+        else:
+            contributions, total = _planned_exact(plan, jet)
         return EvalReport(n=formula.n, value=total, _terms=tuple(contributions))
-    fy = jet.fy
-    bases = {} if blocks else jet.partials  # key -> block or partial value
-    powers = {}  # (key, power) -> value**power
-    contributions = []
     try:
-        for coeff, mono in formula.terms:
-            num = 1.0
-            for entry in mono.factors if blocks else mono.exponents:
-                factor = powers.get(entry)
-                if factor is None:
-                    key, power = entry
-                    base = bases.get(key)
-                    if base is None:
-                        if not blocks:
-                            raise JetError(f"partial {tuple(key)} beyond the jet's order")
-                        base = bases[key] = eval_delta_block(jet, key.l, key.r)
-                    factor = powers[entry] = base**power
-                num *= factor
-            contributions.append(float(coeff * num / fy**mono.fy_power))
+        if plan is None:
+            contributions = _float_terms(formula, jet, blocks)
+        else:
+            contributions = _planned_float(plan, jet)
     except (OverflowError, ZeroDivisionError) as exc:  # f_y powers out of range
         raise JetError(f"float evaluation out of range: {exc}") from exc
     # left to right: the builtin sum compensates floats since Python 3.12

@@ -35,7 +35,7 @@ consumer sets up whatever depends on the stratum alone (the sign, the
 f_y power) once per group.  Counting needs no walk: the family sizes by
 stratum are coefficients of prod 1/(1 - x^l z^(l+r-1) u) over the keys
 with l + r >= 2, read from one packed table per call
-(:func:`family_counts`, :func:`family_size`).
+(:func:`family_counts`, :func:`family_sizes`, :func:`family_size`).
 
 The module also provides the neighbor constructions that connect
 consecutive orders: three "successor" moves sending an order-n element
@@ -287,10 +287,24 @@ def family_counts(max_n: int, family_a: bool) -> dict[int, list[tuple[int, int]]
     return {n: _strata(rows, n, family_a) for n in range(start, max_n + 1)}
 
 
+def family_sizes(requests) -> list[int]:
+    """Sizes of family A or B at each ``(n, family_a)`` request, not enumerated.
+
+    One counting table (:func:`_core_counts`), built at the largest
+    order asked for, gives every size.
+    """
+    requests = list(requests)
+    for n, family_a in requests:
+        check_order(n, 2 if family_a else 1)
+    if not requests:
+        return []
+    rows = _core_counts(max(n for n, _ in requests))
+    return [sum(count for _, count in _strata(rows, n, a)) for n, a in requests]
+
+
 def family_size(n: int, family_a: bool) -> int:
     """Number of elements of family A (``family_a``) or B at order n, not enumerated."""
-    check_order(n, 2 if family_a else 1)
-    return sum(count for _, count in _strata(_core_counts(n), n, family_a))
+    return family_sizes([(n, family_a)])[0]
 
 
 def enumerate_A(n: int) -> list[Multiplicities]:

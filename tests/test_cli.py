@@ -204,6 +204,27 @@ def test_count_builds_its_table_on_every_call(capsys, monkeypatch):
     assert calls == [8, 8]
 
 
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        # the compact form at max_n + 1 and the expanded form at max_n
+        (["verify", "--max-n", "9"], 10),
+        (["formula", "12", "--form", "elementary"], 12),
+    ],
+)
+def test_term_budget_reads_one_counting_table(capsys, monkeypatch, argv, order):
+    calls = []
+    core_counts = partitions._core_counts
+
+    def counting_core_counts(max_n):
+        calls.append(max_n)
+        return core_counts(max_n)
+
+    monkeypatch.setattr(partitions, "_core_counts", counting_core_counts)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == [order]
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_cap_below_one_exits_two(capsys, cap):
     with pytest.raises(SystemExit) as info:

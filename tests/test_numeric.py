@@ -1,7 +1,9 @@
 """Tests for jets, evaluation, the shear, built-in problems, finite differences."""
 
+import gc
 import math
 import random
+import tracemalloc
 from collections.abc import Mapping
 from dataclasses import replace
 from enum import IntEnum
@@ -26,12 +28,14 @@ from implicit_derivatives import (
     eval_delta_block,
     eval_formula,
     finite_difference_derivatives,
+    formula_to_json,
     fx_zero_formula,
     jet_from_json,
     jet_to_json,
     random_rational_jet,
     shift_jet,
 )
+import implicit_derivatives.numeric as numeric
 from implicit_derivatives.numeric import (
     FD_MAX_ORDER,
     _central_stencil,
@@ -452,9 +456,12 @@ def test_float_total_is_not_the_correctly_rounded_sum():
 @pytest.mark.parametrize(
     "build, n",
     [(delta_formula, n) for n in range(2, 11)]
-    + [(elementary_formula, n) for n in range(2, 8)],
+    + [(elementary_formula, n) for n in range(2, 8)]
+    + [(fx_zero_formula, n) for n in range(2, 8)],
 )
 def test_eval_matches_the_per_factor_product_bit_for_bit(build, n):
+    # one formula object throughout: its first evaluation is the single
+    # pass, every later one reads the plan recorded on the second
     formula = build(n)
     # 32-bit entries: the unreduced term pairs carry wide common factors,
     # and each block or raw partial is put over its diagonal's wide lcm
@@ -462,19 +469,21 @@ def test_eval_matches_the_per_factor_product_bit_for_bit(build, n):
     for jet in jets:
         # -f has the same solution; one of the two jets has a negative f_y
         for case in (jet, float_copy(jet), negated(jet), float_copy(negated(jet))):
-            report = eval_formula(formula, case)
             value, terms = per_factor_reference(formula, case)
-            assert type(report.value) is type(value)
-            assert [type(t) for t in report.term_values] == [type(t) for t in terms]
-            # repr tells floats apart bit for bit (0.0 from -0.0 too)
-            assert repr(report.value) == repr(value)
-            assert repr(report.term_values) == repr(terms)
+            first = eval_formula(build(n), case)  # a fresh object's single pass
+            for _ in range(3):
+                report = eval_formula(formula, case)
+                assert type(report.value) is type(value)
+                assert [type(t) for t in report.term_values] == [type(t) for t in terms]
+                # repr tells floats apart bit for bit (0.0 from -0.0 too)
+                assert repr(report.value) == repr(value) == repr(first.value)
+                assert repr(report.term_values) == repr(terms) == repr(first.term_values)
+                assert report == first  # the unreduced term pairs too
+    assert isinstance(vars(formula)["_eval_plan"], numeric._EvalPlan)
 
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_each_block_is_computed_once_per_call(monkeypatch, n):
-    import implicit_derivatives.numeric as numeric
-
     formula = delta_formula(n)
     jet = random_rational_jet(n, seed=n)
     distinct = {(key.l, key.r) for _, mono in formula.terms for key, _ in mono.factors}
@@ -496,24 +505,30 @@ def test_each_block_is_computed_once_per_call(monkeypatch, n):
     monkeypatch.setattr(numeric, "_block_numerator", counted_block)
     monkeypatch.setattr(numeric, "_diagonal", counted_diagonal)
     monkeypatch.setattr(numeric, "eval_delta_block", counted_float)
-    # exact: one numerator per distinct block, one read per diagonal used
-    eval_formula(formula, jet)
-    assert sorted(blocks) == sorted(distinct)
-    assert sorted(diagonals) == sorted({l + r for l, r in distinct})
-    assert floats == []
-    # binary64: one eval_delta_block call per distinct block
-    blocks.clear()
-    diagonals.clear()
-    eval_formula(formula, float_copy(jet))
-    assert sorted(floats) == sorted(distinct)
-    assert blocks == diagonals == []
+    # the first call is the single pass, the second records the plan,
+    # the third reads it: each computes the same bases once
+    for kind in ("rational", "float"):
+        formula = delta_formula(n)
+        case = jet if kind == "rational" else float_copy(jet)
+        for _ in range(3):
+            blocks.clear()
+            diagonals.clear()
+            floats.clear()
+            eval_formula(formula, case)
+            if kind == "rational":
+                # one numerator per distinct block, one read per diagonal used
+                assert sorted(blocks) == sorted(distinct)
+                assert sorted(diagonals) == sorted({l + r for l, r in distinct})
+                assert floats == []
+            else:
+                # one eval_delta_block call per distinct block
+                assert sorted(floats) == sorted(distinct)
+                assert blocks == diagonals == []
 
 
 def test_exact_eval_normalizes_only_the_blocks_and_the_total(monkeypatch):
     # the blocks stay integers over their diagonals' denominators: the
     # total is the one Fraction built
-    import implicit_derivatives.numeric as numeric
-
     formula = delta_formula(12)
     jet = random_rational_jet(12, seed=1212)
     built = []
@@ -523,13 +538,17 @@ def test_exact_eval_normalizes_only_the_blocks_and_the_total(monkeypatch):
         return Fraction(*args)
 
     monkeypatch.setattr(numeric, "Fraction", counted)
-    report = eval_formula(formula, jet)
+    reports = []
+    for _ in range(3):  # the single pass, then the plan recorded and read
+        built.clear()
+        reports.append(eval_formula(formula, jet))
+        assert len(built) == 1
+        assert Fraction(*built[0]) == reports[-1].value
     monkeypatch.undo()
     assert len(formula.terms) == 949
-    assert len(built) == 1
-    assert Fraction(*built[0]) == report.value
     # the terms read afterwards are the normalized ones
-    assert report.term_values == per_factor_reference(formula, jet)[1]
+    terms = per_factor_reference(formula, jet)[1]
+    assert all(report.term_values == terms for report in reports)
 
 
 def partition_count(m):
@@ -693,6 +712,94 @@ def test_float_eval_overflow_raises_jet_error(fy):
     jet = Jet(x0=0.0, y0=0.0, order=3, partials=partials, kind="float")
     with pytest.raises(JetError):
         eval_formula(delta_formula(3), jet)
+    # the same on the plan path, after two evaluations on a tame jet
+    formula = delta_formula(3)
+    for _ in range(2):
+        eval_formula(formula, float_copy(random_rational_jet(3, seed=33)))
+    assert isinstance(vars(formula)["_eval_plan"], numeric._EvalPlan)
+    with pytest.raises(JetError):
+        eval_formula(formula, jet)
+
+
+# --- the evaluation plan -----------------------------------------------------------
+
+
+def test_a_plan_is_recorded_on_the_second_evaluation_only(monkeypatch):
+    built = []
+    plan = numeric._EvalPlan
+
+    def counted(*args):
+        built.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(numeric, "_EvalPlan", counted)
+    formula = delta_formula(6)
+    jet = random_rational_jet(6, seed=606)
+    eval_formula(formula, jet)
+    assert built == []
+    # one plan serves both jet kinds
+    for case in (float_copy(jet), jet, float_copy(jet), jet):
+        eval_formula(formula, case)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("build", [delta_formula, elementary_formula, fx_zero_formula])
+@pytest.mark.parametrize("kind", ["rational", "float"])
+def test_the_plan_holds_no_jet_value(build, kind):
+    a, b = wide_rational_jet(7, seed=1701), random_rational_jet(7, seed=1702)
+    if kind == "float":
+        a, b = float_copy(a), float_copy(b)
+    formula = build(7)
+    first = eval_formula(formula, a)  # the single pass
+    eval_formula(formula, b)  # records the plan and reads it
+    again = eval_formula(formula, a)
+    assert again == first
+    assert repr(again.term_values) == repr(first.term_values)
+
+
+@pytest.mark.parametrize("kind", ["rational", "float"])
+@pytest.mark.parametrize("shape", ["delta", "elementary"])
+def test_the_plan_path_refuses_a_base_beyond_the_jets_order(shape, kind):
+    if shape == "delta":
+        formula = DeltaFormula.from_terms(2, [(1, DeltaMonomial((((4, 0), 1),), 1))])
+    else:
+        formula = ElemFormula.from_terms(2, [(1, ElemMonomial((((4, 0), 1),), 1))])
+    for _ in range(2):
+        eval_formula(formula, circle_jet(order=4, kind=kind))
+    assert isinstance(vars(formula)["_eval_plan"], numeric._EvalPlan)
+    with pytest.raises(JetError):
+        eval_formula(formula, circle_jet(order=3, kind=kind))
+
+
+@pytest.mark.parametrize("build, n", [(delta_formula, 6), (elementary_formula, 5)])
+def test_the_plan_stays_outside_the_formula_value(build, n):
+    formula, twin = build(n), build(n)
+    seen = (hash(formula), repr(formula), formula_to_json(formula))
+    for _ in range(3):
+        eval_formula(formula, random_rational_jet(n, seed=n))
+    assert isinstance(vars(formula)["_eval_plan"], numeric._EvalPlan)
+    assert formula == twin and twin == formula
+    assert (hash(formula), repr(formula), formula_to_json(formula)) == seen
+    copy = replace(formula)
+    assert copy == formula
+    assert "_eval_plan" not in vars(copy)
+
+
+def test_plans_hold_at_most_100_bytes_per_term():
+    formulas = [delta_formula(n) for n in range(8, 15)]
+    terms = sum(len(formula.terms) for formula in formulas)
+    assert terms == 6554
+    gc.collect()  # the highest generation also empties the free lists
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plans = [numeric._EvalPlan(formula, True) for formula in formulas]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(plans) == len(formulas)
+    assert held <= 100 * terms
 
 
 # --- the shear -------------------------------------------------------------------

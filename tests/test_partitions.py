@@ -23,6 +23,7 @@ from implicit_derivatives.partitions import (
     drop_tilde,
     family_counts,
     family_size,
+    family_sizes,
     is_member_A,
     members,
     predecessor_records,
@@ -231,6 +232,9 @@ def test_counting_table_matches_the_enumeration(family_a, max_n):
         walked = [(total, len(group)) for total, group in _family(n, family_a)]
         assert strata == walked
         assert family_size(n, family_a) == sum(size for _, size in walked)
+    # one table at the largest order asked for serves every smaller order
+    requests = [(n, family_a) for n in counts][::-1]
+    assert family_sizes(requests) == [sum(c for _, c in counts[n]) for n, _ in requests]
 
 
 @pytest.mark.parametrize("family_a, top", [(True, 14), (False, 12)])
@@ -272,6 +276,9 @@ def test_counting_rejects_bad_orders():
         family_counts(HARD_CAP + 1, False)
     with pytest.raises(DomainError):
         family_size(3.0, True)
+    with pytest.raises(DomainError):
+        family_sizes([(5, True), (1, True)])
+    assert family_sizes([]) == []
 
 
 # --- the lifted presentation ----------------------------------------------------
