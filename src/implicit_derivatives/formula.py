@@ -104,33 +104,41 @@ def derive_next(formula: DeltaFormula) -> DeltaFormula:
     contribution is added separately and like products are collected
     generically, so no cancellation is special-cased.
 
-    Every successor is a canonical ``Multiplicities`` whose keys keep
-    l + r >= 2, since each move raises l + r or keeps it, so its entries
-    make a monomial without a second scan; ``from_terms`` sorts the terms.
+    The coefficients are scaled to integers over their lcm denominator, as
+    in :func:`expand_delta`, so the contributions add as plain ints and
+    each next-order term makes one ``Fraction``.
+
+    Every successor comes from the moves as a ``_trusted`` canonical
+    ``Multiplicities`` whose keys keep l + r >= 2, since each move raises
+    l + r or keeps it, so its entries make a ``_trusted`` monomial without
+    a second scan; ``from_terms`` sorts the terms.
     """
     n = formula.n
-    acc: dict[Multiplicities, Fraction] = {}
+    table = _block_terms(formula, "derive_next")
+    den = math.lcm(*[coeff.denominator for coeff in table.values()])
+    acc: dict[Multiplicities, int] = {}
 
-    def add(mults: Multiplicities, value: Fraction) -> None:
-        acc[mults] = acc.get(mults, Fraction(0)) + value
+    def add(mults: Multiplicities, value: int) -> None:
+        acc[mults] = acc.get(mults, 0) + value
 
-    for alpha, coeff in _block_terms(formula, "derive_next").items():
+    for alpha, coeff in table.items():
+        scaled = coeff.numerator * (den // coeff.denominator)
         h = alpha.total
         mixed = successor_mixed(alpha)
         for key, count in alpha.items():
-            base = coeff * count
+            base = scaled * count
             add(successor_advance(alpha, key), base)
             if key.l:
                 add(mixed, base * key.l)
                 traded = mixed if key == (2, 0) else successor_trade(alpha, key)
                 add(traded, -base * key.l)
-        add(mixed, coeff * (n - 1 - h))
-        add(mixed, -coeff * (2 * n - 1))
+        add(mixed, scaled * (n - 1 - h))
+        add(mixed, -scaled * (2 * n - 1))
 
     terms = [
-        (coeff, DeltaMonomial._trusted(beta.entries, n + 1 + beta.total))
-        for beta, coeff in acc.items()
-        if coeff != 0
+        (Fraction(value, den), DeltaMonomial._trusted(beta.entries, n + 1 + beta.total))
+        for beta, value in acc.items()
+        if value
     ]
     return DeltaFormula.from_terms(n + 1, terms)
 
@@ -145,21 +153,30 @@ def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaF
     :func:`~implicit_derivatives.partitions.predecessor_records` at
     order n + 1, made here when not handed in.
 
-    Each ``beta`` is a family-A element, canonical as a ``Multiplicities``
-    with keys of l + r >= 2, so its entries make a monomial without a
-    second scan.
+    The coefficients are scaled to integers over their lcm denominator,
+    so each weighted sum adds plain ints and each next-order term makes
+    one ``Fraction``.
+
+    Each ``beta`` comes from the family walk as a ``_trusted`` canonical
+    ``Multiplicities`` with keys of l + r >= 2, so its entries make a
+    ``_trusted`` monomial without a second scan.
     """
     table = _block_terms(formula, "recursion_step")
     n = formula.n
     if records is None:
         records = predecessor_records(n + 1)
+    den = math.lcm(*[coeff.denominator for coeff in table.values()])
+    scaled = {
+        alpha: coeff.numerator * (den // coeff.denominator) for alpha, coeff in table.items()
+    }
     terms = []
     for beta, preds in records:
-        value = Fraction(0)
+        value = 0
         for record in preds:
-            value += record.signed_weight * table.get(record.predecessor, 0)
-        if value != 0:
-            terms.append((value, DeltaMonomial._trusted(beta.entries, n + 1 + beta.total)))
+            value += record.signed_weight * scaled.get(record.predecessor, 0)
+        if value:
+            mono = DeltaMonomial._trusted(beta.entries, n + 1 + beta.total)
+            terms.append((Fraction(value, den), mono))
     return DeltaFormula.from_terms(n + 1, terms)
 
 

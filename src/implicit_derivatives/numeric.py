@@ -91,6 +91,10 @@ class Jet:
     The order follows :func:`errors.check_order`, refused with :class:`JetError`.
     f must be 0 at the base point (it solves f = 0) and f_y non-zero there.
     One scalar kind per jet; mixing rationals and floats is rejected.
+
+    The constructor checks all of this.  :meth:`_trusted` skips the check
+    for the two rational jets this module makes whole itself
+    (:func:`random_rational_jet` and :func:`shift_jet`).
     """
 
     x0: object
@@ -122,6 +126,19 @@ class Jet:
         if table[(0, 1)] == 0:
             raise SingularJetError("jet has f_y = 0 at the base point")
         self.partials = table
+
+    @classmethod
+    def _trusted(cls, x0: Fraction, y0: Fraction, order: int, partials: dict) -> "Jet":
+        """A rational jet already valid, set without a check.
+
+        ``order`` has passed :func:`errors.check_order`, and ``partials``
+        maps every key of :func:`_partial_keys` in that order to a
+        normalized ``Fraction``, f to 0 and f_y to a non-zero value; the
+        tests rebuild every such jet through the checked constructor.
+        """
+        jet = object.__new__(cls)
+        jet.x0, jet.y0, jet.order, jet.partials, jet.kind = x0, y0, order, partials, RATIONAL
+        return jet
 
     @property
     def fx(self):
@@ -597,6 +614,9 @@ def shift_jet(jet: Jet, n: int) -> Jet:
         raise JetError("the shear needs a rational jet")
     if jet.order < n:
         raise JetError(f"shift to order {n} needs jet order >= {n}")
+    # a jet's partials can be changed after its check; the sheared jet is not checked
+    if jet.partials[(0, 0)] != 0:
+        raise JetError("f(x0, y0) must be 0 at the base point")
     if jet.fy == 0:
         raise SingularJetError("jet has f_y = 0 at the base point")
     lam = -jet.fx / jet.fy
@@ -623,29 +643,40 @@ def shift_jet(jet: Jet, n: int) -> Jet:
             total += w * scaled[(l - k, r + k)]
         partials[(l, r)] = Fraction(total, b_pow[l] * e)
     partials[(1, 0)] = Fraction(0)  # exact by the choice of lambda
-    return Jet(
-        x0=jet.x0,
-        y0=jet.y0 - lam * jet.x0,
-        order=n,
-        partials=partials,
-        kind=RATIONAL,
-    )
+    # every key of _partial_keys(n) in order, g = f = 0 and g_z = f_y != 0 at
+    # the base point, each value a normalized Fraction: a valid jet as made
+    return Jet._trusted(jet.x0, jet.y0 - lam * jet.x0, n, partials)
+
+
+#: Every value ``random_rational_jet`` draws, numerator -9..9 over 1..4, normalized once.
+_SMALL_RATIONALS = {
+    (num, den): Fraction(num, den) for num in range(-9, 10) for den in range(1, 5)
+}
 
 
 def random_rational_jet(order: int, seed: int) -> Jet:
-    """Deterministic random jet with small rational entries and f_y != 0."""
+    """Deterministic random jet with small rational entries and f_y != 0.
+
+    The order is checked first, with :class:`JetError`.  Each entry is
+    the normalized ``Fraction`` of :data:`_SMALL_RATIONALS` at the drawn
+    numerator and denominator, and the partials hold every key of
+    :func:`_partial_keys` in order, f = 0 and a non-zero f_y, so the jet
+    is valid as made and ``_trusted``.
+    """
+    check_order(order, 1, JetError)
     rng = random.Random(seed)
 
     def small(nonzero=False):
         num = rng.randint(-9, 9)
         while nonzero and num == 0:
             num = rng.randint(-9, 9)
-        return Fraction(num, rng.randint(1, 4))
+        return _SMALL_RATIONALS[num, rng.randint(1, 4)]
 
     partials = {key: small() for key in _partial_keys(order)}
     partials[(0, 0)] = Fraction(0)
     partials[(0, 1)] = small(nonzero=True)
-    return Jet(x0=small(), y0=small(), order=order, partials=partials, kind=RATIONAL)
+    x0, y0 = small(), small()
+    return Jet._trusted(x0, y0, order, partials)
 
 
 # --- built-in problems -------------------------------------------------------

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DomainError, check_order
-from .keys import BELOW_ORDER_TWO, VectorKey, canonical_entries, check_int
+from .keys import BELOW_ORDER_TWO, VectorKey, canonical_entries, check_int, merge_entries
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,10 @@ class Multiplicities:
     (l, r), which fixes a canonical iteration order for every consumer.
     Instances are immutable and hashable, so they can key dictionaries
     during term collection.
+
+    The constructor checks every entry.  :meth:`_trusted` skips that
+    check for the entries this module makes itself: the family walk's
+    elements and the neighbours of the successor and predecessor moves.
     """
 
     entries: tuple[tuple[VectorKey, int], ...] = ()
@@ -69,6 +73,18 @@ class Multiplicities:
     def __post_init__(self) -> None:
         entries = canonical_entries(self.entries, frozenset(), DomainError)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, entries: tuple) -> "Multiplicities":
+        """A multiset of entries already canonical and valid, set without a scan.
+
+        For this module's builders alone, whose entries are canonical by
+        construction; the tests rebuild every neighbour through the
+        checked constructor.
+        """
+        mults = object.__new__(cls)
+        object.__setattr__(mults, "entries", entries)
+        return mults
 
     def items(self) -> Iterator[tuple[VectorKey, int]]:
         return iter(self.entries)
@@ -310,13 +326,15 @@ def family_size(n: int, family_a: bool) -> int:
 def enumerate_A(n: int) -> list[Multiplicities]:
     """All family-A elements of order n, stratified by h then lexicographic."""
     check_order(n, 2)
-    return [Multiplicities(e) for _, group in _family(n, family_a=True) for e in group]
+    groups = _family(n, family_a=True)
+    return [Multiplicities._trusted(e) for _, group in groups for e in group]
 
 
 def enumerate_B(n: int) -> list[Multiplicities]:
     """All family-B elements of order n, stratified by k then lexicographic."""
     check_order(n, 1)
-    return [Multiplicities(e) for _, group in _family(n, family_a=False) for e in group]
+    groups = _family(n, family_a=False)
+    return [Multiplicities._trusted(e) for _, group in groups for e in group]
 
 
 def lift_to_tilde(alpha: Multiplicities, n: int) -> Multiplicities:
@@ -434,13 +452,24 @@ def enumerate_Z(
 # inverse decompositions and are what the coefficient recursion consumes.
 
 
+def _moved(alpha: Multiplicities, deltas: tuple) -> Multiplicities:
+    """``alpha`` with one move's (key, delta) adjustments, through the one normalizer.
+
+    Every move takes its -1s from keys ``alpha`` holds and adds keys with
+    non-negative indices, so no count or index can go negative and the
+    merged entries are canonical and valid as made: the neighbour is
+    ``_trusted``, not checked again.
+    """
+    return Multiplicities._trusted(merge_entries(alpha.entries + deltas))
+
+
 def successor_advance(alpha: Multiplicities, key: tuple[int, int]) -> Multiplicities:
     """One block at ``key`` gains an x-differentiation: (l, r) -> (l+1, r)."""
     count = alpha.get(key)  # checks the key
     l, r = key
     if l + r < 2 or count < 1:
         raise DomainError(f"cannot advance at key {(l, r)} in {alpha}")
-    return alpha.bumped([(key, -1), ((l + 1, r), +1)])
+    return _moved(alpha, ((key, -1), ((l + 1, r), +1)))
 
 
 def successor_trade(alpha: Multiplicities, key: tuple[int, int]) -> Multiplicities:
@@ -453,12 +482,12 @@ def successor_trade(alpha: Multiplicities, key: tuple[int, int]) -> Multipliciti
     l, r = key
     if l < 1 or (l, r) == (2, 0) or count < 1:
         raise DomainError(f"cannot trade at key {(l, r)} in {alpha}")
-    return alpha.bumped([(key, -1), ((l - 1, r + 1), +1), ((2, 0), +1)])
+    return _moved(alpha, ((key, -1), ((l - 1, r + 1), +1), ((2, 0), +1)))
 
 
 def successor_mixed(alpha: Multiplicities) -> Multiplicities:
     """A new (1, 1) block appears; always admissible."""
-    return alpha.bumped([((1, 1), +1)])
+    return _moved(alpha, (((1, 1), +1),))
 
 
 def predecessors(beta: Multiplicities, n_plus_1: int) -> list[PredecessorRecord]:
@@ -480,19 +509,18 @@ def predecessors(beta: Multiplicities, n_plus_1: int) -> list[PredecessorRecord]
     records = []
     for key, _ in beta.items():
         if key.l >= 1 and key.l + key.r >= 3:
-            pred = beta.bumped([(key, -1), ((key.l - 1, key.r), +1)])
+            pred = _moved(beta, ((key, -1), ((key.l - 1, key.r), +1)))
             weight = count.get((key.l - 1, key.r), 0) + 1
             records.append(PredecessorRecord("minus", key, pred, weight))
     if (2, 0) in count:
         for key, _ in beta.items():
             if key.r >= 1 and key != (1, 1):
-                pred = beta.bumped(
-                    [(key, -1), ((2, 0), -1), ((key.l + 1, key.r - 1), +1)]
-                )
+                deltas = ((key, -1), ((2, 0), -1), ((key.l + 1, key.r - 1), +1))
+                pred = _moved(beta, deltas)
                 weight = (key.l + 1) * (count.get((key.l + 1, key.r - 1), 0) + 1)
                 records.append(PredecessorRecord("b", key, pred, weight))
     if (1, 1) in count:
-        pred = beta.bumped([((1, 1), -1)])
+        pred = _moved(beta, (((1, 1), -1),))
         weight = beta.sum_r + 2 * count.get((2, 0), 0)
         records.append(PredecessorRecord("d", None, pred, weight))
     for record in records:

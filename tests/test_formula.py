@@ -39,6 +39,12 @@ from implicit_derivatives import (
 from implicit_derivatives import formula as formula_module
 from implicit_derivatives.formula import _pack, _unpack
 from implicit_derivatives.keys import VectorKey, merge_entries
+from implicit_derivatives.partitions import (
+    predecessor_records,
+    successor_advance,
+    successor_mixed,
+    successor_trade,
+)
 
 
 def dterm(coeff, factors, fy_power):
@@ -249,6 +255,78 @@ def test_recursion_step_rejects_malformed_input():
     ):
         with pytest.raises(FormulaError):
             recursion_step(bad)
+
+
+def _times(formula, factor):
+    return DeltaFormula(formula.n, tuple((coeff * factor, mono) for coeff, mono in formula.terms))
+
+
+@pytest.mark.parametrize("step", [derive_next, recursion_step])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_steps_carry_non_integer_coefficients(step, n):
+    # both steps are linear, so scaling the input scales the next order
+    factor = Fraction(-2, 3)
+    assert step(_times(delta_formula(n), factor)) == _times(delta_formula(n + 1), factor)
+
+
+def fraction_step_sums(step, formula):
+    """Each next-order element's raw sum, accumulated in Fractions as the steps once did."""
+    n = formula.n
+    table = {Multiplicities(mono.factors): coeff for coeff, mono in formula.terms}
+    acc = {}
+
+    def add(mults, value):
+        acc[mults] = acc.get(mults, Fraction(0)) + value
+
+    if step is recursion_step:
+        for beta, preds in predecessor_records(n + 1):
+            value = Fraction(0)
+            for record in preds:
+                value += record.signed_weight * table.get(record.predecessor, 0)
+            acc[beta] = value
+        return acc
+    for alpha, coeff in table.items():
+        h = alpha.total
+        mixed = successor_mixed(alpha)
+        for key, count in alpha.items():
+            base = coeff * count
+            add(successor_advance(alpha, key), base)
+            if key.l:
+                add(mixed, base * key.l)
+                traded = mixed if key == (2, 0) else successor_trade(alpha, key)
+                add(traded, -base * key.l)
+        add(mixed, coeff * (n - 1 - h))
+        add(mixed, -coeff * (2 * n - 1))
+    return acc
+
+
+_HALF, _THIRD, _FIVE_SIXTHS = Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)
+
+
+@pytest.mark.parametrize("step", [derive_next, recursion_step])
+@pytest.mark.parametrize(
+    "coeffs, cancels",
+    [
+        ((_HALF, _THIRD, _FIVE_SIXTHS, -_THIRD, _HALF), False),
+        ((_HALF, _HALF, _HALF, _THIRD, _FIVE_SIXTHS), True),
+    ],
+    ids=["mixed-denominators", "one-sum-cancels"],
+)
+def test_integer_steps_equal_the_fraction_accumulation(step, coeffs, cancels):
+    # a hand-made order-4 block formula: delta_formula(4)'s monomials, other coefficients
+    terms = delta_formula(4).terms
+    formula = DeltaFormula(4, tuple((c, mono) for c, (_, mono) in zip(coeffs, terms)))
+    sums = fraction_step_sums(step, formula)
+    assert any(value == 0 for value in sums.values()) == cancels
+    expected = DeltaFormula.from_terms(
+        5,
+        [
+            (value, DeltaMonomial(beta.entries, 5 + beta.total))
+            for beta, value in sums.items()
+            if value != 0
+        ],
+    )
+    assert step(formula) == expected
 
 
 # --- block expansion ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for jets, evaluation, the shear, built-in problems, finite differences."""
 
 import gc
+import hashlib
 import math
 import random
 import tracemalloc
@@ -179,6 +180,47 @@ def test_jet_json_round_trip(kind):
     assert again.order == jet.order
     assert again.partials == jet.partials
     assert (again.x0, again.y0) == (jet.x0, jet.y0)
+
+
+@pytest.mark.parametrize("order", [2.5, "3", None, True, 0, 31])
+def test_random_rational_jet_refuses_a_bad_order(order):
+    with pytest.raises(JetError):
+        random_rational_jet(order, seed=1)
+
+
+def assert_checked(jet):
+    """A jet made without the check equals its rebuild through the checked constructor."""
+    checked = Jet(jet.x0, jet.y0, jet.order, dict(jet.partials), jet.kind)
+    assert checked == jet
+    assert list(checked.partials) == list(jet.partials)
+    assert all(type(v) is Fraction for v in (jet.x0, jet.y0, *jet.partials.values()))
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_seeded_and_sheared_jets_equal_checked_ones(order):
+    for seed in (0, 1, 7, 2029, 31_337):
+        jet = random_rational_jet(order, seed=seed)
+        assert_checked(jet)
+        assert_checked(shift_jet(jet, order))
+        assert_checked(shift_jet(jet, max(order - 1, 1)))
+
+
+# sha256 of jet_to_json(random_rational_jet(order, seed)), pinned so the random
+# stream behind every seeded suite cannot drift
+_SEEDED_JET_DIGESTS = {
+    (4, 0): "d9dd2a4284248d8bb81962f45f92340460370b08419bedefb741a2124ecdfa46",
+    (12, 0): "f7edd1463aee2fdb9c20db4f17b18d0717f34d796b4ba6cafec9b01d2b8b4363",
+    (4, 7): "ae0f1efdb0da91e271428d1bd10ebdc4adc16ae6104a5e9108f342307b3c4666",
+    (12, 7): "3673ede03b184a06b9833a03df7dc7bc2cc47c701abca11855fe7d95e2ea478e",
+    (4, 2029): "d49937945807acca152abd75ec15a732fd0b910f6244b6bf2aea01452bc667b0",
+    (12, 2029): "a426842d7e4d3b16daf93e64138fb857f6f12813cf1fc279e07a8a4a440194e7",
+}
+
+
+@pytest.mark.parametrize("order, seed", list(_SEEDED_JET_DIGESTS))
+def test_seeded_jets_are_pinned(order, seed):
+    text = jet_to_json(random_rational_jet(order, seed=seed))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _SEEDED_JET_DIGESTS[order, seed]
 
 
 def test_jet_json_rejects_garbage():
@@ -819,6 +861,18 @@ def test_shear_refuses_float_jets():
     # the shear is exact only; a float jet is refused, not sheared in binary64
     jet = builtin_problem("lambert").jet(4, "float")
     with pytest.raises(JetError):
+        shift_jet(jet, 4)
+
+
+def test_shear_refuses_a_jet_changed_after_its_check():
+    # the sheared jet is made without a check, so the shear reads f and f_y itself
+    jet = random_rational_jet(4, seed=4)
+    jet.partials[(0, 0)] = Fraction(1)
+    with pytest.raises(JetError):
+        shift_jet(jet, 4)
+    jet = random_rational_jet(4, seed=4)
+    jet.partials[(0, 1)] = Fraction(0)
+    with pytest.raises(SingularJetError):
         shift_jet(jet, 4)
 
 

@@ -407,6 +407,69 @@ def test_every_successor_is_reachable_backwards(n):
                 )
 
 
+# --- canonical by construction -------------------------------------------------------
+
+
+def assert_canonical_by_construction(mults):
+    """An element equals its rebuild by the checked constructor, entries and all.
+
+    The check hands a canonical, valid entries tuple back as it is, so the
+    rebuild holds the very same tuple only when the move made it canonical.
+    """
+    rebuilt = Multiplicities(mults.entries)
+    assert rebuilt == mults, mults
+    assert rebuilt.entries is mults.entries, mults
+
+
+def successors_of(n):
+    """Every successor of every family-A element of order n, by every admissible move."""
+    for alpha in enumerate_A(n):
+        yield successor_mixed(alpha)
+        for key, _ in alpha.items():
+            yield successor_advance(alpha, key)
+            if key.l >= 1 and key != (2, 0):
+                yield successor_trade(alpha, key)
+
+
+def predecessors_of(n_plus_1):
+    """Every predecessor in the records of order ``n_plus_1``."""
+    for _, records in predecessor_records(n_plus_1):
+        for record in records:
+            yield record.predecessor
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_successors_are_canonical_by_construction(n):
+    for beta in successors_of(n):
+        assert_canonical_by_construction(beta)
+
+
+@pytest.mark.parametrize("n_plus_1", range(3, 13))
+def test_predecessors_are_canonical_by_construction(n_plus_1):
+    for alpha in predecessors_of(n_plus_1):
+        assert_canonical_by_construction(alpha)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_family_elements_are_canonical_by_construction(n):
+    for element in (enumerate_A(n) if n >= 2 else []) + enumerate_B(n):
+        assert_canonical_by_construction(element)
+
+
+@pytest.mark.parametrize("neighbours", [successors_of, predecessors_of])
+def test_a_normalizer_that_swaps_two_keys_fails_the_guarantee(monkeypatch, neighbours):
+    merge = partitions.merge_entries
+
+    def swapped(pairs):
+        entries = merge(pairs)
+        return entries[1::-1] + entries[2:]  # the first two entries swapped
+
+    monkeypatch.setattr(partitions, "merge_entries", swapped)
+    with pytest.raises(AssertionError):
+        for mults in neighbours(6):
+            assert_canonical_by_construction(mults)
+
+
 # --- container behavior -----------------------------------------------------------
 
 
