@@ -157,9 +157,9 @@ def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaF
     so each weighted sum adds plain ints and each next-order term makes
     one ``Fraction``.
 
-    Each ``beta`` comes from the family walk as a ``_trusted`` canonical
-    ``Multiplicities`` with keys of l + r >= 2, so its entries make a
-    ``_trusted`` monomial without a second scan.
+    Each ``beta`` must lie in family A at order n + 1 (else
+    :class:`DomainError`), so its canonical entries make a ``_trusted``
+    monomial without a second scan.
     """
     table = _block_terms(formula, "recursion_step")
     n = formula.n
@@ -171,6 +171,8 @@ def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaF
     }
     terms = []
     for beta, preds in records:
+        if not is_member_A(beta, n + 1):
+            raise DomainError(f"{beta} is not a family-A element of order {n + 1}")
         value = 0
         for record in preds:
             value += record.signed_weight * scaled.get(record.predecessor, 0)

@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from operator import mul
+from types import MappingProxyType
 from typing import Callable
 
 from .errors import DomainError, JetError, NewtonError, SingularJetError, check_order
@@ -82,7 +83,7 @@ def _partial_keys(order: int) -> list[tuple[int, int]]:
     return [(p, t) for p in range(order + 1) for t in range(order + 1 - p)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Jet:
     """Partial-derivative values of f at a base point, up to ``order``.
 
@@ -92,23 +93,24 @@ class Jet:
     f must be 0 at the base point (it solves f = 0) and f_y non-zero there.
     One scalar kind per jet; mixing rationals and floats is rejected.
 
-    The constructor checks all of this.  :meth:`_trusted` skips the check
-    for the two rational jets this module makes whole itself
-    (:func:`random_rational_jet` and :func:`shift_jet`).
+    The constructor checks all of this, once: a jet is frozen with a
+    read-only ``partials``, and ``pickle``, :mod:`copy` and ``replace``
+    rebuild it through the check.  :meth:`_trusted` skips the check for the
+    two rational jets made whole here (:func:`random_rational_jet`, :func:`shift_jet`).
     """
 
     x0: object
     y0: object
     order: int
-    partials: dict
+    partials: Mapping
     kind: str = RATIONAL
 
     def __post_init__(self) -> None:
         if self.kind not in (RATIONAL, FLOAT):
             raise JetError(f"unknown jet kind {self.kind!r}")
         check_order(self.order, 1, JetError)
-        self.x0 = _coerce_scalar(self.x0, self.kind, "x0")
-        self.y0 = _coerce_scalar(self.y0, self.kind, "y0")
+        object.__setattr__(self, "x0", _coerce_scalar(self.x0, self.kind, "x0"))
+        object.__setattr__(self, "y0", _coerce_scalar(self.y0, self.kind, "y0"))
         zero = Fraction(0) if self.kind == RATIONAL else 0.0
         if not isinstance(self.partials, Mapping):
             raise JetError(f"jet partials must be a mapping, got {self.partials!r}")
@@ -125,7 +127,7 @@ class Jet:
             raise JetError("f(x0, y0) must be 0 at the base point")
         if table[(0, 1)] == 0:
             raise SingularJetError("jet has f_y = 0 at the base point")
-        self.partials = table
+        object.__setattr__(self, "partials", MappingProxyType(table))
 
     @classmethod
     def _trusted(cls, x0: Fraction, y0: Fraction, order: int, partials: dict) -> "Jet":
@@ -137,8 +139,12 @@ class Jet:
         tests rebuild every such jet through the checked constructor.
         """
         jet = object.__new__(cls)
-        jet.x0, jet.y0, jet.order, jet.partials, jet.kind = x0, y0, order, partials, RATIONAL
+        table = MappingProxyType(partials)
+        vars(jet).update(x0=x0, y0=y0, order=order, partials=table, kind=RATIONAL)
         return jet
+
+    def __reduce__(self):
+        return Jet, (self.x0, self.y0, self.order, dict(self.partials), self.kind)
 
     @property
     def fx(self):
@@ -224,8 +230,10 @@ def _diagonal(jet: Jet, k: int) -> tuple[int, list[int]]:
 
     e_k is the lcm of the denominators of the k + 1 partials
     f_{x^p y^(k-p)}; item p of the list is the numerator of that partial
-    over e_k.
+    over e_k.  A k above the jet's order raises :class:`JetError`.
     """
+    if k > jet.order:
+        raise JetError(f"partials of order {k} beyond the jet's order {jet.order}")
     values = [jet.partials[(p, k - p)] for p in range(k + 1)]
     e = math.lcm(*[v.denominator for v in values])
     return e, [v.numerator * (e // v.denominator) for v in values]
@@ -328,9 +336,6 @@ def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
                 base = bases.get(key)
                 if base is None:
                     k = key.l + key.r
-                    if k > jet.order:
-                        what = "block" if blocks else "partial"
-                        raise JetError(f"{what} {tuple(key)} beyond the jet's order")
                     diagonal = diagonals.get(k)
                     if diagonal is None:
                         diagonal = diagonals[k] = _diagonal(jet, k)
@@ -483,9 +488,6 @@ def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[list, Fraction]:
     numerators = []  # per base: its numerator over its diagonal's denominator
     for l, r in plan.bases:
         k = l + r
-        if k > jet.order:
-            what = "block" if plan.blocks else "partial"
-            raise JetError(f"{what} {(l, r)} beyond the jet's order")
         diagonal = diagonals.get(k)
         if diagonal is None:
             diagonal = diagonals[k] = _diagonal(jet, k)
@@ -557,7 +559,8 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     unless :attr:`EvalReport.term_values` is read.  On float jets the
     operations and their order are those of the plain per-factor
     product, so every float is bit-identical to it, and the float total
-    is their plain left-to-right sum on every Python version.
+    is their plain left-to-right sum on every Python version.  Every jet
+    has f_y != 0; a float f_y power out of range raises :class:`JetError`.
 
     A formula object's first evaluation walks its terms in one pass and
     marks the object.  Its second records a plan of the formula's
@@ -572,8 +575,6 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
         raise DomainError("inverse-function formulas are not evaluated on jets")
     if jet.order < formula.n:
         raise JetError(f"formula of order {formula.n} needs jet order >= {formula.n}")
-    if jet.fy == 0:
-        raise SingularJetError("jet has f_y = 0 at the base point")
     blocks = isinstance(formula, DeltaFormula)
     plan = _plan_of(formula, blocks)
     if jet.kind == RATIONAL:
@@ -607,18 +608,14 @@ def shift_jet(jet: Jet, n: int) -> Jet:
     g_{x^l z^r} = sum_k C(l,k) lambda^k f_{x^(l-k) y^(r+k)}, which equals
     the block value D[l,r] divided by f_y^l.  The shear is exact only:
     each sheared partial is one integer sum over a common denominator,
-    normalized once, and a float jet raises :class:`JetError`.
+    normalized once, and a float jet raises :class:`JetError`.  Every
+    :class:`Jet` holds f = 0 and f_y != 0 and cannot change.
     """
     check_order(n, 1)
     if jet.kind != RATIONAL:
         raise JetError("the shear needs a rational jet")
     if jet.order < n:
         raise JetError(f"shift to order {n} needs jet order >= {n}")
-    # a jet's partials can be changed after its check; the sheared jet is not checked
-    if jet.partials[(0, 0)] != 0:
-        raise JetError("f(x0, y0) must be 0 at the base point")
-    if jet.fy == 0:
-        raise SingularJetError("jet has f_y = 0 at the base point")
     lam = -jet.fx / jet.fy
     # With lambda = a/b and the partials as integers P over their
     # common denominator e, g_{x^l z^r} is one integer sum over

@@ -40,6 +40,7 @@ from implicit_derivatives import formula as formula_module
 from implicit_derivatives.formula import _pack, _unpack
 from implicit_derivatives.keys import VectorKey, merge_entries
 from implicit_derivatives.partitions import (
+    PredecessorRecord,
     predecessor_records,
     successor_advance,
     successor_mixed,
@@ -255,6 +256,19 @@ def test_recursion_step_rejects_malformed_input():
     ):
         with pytest.raises(FormulaError):
             recursion_step(bad)
+
+
+def test_recursion_step_refuses_a_record_outside_family_a():
+    # {(1,0):3} lies outside family A at order 3: as a term it would hold
+    # the block D[1,0], which no compact monomial may
+    records = [
+        (
+            Multiplicities((((1, 0), 3),)),
+            [PredecessorRecord("d", None, Multiplicities((((2, 0), 1),)), 1)],
+        )
+    ]
+    with pytest.raises(DomainError):
+        recursion_step(delta_formula(2), records)
 
 
 def _times(formula, factor):
