@@ -157,7 +157,7 @@ def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaF
     so each weighted sum adds plain ints and each next-order term makes
     one ``Fraction``.
 
-    Each ``beta`` must lie in family A at order n + 1 (else
+    Each ``beta`` must be a ``Multiplicities`` in family A at order n + 1 (else
     :class:`DomainError`), so its canonical entries make a ``_trusted``
     monomial without a second scan.
     """

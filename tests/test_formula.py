@@ -271,6 +271,11 @@ def test_recursion_step_refuses_a_record_outside_family_a():
         recursion_step(delta_formula(2), records)
 
 
+def test_recursion_step_refuses_a_beta_that_is_not_multiplicities():
+    with pytest.raises(DomainError):
+        recursion_step(delta_formula(2), [({(2, 0): 1}, [])])
+
+
 def _times(formula, factor):
     return DeltaFormula(formula.n, tuple((coeff * factor, mono) for coeff, mono in formula.terms))
 

@@ -366,7 +366,7 @@ def test_predecessor_records_pair_each_element_with_its_records():
         assert preds == predecessors(beta, 6)
 
 
-@pytest.mark.parametrize("n_plus_1", range(3, 9))
+@pytest.mark.parametrize("n_plus_1", range(3, 11))
 def test_predecessors_round_trip_through_successors(n_plus_1):
     lower = set(enumerate_A(n_plus_1 - 1))
     for beta in enumerate_A(n_plus_1):
@@ -380,6 +380,11 @@ def test_predecessors_round_trip_through_successors(n_plus_1):
                 assert successor_trade(record.predecessor, key) == beta
             else:
                 assert successor_mixed(record.predecessor) == beta
+
+
+def test_predecessors_refuse_a_beta_that_is_not_multiplicities():
+    with pytest.raises(DomainError):
+        predecessors({(2, 0): 1}, 3)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
