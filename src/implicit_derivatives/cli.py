@@ -19,12 +19,14 @@ The argument parser is built once per process, by :func:`build_parser`
 on the first call of ``main``, so a program that calls ``main`` many
 times (the benchmark harness, the tests) pays for it once.  Nothing else
 is kept between calls: every call reads its own family sizes and builds
-its own formulas, tables and reports.
+its own formulas, tables and reports, which reference counting frees, so
+each command runs with the cyclic garbage collector paused and restored.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -268,6 +270,9 @@ def _predicted_terms(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.  The cyclic collector is
+    paused while the command runs, for an in-process caller's other threads
+    too, and then left enabled or disabled as ``main`` found it."""
     parser = _parser()
     args = parser.parse_args(argv)
     if args.cap < 1:
@@ -282,7 +287,13 @@ def main(argv=None) -> int:
                 f"order {args.n} needs {terms} terms, above the budget of"
                 f" {TERM_BUDGET}"
             )
-        return args.run(args)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return args.run(args)
+        finally:
+            if was_enabled:
+                gc.enable()
     except (DomainError, JetError) as exc:
         for kind, code, prefix in ERROR_EXITS:
             if isinstance(exc, kind):

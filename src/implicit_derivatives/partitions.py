@@ -237,8 +237,7 @@ def _family(
         return found
 
     totals, entries = complete(0, n - 1, n)
-    # the recursion is a reference cycle: drop the memo now, not at the next GC
-    memo.clear()
+    del complete  # it holds itself through its cell; freed now, with the tables
     # the completions come in lexicographic entry order, so appending each
     # to the bucket of its total keeps that order within every stratum
     groups: list[list] = [[] for _ in range(2 * n)]
