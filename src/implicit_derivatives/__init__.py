@@ -68,7 +68,6 @@ from .partitions import (
     enumerate_B,
     enumerate_Z,
     family_counts,
-    family_size,
     lift_to_tilde,
     predecessors,
 )

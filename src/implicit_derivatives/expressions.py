@@ -93,10 +93,6 @@ class ElemMonomial:
         object.__setattr__(mono, "fy_power", fy_power)
         return mono
 
-    def has_key(self, key) -> bool:
-        target = VectorKey(*key)
-        return any(k == target for k, _ in self.exponents)
-
 
 def _collect(terms, sort_key):
     bag: dict = {}

@@ -320,7 +320,7 @@ def specialize_fx_zero(formula: ElemFormula) -> ElemFormula:
     if not isinstance(formula, ElemFormula) or formula.form != "elementary":
         raise FormulaError("specialize_fx_zero expects an expanded-form formula")
     kept = [
-        (coeff, mono) for coeff, mono in formula.terms if not mono.has_key((1, 0))
+        (coeff, mono) for coeff, mono in formula.terms if (1, 0) not in dict(mono.exponents)
     ]
     return ElemFormula.from_terms(formula.n, kept)
 

@@ -215,9 +215,8 @@ def eval_delta_block(jet: Jet, l: int, r: int):
         raise JetError(f"block ({l},{r}) needs jet order {l + r}, have {jet.order}")
     fx, fy = jet.fx, jet.fy
     if jet.kind == RATIONAL:
-        e, scaled = _diagonal(jet, l + r)
-        shear = fx.denominator * fy.denominator  # b*d
-        return Fraction(_block_numerator(jet, scaled, l), e * shear**l)
+        numerator, e, s = _exact_base(jet, {}, l, r, True)
+        return Fraction(numerator, e * (fx.denominator * fy.denominator) ** s)
     total = 0.0
     for j in range(l + 1):
         term = math.comb(l, j) * jet.partials[(l - j, r + j)] * fx**j * fy ** (l - j)
@@ -253,6 +252,34 @@ def _block_numerator(jet: Jet, scaled: list[int], l: int) -> int:
     for j in range(l + 1):
         total += math.comb(l, j) * scaled[l - j] * x**j * y ** (l - j)
     return total
+
+
+def _exact_base(jet: Jet, diagonals: dict, l: int, r: int, blocks: bool) -> tuple[int, int, int]:
+    """D[l,r] (``blocks``) or f_{x^l y^r} as a numerator over e_k * (b*d)^s, with e_k and s.
+
+    Here k = l + r, f_x = a/b, f_y = c/d and s is l for a block, 0 for a partial;
+    ``diagonals`` keeps each :func:`_diagonal` by k, so one evaluation reads it once.
+    """
+    k = l + r
+    diagonal = diagonals.get(k)
+    if diagonal is None:
+        diagonal = diagonals[k] = _diagonal(jet, k)
+    e, scaled = diagonal
+    if blocks:
+        return _block_numerator(jet, scaled, l), e, l
+    return scaled[l], e, 0
+
+
+def _float_base(jet: Jet, l: int, r: int, blocks: bool) -> float:
+    """D[l,r] by :func:`eval_delta_block` (``blocks``), or f_{x^l y^r}.
+
+    The one place where a raw partial beyond the jet's order is refused.
+    """
+    if blocks:
+        return eval_delta_block(jet, l, r)
+    if l + r > jet.order:
+        raise JetError(f"partial {(l, r)} beyond the jet's order")
+    return jet.partials[(l, r)]
 
 
 @dataclass(frozen=True)
@@ -312,12 +339,10 @@ def _exact_total(pairs: list) -> Fraction:
     return Fraction(*pairs[0])
 
 
-def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
-    """The term pairs of :func:`eval_formula` on a rational jet, and their class sums.
+def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, Fraction]:
+    """The term pairs and total of :func:`eval_formula` on a rational jet, in one pass.
 
-    Each distinct base is one integer over its diagonal's denominator: a
-    block D[l,r] from :func:`_block_numerator` over e_k * (b*d)^l, a raw
-    partial from :func:`_diagonal` over e_k; each diagonal is read once.
+    Each distinct base is read once, through :func:`_exact_base`.
     """
     fy = jet.fy
     shear = jet.fx.denominator * fy.denominator  # b*d
@@ -335,16 +360,8 @@ def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
                 key, power = entry
                 base = bases.get(key)
                 if base is None:
-                    k = key.l + key.r
-                    diagonal = diagonals.get(k)
-                    if diagonal is None:
-                        diagonal = diagonals[k] = _diagonal(jet, k)
-                    e, scaled = diagonal
-                    if blocks:
-                        base = (_block_numerator(jet, scaled, key.l), e * shear**key.l)
-                    else:
-                        base = (scaled[key.l], e)
-                    bases[key] = base
+                    numerator, e, s = _exact_base(jet, diagonals, key.l, key.r, blocks)
+                    base = bases[key] = (numerator, e * shear**s)
                 factor = powers[entry] = (base[0] ** power, base[1] ** power)
             num *= factor[0]
             den *= factor[1]
@@ -357,7 +374,7 @@ def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, dict]:
         held = classes.get(den)
         classes[den] = num if held is None else held + num
         contributions.append((num, den))
-    return contributions, classes
+    return contributions, _exact_total([(p, q) for q, p in classes.items()])
 
 
 class _EvalPlan:
@@ -437,7 +454,7 @@ class _EvalPlan:
 def _float_terms(formula, jet: Jet, blocks: bool) -> list[float]:
     """The float terms of :func:`eval_formula` in one pass over the terms."""
     fy = jet.fy
-    bases = {} if blocks else jet.partials  # key -> block or partial value
+    bases = {}  # key -> block or partial value
     powers = {}  # (key, power) -> value**power
     contributions = []
     for coeff, mono in formula.terms:
@@ -448,9 +465,7 @@ def _float_terms(formula, jet: Jet, blocks: bool) -> list[float]:
                 key, power = entry
                 base = bases.get(key)
                 if base is None:
-                    if not blocks:
-                        raise JetError(f"partial {tuple(key)} beyond the jet's order")
-                    base = bases[key] = eval_delta_block(jet, key.l, key.r)
+                    base = bases[key] = _float_base(jet, key.l, key.r, blocks)
                 factor = powers[entry] = base**power
             num *= factor
         contributions.append(float(coeff * num / fy**mono.fy_power))
@@ -485,14 +500,7 @@ def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[list, Fraction]:
     c, d = fy.numerator, fy.denominator
     shear = jet.fx.denominator * d  # b*d
     diagonals = {}  # k -> e_k and the diagonal's partials as integers over it
-    numerators = []  # per base: its numerator over its diagonal's denominator
-    for l, r in plan.bases:
-        k = l + r
-        diagonal = diagonals.get(k)
-        if diagonal is None:
-            diagonal = diagonals[k] = _diagonal(jet, k)
-        scaled = diagonal[1]
-        numerators.append(_block_numerator(jet, scaled, l) if plan.blocks else scaled[l])
+    numerators = [_exact_base(jet, diagonals, l, r, plan.blocks)[0] for l, r in plan.bases]
     d_powers = {q: d**q for q in plan.fy_powers}
     heads = list(map(mul, plan.head_numerators, map(d_powers.__getitem__, plan.head_powers)))
     values = list(map(pow, map(numerators.__getitem__, plan.entry_bases), plan.entry_powers))
@@ -519,14 +527,7 @@ def _planned_float(plan: _EvalPlan, jet: Jet) -> list[float]:
     which is what ``coeff * num / fy**q`` computes for a Fraction ``coeff``.
     """
     fy = jet.fy
-    bases = []
-    for l, r in plan.bases:
-        if plan.blocks:
-            bases.append(eval_delta_block(jet, l, r))
-        elif l + r > jet.order:
-            raise JetError(f"partial {(l, r)} beyond the jet's order")
-        else:
-            bases.append(jet.partials[(l, r)])
+    bases = [_float_base(jet, l, r, plan.blocks) for l, r in plan.bases]
     fy_powers = {q: fy**q for q in plan.fy_powers}
     coeffs = list(map(float, plan.head_coeffs))
     divisors = list(map(fy_powers.__getitem__, plan.head_powers))
@@ -579,8 +580,7 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     plan = _plan_of(formula, blocks)
     if jet.kind == RATIONAL:
         if plan is None:
-            contributions, classes = _exact_terms(formula, jet, blocks)
-            total = _exact_total([(p, q) for q, p in classes.items()])
+            contributions, total = _exact_terms(formula, jet, blocks)
         else:
             contributions, total = _planned_exact(plan, jet)
         return EvalReport(n=formula.n, value=total, _terms=tuple(contributions))

@@ -31,7 +31,6 @@ compares and diffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import isqrt
 

@@ -35,7 +35,7 @@ consumer sets up whatever depends on the stratum alone (the sign, the
 f_y power) once per group.  Counting needs no walk: the family sizes by
 stratum are coefficients of prod 1/(1 - x^l z^(l+r-1) u) over the keys
 with l + r >= 2, read from one packed table per call
-(:func:`family_counts`, :func:`family_sizes`, :func:`family_size`).
+(:func:`family_counts`, :func:`family_sizes`).
 
 The module also provides the neighbor constructions that connect
 consecutive orders: three "successor" moves sending an order-n element
@@ -48,7 +48,7 @@ recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import DomainError, check_order
 from .keys import BELOW_ORDER_TWO, VectorKey, canonical_entries, check_int, merge_entries
@@ -96,14 +96,6 @@ class Multiplicities:
             if k == target:
                 return c
         return 0
-
-    def bumped(self, deltas: Iterable[tuple[tuple[int, int], int]]) -> "Multiplicities":
-        """A copy with the given (key, delta) adjustments applied.
-
-        Deltas for the same key accumulate.  Raises if any resulting
-        count would be negative.
-        """
-        return Multiplicities(self.entries + tuple(deltas))
 
     @property
     def total(self) -> int:
@@ -296,8 +288,10 @@ def family_counts(max_n: int, family_a: bool) -> dict[int, list[tuple[int, int]]
     Nothing is enumerated: one counting table per call
     (:func:`_core_counts`) gives every order.  Maps each order (from 2
     for A, 1 for B) to its non-zero (stratum, count) pairs in ascending
-    stratum order.
+    stratum order.  A non-bool ``family_a`` raises :class:`DomainError`.
     """
+    if type(family_a) is not bool:
+        raise DomainError(f"family flag {family_a!r} is not a bool")
     start = 2 if family_a else 1
     check_order(max_n, start)
     rows = _core_counts(max_n)
@@ -307,21 +301,18 @@ def family_counts(max_n: int, family_a: bool) -> dict[int, list[tuple[int, int]]
 def family_sizes(requests) -> list[int]:
     """Sizes of family A or B at each ``(n, family_a)`` request, not enumerated.
 
-    One counting table (:func:`_core_counts`), built at the largest
-    order asked for, gives every size.
+    One counting table (:func:`_core_counts`), built at the largest order
+    asked for, gives every size; a non-bool ``family_a`` raises :class:`DomainError`.
     """
     requests = list(requests)
     for n, family_a in requests:
+        if type(family_a) is not bool:
+            raise DomainError(f"family flag {family_a!r} is not a bool")
         check_order(n, 2 if family_a else 1)
     if not requests:
         return []
     rows = _core_counts(max(n for n, _ in requests))
     return [sum(count for _, count in _strata(rows, n, a)) for n, a in requests]
-
-
-def family_size(n: int, family_a: bool) -> int:
-    """Number of elements of family A (``family_a``) or B at order n, not enumerated."""
-    return family_sizes([(n, family_a)])[0]
 
 
 def enumerate_A(n: int) -> list[Multiplicities]:
@@ -351,7 +342,7 @@ def lift_to_tilde(alpha: Multiplicities, n: int) -> Multiplicities:
     fy_count = n - 1 - alpha.total
     if fy_count == 0:
         return alpha
-    return alpha.bumped([((0, 1), fy_count)])
+    return Multiplicities(alpha.entries + (((0, 1), fy_count),))
 
 
 def drop_tilde(alpha_tilde: Multiplicities) -> Multiplicities:

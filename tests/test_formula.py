@@ -37,6 +37,7 @@ from implicit_derivatives import (
     specialize_fx_zero,
 )
 from implicit_derivatives import formula as formula_module
+from implicit_derivatives.errors import HARD_CAP
 from implicit_derivatives.formula import _pack, _unpack
 from implicit_derivatives.keys import VectorKey, merge_entries
 from implicit_derivatives.partitions import (
@@ -788,7 +789,7 @@ def inverse_reference(n):
     return terms
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, HARD_CAP + 1))
 def test_inverse_formula_matches_reference(n):
     formula = inverse_function_formula(n)
     assert formula.form == "inverse"

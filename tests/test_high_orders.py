@@ -19,3 +19,6 @@ def test_the_workflow_names_every_check_and_no_other():
     text = WORKFLOW.read_text(encoding="utf-8")
     named = set(re.findall(r"tests/high_orders\.py ([\w-]+)", text))
     assert named == set(high_orders.CHECKS)
+    # a failed step skips every later one, so the benchmark self-test runs last
+    steps = re.split(r"^      - ", text, flags=re.M)
+    assert [i for i, step in enumerate(steps) if "bench/selftest.py" in step] == [len(steps) - 1]

@@ -580,10 +580,16 @@ def test_eval_matches_the_per_factor_product_bit_for_bit(build, n):
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_each_block_is_computed_once_per_call(monkeypatch, n):
-    formula = delta_formula(n)
     jet = random_rational_jet(n, seed=n)
-    distinct = {(key.l, key.r) for _, mono in formula.terms for key, _ in mono.factors}
-    blocks, diagonals, floats = [], [], []
+    exact_bases, float_bases, blocks, diagonals, floats = [], [], [], [], []
+
+    def counted_exact_base(jet, diagonals, l, r, blocks):
+        exact_bases.append((l, r))
+        return exact_base(jet, diagonals, l, r, blocks)
+
+    def counted_float_base(jet, l, r, blocks):
+        float_bases.append((l, r))
+        return float_base(jet, l, r, blocks)
 
     def counted_block(jet, scaled, l):
         blocks.append((l, len(scaled) - 1 - l))  # r = k - l
@@ -597,29 +603,43 @@ def test_each_block_is_computed_once_per_call(monkeypatch, n):
         floats.append((l, r))
         return eval_delta_block(jet, l, r)
 
+    exact_base, float_base = numeric._exact_base, numeric._float_base
     numerator, diagonal = numeric._block_numerator, numeric._diagonal
+    monkeypatch.setattr(numeric, "_exact_base", counted_exact_base)
+    monkeypatch.setattr(numeric, "_float_base", counted_float_base)
     monkeypatch.setattr(numeric, "_block_numerator", counted_block)
     monkeypatch.setattr(numeric, "_diagonal", counted_diagonal)
     monkeypatch.setattr(numeric, "eval_delta_block", counted_float)
     # the first call is the single pass, the second records the plan,
-    # the third reads it: each computes the same bases once
-    for kind in ("rational", "float"):
-        formula = delta_formula(n)
-        case = jet if kind == "rational" else float_copy(jet)
-        for _ in range(3):
-            blocks.clear()
-            diagonals.clear()
-            floats.clear()
-            eval_formula(formula, case)
-            if kind == "rational":
-                # one numerator per distinct block, one read per diagonal used
-                assert sorted(blocks) == sorted(distinct)
-                assert sorted(diagonals) == sorted({l + r for l, r in distinct})
-                assert floats == []
-            else:
-                # one eval_delta_block call per distinct block
-                assert sorted(floats) == sorted(distinct)
-                assert blocks == diagonals == []
+    # the third reads it: each computes the same bases once, blocks for
+    # the compact form and raw partials for the expanded one
+    for build in (delta_formula, elementary_formula):
+        compact = build is delta_formula
+        for kind in ("rational", "float"):
+            formula = build(n)
+            distinct = {
+                (key.l, key.r)
+                for _, mono in formula.terms
+                for key, _ in (mono.factors if compact else mono.exponents)
+            }
+            case = jet if kind == "rational" else float_copy(jet)
+            for _ in range(3):
+                for calls in (exact_bases, float_bases, blocks, diagonals, floats):
+                    calls.clear()
+                eval_formula(formula, case)
+                if kind == "rational":
+                    # one kernel call per distinct base, one read per diagonal
+                    # used, and a numerator per distinct block
+                    assert sorted(exact_bases) == sorted(distinct)
+                    assert sorted(diagonals) == sorted({l + r for l, r in distinct})
+                    assert sorted(blocks) == (sorted(distinct) if compact else [])
+                    assert float_bases == floats == []
+                else:
+                    # one kernel call per distinct base, which computes a
+                    # block through eval_delta_block
+                    assert sorted(float_bases) == sorted(distinct)
+                    assert sorted(floats) == (sorted(distinct) if compact else [])
+                    assert exact_bases == blocks == diagonals == []
 
 
 def test_exact_eval_normalizes_only_the_blocks_and_the_total(monkeypatch):

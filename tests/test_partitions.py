@@ -22,7 +22,6 @@ from implicit_derivatives.partitions import (
     _family,
     drop_tilde,
     family_counts,
-    family_size,
     family_sizes,
     is_member_A,
     members,
@@ -231,7 +230,7 @@ def test_counting_table_matches_the_enumeration(family_a, max_n):
     for n, strata in counts.items():
         walked = [(total, len(group)) for total, group in _family(n, family_a)]
         assert strata == walked
-        assert family_size(n, family_a) == sum(size for _, size in walked)
+        assert family_sizes([(n, family_a)]) == [sum(size for _, size in walked)]
     # one table at the largest order asked for serves every smaller order
     requests = [(n, family_a) for n in counts][::-1]
     assert family_sizes(requests) == [sum(c for _, c in counts[n]) for n, _ in requests]
@@ -250,8 +249,7 @@ def test_family_groups_ascend_by_total_then_entries(family_a, top):
 
 
 def test_counting_table_at_the_hard_cap():
-    assert family_size(HARD_CAP, True) == 5_192_640
-    assert family_size(HARD_CAP, False) == 323_685_343
+    assert family_sizes([(HARD_CAP, True), (HARD_CAP, False)]) == [5_192_640, 323_685_343]
     assert sum(c for _, c in family_counts(HARD_CAP, False)[HARD_CAP]) == 323_685_343
 
 
@@ -271,14 +269,25 @@ def test_counting_rejects_bad_orders():
     with pytest.raises(DomainError):
         family_counts(1, True)
     with pytest.raises(DomainError):
-        family_size(0, False)
+        family_sizes([(0, False)])
     with pytest.raises(DomainError):
         family_counts(HARD_CAP + 1, False)
     with pytest.raises(DomainError):
-        family_size(3.0, True)
+        family_sizes([(3.0, True)])
     with pytest.raises(DomainError):
         family_sizes([(5, True), (1, True)])
     assert family_sizes([]) == []
+
+
+@pytest.mark.parametrize("flag", ["B", "A", 0, 1, None, 1.0, [True]])
+def test_counting_rejects_a_family_flag_that_is_not_a_bool(flag):
+    # a truthy flag is not family A, nor a falsy one family B
+    with pytest.raises(DomainError):
+        family_counts(4, flag)
+    with pytest.raises(DomainError):
+        family_sizes([(4, flag)])
+    with pytest.raises(DomainError):
+        family_sizes([(4, True), (4, flag)])
 
 
 # --- the lifted presentation ----------------------------------------------------
@@ -487,7 +496,7 @@ def test_multiplicities_normalization():
     with pytest.raises(DomainError):
         Multiplicities((((-1, 3), 1),))
     with pytest.raises(DomainError):
-        m({(2, 0): 1}).bumped([((2, 0), -2)])
+        Multiplicities(m({(2, 0): 1}).entries + (((2, 0), -2),))
     # indices and counts are exact ints: nothing is truncated or coerced
     Two = IntEnum("Two", {"TWO": 2})
     for value in (2.5, 2.0, True, "2", Two.TWO):
