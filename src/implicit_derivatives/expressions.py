@@ -201,6 +201,9 @@ class _TextTable(dict):
 
 
 def _entries_of(formula: Formula):
+    """Each term's entries reader; anything but a formula raises :class:`FormulaError`."""
+    if not isinstance(formula, (DeltaFormula, ElemFormula)):
+        raise FormulaError(f"expected a formula, got {type(formula).__name__}")
     # the canonical check reads the same attribute, so every term has it
     return attrgetter("factors" if formula.form == "delta" else "exponents")
 
@@ -277,13 +280,13 @@ FORMATS = (*_TEXT, "json")
 
 
 def _render_text(formula: Formula, format: str) -> str:
+    entries_of = _entries_of(formula)
     if not formula.terms:
         return "0"
     spell_factor, spell_denominator, gap, opening, fraction = _TEXT[format]
     form = formula.form
     factor_text = _TextTable(lambda entry: spell_factor(form, entry))
     denominator_text = _TextTable(lambda power: spell_denominator(form, power))
-    entries_of = _entries_of(formula)
     plus, minus = "+" + gap + opening, "-" + gap + opening
     chunks = []
     for coeff, mono in formula.terms:
@@ -313,6 +316,7 @@ def formula_to_json(formula: Formula) -> str:
     ``fy_power`` are checked ``int``s and a coefficient's ``str`` holds
     only digits, ``-`` and ``/``, so no fragment needs escaping.
     """
+    entries_of = _entries_of(formula)
     if formula.form == "delta":
         part, first, second = "factors", "l", "r"
     else:
@@ -322,7 +326,6 @@ def formula_to_json(formula: Formula) -> str:
         f'"power": {entry[1]}}}'
     )
     tail_text = _TextTable(lambda fy_power: f'], "fy_power": {fy_power}}}')
-    entries_of = _entries_of(formula)
     head = '{"coeff": "'
     middle = f'", "{part}": ['
     terms = ", ".join(

@@ -113,8 +113,8 @@ def derive_next(formula: DeltaFormula) -> DeltaFormula:
     l + r or keeps it, so its entries make a ``_trusted`` monomial without
     a second scan; ``from_terms`` sorts the terms.
     """
-    n = formula.n
     table = _block_terms(formula, "derive_next")
+    n = formula.n
     den = math.lcm(*[coeff.denominator for coeff in table.values()])
     acc: dict[Multiplicities, int] = {}
 

@@ -7,18 +7,20 @@ of :func:`_partial_keys`.  Formulas evaluate to a scalar of the jet's
 kind, so rational jets give exact results.  Exact evaluation builds
 each block or partial it uses as one integer over its diagonal's common
 denominator, so a term's denominator depends only on the diagonals it
-uses.  The terms are summed as plain integers per denominator, and only
-the total is normalized.  Each term stays an unreduced integer pair
-until its value is first read from the report.  A formula object
-evaluated a second time records its structure, never a jet value, in an
-evaluation plan kept on the object (about 56 bytes per term), which that
+uses; one weight row per block order l serves every exact block D[l, .].
+The terms are summed as plain integers per denominator, and only the
+total is normalized.  Each term stays an unreduced integer pair until
+its value is first read from the report.  A formula object evaluated a
+second time records its structure, never a jet value, in an evaluation
+plan kept on the object (about 56 bytes per term), which that
 evaluation and every later one read in place of the terms.
 
 The module also ships a few built-in implicit-function problems with
 known solutions, a Newton solver plus central finite differences for
-cross-checking, the base-point shear that zeroes f_x (turning the
-compact blocks into plain partials; exact only, on rational jets), and
-a deterministic random-jet generator used by the property suites.
+cross-checking, the base-point shear that zeroes f_x (its partials are
+the blocks divided by f_y^l, read through the same block kernel; exact
+only, on rational jets), and a deterministic random-jet generator used
+by the property suites.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ from operator import mul
 from types import MappingProxyType
 from typing import Callable
 
-from .errors import DomainError, JetError, NewtonError, SingularJetError, check_order
+from .errors import (
+    DomainError,
+    FormulaError,
+    JetError,
+    NewtonError,
+    SingularJetError,
+    check_order,
+)
 from .expressions import DeltaFormula, ElemFormula
 from .formula import delta_formula
 from .keys import check_int, check_rational, unique_members
@@ -155,8 +164,15 @@ class Jet:
         return self.partials[(0, 1)]
 
 
+def _check_jet(jet) -> None:
+    """Refuse anything but a :class:`Jet` with :class:`JetError`."""
+    if not isinstance(jet, Jet):
+        raise JetError(f"expected a Jet, got {type(jet).__name__}")
+
+
 def jet_to_json(jet: Jet) -> str:
     """Serialize a jet; rational scalars become "num/den" strings."""
+    _check_jet(jet)
 
     def scalar(v):
         if jet.kind == RATIONAL:
@@ -211,11 +227,12 @@ def eval_delta_block(jet: Jet, l: int, r: int):
     for index in (l, r):
         if check_int(index, DomainError, "a block index") < 0:
             raise DomainError("block indices must be non-negative")
+    _check_jet(jet)
     if l + r > jet.order:
         raise JetError(f"block ({l},{r}) needs jet order {l + r}, have {jet.order}")
     fx, fy = jet.fx, jet.fy
     if jet.kind == RATIONAL:
-        numerator, e, s = _exact_base(jet, {}, l, r, True)
+        numerator, e, s = _exact_base(jet, {}, {}, l, r, True)
         return Fraction(numerator, e * (fx.denominator * fy.denominator) ** s)
     total = 0.0
     for j in range(l + 1):
@@ -233,41 +250,52 @@ def _diagonal(jet: Jet, k: int) -> tuple[int, list[int]]:
     """
     if k > jet.order:
         raise JetError(f"partials of order {k} beyond the jet's order {jet.order}")
-    values = [jet.partials[(p, k - p)] for p in range(k + 1)]
-    e = math.lcm(*[v.denominator for v in values])
-    return e, [v.numerator * (e // v.denominator) for v in values]
+    pairs = [jet.partials[(p, k - p)].as_integer_ratio() for p in range(k + 1)]
+    e = math.lcm(*[q for _, q in pairs])
+    return e, [p * (e // q) for p, q in pairs]
 
 
-def _block_numerator(jet: Jet, scaled: list[int], l: int) -> int:
-    """The numerator of D[l,r] over e_k * (b*d)^l, from ``_diagonal(jet, l + r)[1]``.
+def _block_weights(jet: Jet, l: int) -> list[int]:
+    """The weights C(l,p) x^(l-p) y^p, p = 0..l, of every block D[l,r].
 
-    With f_x = a/b, f_y = c/d and P_p the partial f_{x^p y^(k-p)} over
-    e_k, the block is the one integer sum
-    sum_j C(l,j) P_(l-j) (-a*d)^j (b*c)^(l-j).
+    With f_x = a/b, f_y = c/d, x = -a*d, y = b*c and P_p the partial
+    f_{x^p y^(k-p)} over e_k (:func:`_diagonal`, k = l + r), the numerator
+    of D[l,r] over e_k * (b*d)^l is the row's dot product with P_0, ..., P_l.
     """
     fx, fy = jet.fx, jet.fy
-    x = -fx.numerator * fy.denominator
-    y = fx.denominator * fy.numerator
-    total = 0
-    for j in range(l + 1):
-        total += math.comb(l, j) * scaled[l - j] * x**j * y ** (l - j)
-    return total
+    x, y = -fx.numerator * fy.denominator, fx.denominator * fy.numerator
+    row, power = [], 1
+    for p in range(l + 1):  # C(l,p) y^p
+        row.append(math.comb(l, p) * power)
+        power *= y
+    power = 1
+    for p in range(l, -1, -1):  # times x^(l-p)
+        row[p] *= power
+        power *= x
+    return row
 
 
-def _exact_base(jet: Jet, diagonals: dict, l: int, r: int, blocks: bool) -> tuple[int, int, int]:
+def _exact_base(
+    jet: Jet, diagonals: dict, rows: dict, l: int, r: int, blocks: bool
+) -> tuple[int, int, int]:
     """D[l,r] (``blocks``) or f_{x^l y^r} as a numerator over e_k * (b*d)^s, with e_k and s.
 
-    Here k = l + r, f_x = a/b, f_y = c/d and s is l for a block, 0 for a partial;
-    ``diagonals`` keeps each :func:`_diagonal` by k, so one evaluation reads it once.
+    Here k = l + r, f_x = a/b, f_y = c/d and s is l for a block, 0 for a
+    partial.  ``diagonals`` keeps each :func:`_diagonal` by k and ``rows``
+    each :func:`_block_weights` by l, so one evaluation builds each once;
+    this is the one exact rule for a block.
     """
     k = l + r
     diagonal = diagonals.get(k)
     if diagonal is None:
         diagonal = diagonals[k] = _diagonal(jet, k)
     e, scaled = diagonal
-    if blocks:
-        return _block_numerator(jet, scaled, l), e, l
-    return scaled[l], e, 0
+    if not blocks:
+        return scaled[l], e, 0
+    row = rows.get(l)
+    if row is None:
+        row = rows[l] = _block_weights(jet, l)
+    return sum(map(mul, row, scaled)), e, l  # the row stops at P_l
 
 
 def _float_base(jet: Jet, l: int, r: int, blocks: bool) -> float:
@@ -347,6 +375,7 @@ def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, Fraction]:
     fy = jet.fy
     shear = jet.fx.denominator * fy.denominator  # b*d
     diagonals = {}  # k -> e_k and the diagonal's partials as integers over it
+    rows = {}  # l -> the weights of the blocks D[l, .]
     bases = {}  # key -> (numerator, denominator) of its block or partial
     powers = {}  # (key, power) -> (numerator, denominator) of the base**power
     fy_powers = {}  # q -> (numerator, denominator) of 1 / f_y**q
@@ -360,7 +389,7 @@ def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, Fraction]:
                 key, power = entry
                 base = bases.get(key)
                 if base is None:
-                    numerator, e, s = _exact_base(jet, diagonals, key.l, key.r, blocks)
+                    numerator, e, s = _exact_base(jet, diagonals, rows, key.l, key.r, blocks)
                     base = bases[key] = (numerator, e * shear**s)
                 factor = powers[entry] = (base[0] ** power, base[1] ** power)
             num *= factor[0]
@@ -499,8 +528,8 @@ def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[list, Fraction]:
     fy = jet.fy
     c, d = fy.numerator, fy.denominator
     shear = jet.fx.denominator * d  # b*d
-    diagonals = {}  # k -> e_k and the diagonal's partials as integers over it
-    numerators = [_exact_base(jet, diagonals, l, r, plan.blocks)[0] for l, r in plan.bases]
+    diagonals, rows = {}, {}  # as in _exact_terms
+    numerators = [_exact_base(jet, diagonals, rows, l, r, plan.blocks)[0] for l, r in plan.bases]
     d_powers = {q: d**q for q in plan.fy_powers}
     heads = list(map(mul, plan.head_numerators, map(d_powers.__getitem__, plan.head_powers)))
     values = list(map(pow, map(numerators.__getitem__, plan.entry_bases), plan.entry_powers))
@@ -562,6 +591,8 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     product, so every float is bit-identical to it, and the float total
     is their plain left-to-right sum on every Python version.  Every jet
     has f_y != 0; a float f_y power out of range raises :class:`JetError`.
+    Anything but a formula raises :class:`FormulaError`, anything but a
+    :class:`Jet` :class:`JetError`.
 
     A formula object's first evaluation walks its terms in one pass and
     marks the object.  Its second records a plan of the formula's
@@ -572,6 +603,9 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     class denominator once and then only each term's numerator product.
     The results are the same on either path, term pairs included.
     """
+    if not isinstance(formula, (DeltaFormula, ElemFormula)):
+        raise FormulaError(f"expected a formula, got {type(formula).__name__}")
+    _check_jet(jet)
     if isinstance(formula, ElemFormula) and formula.form == "inverse":
         raise DomainError("inverse-function formulas are not evaluated on jets")
     if jet.order < formula.n:
@@ -605,43 +639,26 @@ def shift_jet(jet: Jet, n: int) -> Jet:
 
     The shear zeroes the first x-derivative at the base point while
     leaving pure y-partials untouched; its mixed partials are
-    g_{x^l z^r} = sum_k C(l,k) lambda^k f_{x^(l-k) y^(r+k)}, which equals
-    the block value D[l,r] divided by f_y^l.  The shear is exact only:
-    each sheared partial is one integer sum over a common denominator,
-    normalized once, and a float jet raises :class:`JetError`.  Every
-    :class:`Jet` holds f = 0 and f_y != 0 and cannot change.
+    g_{x^l z^r} = sum_k C(l,k) lambda^k f_{x^(l-k) y^(r+k)}, the block
+    D[l,r] divided by f_y^l.  So each one is the block kernel's numerator
+    (:func:`_exact_base`) over e_k * (b*c)^l, with f_x = a/b and f_y = c/d,
+    normalized once; g_x = D[1,0] is 0 exactly.  The shear is exact only:
+    a float jet raises :class:`JetError`.
     """
     check_order(n, 1)
+    _check_jet(jet)
     if jet.kind != RATIONAL:
         raise JetError("the shear needs a rational jet")
     if jet.order < n:
         raise JetError(f"shift to order {n} needs jet order >= {n}")
+    bc = jet.fx.denominator * jet.fy.numerator
+    diagonals, rows, partials = {}, {}, {}
+    for l, r in _partial_keys(n):
+        numerator, e, _ = _exact_base(jet, diagonals, rows, l, r, True)
+        partials[(l, r)] = Fraction(numerator, e * bc**l)
+    # every key of _partial_keys(n) in order, g = D[0,0] = 0 and g_z = D[0,1] = f_y
+    # at the base point, each value a normalized Fraction: a valid jet as made
     lam = -jet.fx / jet.fy
-    # With lambda = a/b and the partials as integers P over their
-    # common denominator e, g_{x^l z^r} is one integer sum over
-    # b^l * e:  sum_k C(l,k) a^k b^(l-k) P_{l-k, r+k}.
-    a, b = lam.numerator, lam.denominator
-    keys = _partial_keys(n)
-    e = math.lcm(*[jet.partials[key].denominator for key in keys])
-    scaled = {}
-    for key in keys:
-        v = jet.partials[key]
-        scaled[key] = v.numerator * (e // v.denominator)
-    a_pow = [a**k for k in range(n + 1)]
-    b_pow = [b**k for k in range(n + 1)]
-    weights = [
-        [math.comb(l, k) * a_pow[k] * b_pow[l - k] for k in range(l + 1)]
-        for l in range(n + 1)
-    ]
-    partials = {}
-    for l, r in keys:
-        total = 0
-        for k, w in enumerate(weights[l]):
-            total += w * scaled[(l - k, r + k)]
-        partials[(l, r)] = Fraction(total, b_pow[l] * e)
-    partials[(1, 0)] = Fraction(0)  # exact by the choice of lambda
-    # every key of _partial_keys(n) in order, g = f = 0 and g_z = f_y != 0 at
-    # the base point, each value a normalized Fraction: a valid jet as made
     return Jet._trusted(jet.x0, jet.y0 - lam * jet.x0, n, partials)
 
 

@@ -89,6 +89,8 @@ def pack_formula(formula: ElemFormula) -> Packed:
     equals that order's :func:`as_elementary`; an integral coefficient is
     packed as an ``int``, so the dicts compare like the chain's integers.
     """
+    if not isinstance(formula, ElemFormula):
+        raise FormulaError("pack_formula packs expanded formulas only")
     out: Packed = {}
     for coeff, mono in formula.terms:
         fy = mono.fy_power

@@ -7,7 +7,8 @@ orders.  Each CLI call is a fresh ``python -X dev -W error -m
 implicit_derivatives.cli`` process with ``PYTHONPATH`` set to ``src/``, and
 a non-zero exit fails the check.  Exact values are compared with the
 benchmark's power-series solve (``bench/series_ref.py``, which shares no
-code with the package), binary64 values by ``repr``.  A check prints one
+code with the package), binary64 values by ``repr``, and sheared jets with
+the plain ``Fraction`` loop of ``tests/test_numeric.py``.  A check prints one
 line per comparison and raises ``AssertionError`` at the first that fails.
 """
 
@@ -32,8 +33,9 @@ from implicit_derivatives import (  # noqa: E402
     formula_from_json,
     jet_to_json,
     random_rational_jet,
+    shift_jet,
 )
-from test_numeric import float_copy, wide_rational_jet  # noqa: E402
+from test_numeric import float_copy, shift_reference, wide_rational_jet  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("series_ref", ROOT / "bench" / "series_ref.py")
 series_ref = importlib.util.module_from_spec(_spec)
@@ -128,6 +130,23 @@ def plan(n=16):
             require(fresh == seen[label], f"order {n}, {label}: a fresh formula gives the same")
 
 
+def shear(n=20):
+    """``shift_jet`` to order ``n`` on a small-entry and a 32-bit-entry jet of order ``n``.
+
+    The sheared base point and every sheared partial equal the plain
+    ``Fraction`` loop over lambda = -f_x/f_y (``shift_reference``).
+    """
+    for name, jet in (
+        ("small", random_rational_jet(n, seed=20)),
+        ("wide", wide_rational_jet(n, seed=2020)),
+    ):
+        shifted = shift_jet(jet, n)
+        y0, partials = shift_reference(jet, n)
+        require(shifted.y0 == y0, f"{name} jet, order {n}: sheared y0 equals the Fraction loop")
+        line = f"{name} jet, order {n}: {len(partials)} sheared partials equal the Fraction loop"
+        require(dict(shifted.partials) == partials, line)
+
+
 def family_walk(cases=(("A", 20, "delta"), ("B", 15, "elementary"))):
     """``formula --format json`` for each (family, order, form) in ``cases``.
 
@@ -146,7 +165,13 @@ def family_walk(cases=(("A", 20, "delta"), ("B", 15, "elementary"))):
         require(formula_from_json(text) == built, line)
 
 
-CHECKS = {"problems": problems, "jet-files": jet_files, "plan": plan, "family-walk": family_walk}
+CHECKS = {
+    "problems": problems,
+    "jet-files": jet_files,
+    "plan": plan,
+    "shear": shear,
+    "family-walk": family_walk,
+}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

@@ -247,6 +247,8 @@ def test_derive_next_rejects_malformed_input():
         derive_next(not_in_family)
     with pytest.raises(FormulaError):
         derive_next(elementary_formula(2))
+    with pytest.raises(FormulaError):
+        derive_next(None)
 
 
 def test_recursion_step_rejects_malformed_input():

@@ -22,6 +22,7 @@ from implicit_derivatives import (
     DomainError,
     ElemFormula,
     ElemMonomial,
+    FormulaError,
     Jet,
     JetError,
     SingularJetError,
@@ -581,19 +582,19 @@ def test_eval_matches_the_per_factor_product_bit_for_bit(build, n):
 @pytest.mark.parametrize("n", [8, 12])
 def test_each_block_is_computed_once_per_call(monkeypatch, n):
     jet = random_rational_jet(n, seed=n)
-    exact_bases, float_bases, blocks, diagonals, floats = [], [], [], [], []
+    exact_bases, float_bases, weight_rows, diagonals, floats = [], [], [], [], []
 
-    def counted_exact_base(jet, diagonals, l, r, blocks):
+    def counted_exact_base(jet, diagonals, rows, l, r, blocks):
         exact_bases.append((l, r))
-        return exact_base(jet, diagonals, l, r, blocks)
+        return exact_base(jet, diagonals, rows, l, r, blocks)
 
     def counted_float_base(jet, l, r, blocks):
         float_bases.append((l, r))
         return float_base(jet, l, r, blocks)
 
-    def counted_block(jet, scaled, l):
-        blocks.append((l, len(scaled) - 1 - l))  # r = k - l
-        return numerator(jet, scaled, l)
+    def counted_weights(jet, l):
+        weight_rows.append(l)
+        return weights(jet, l)
 
     def counted_diagonal(jet, k):
         diagonals.append(k)
@@ -603,11 +604,15 @@ def test_each_block_is_computed_once_per_call(monkeypatch, n):
         floats.append((l, r))
         return eval_delta_block(jet, l, r)
 
+    def clear():
+        for calls in (exact_bases, float_bases, weight_rows, diagonals, floats):
+            calls.clear()
+
     exact_base, float_base = numeric._exact_base, numeric._float_base
-    numerator, diagonal = numeric._block_numerator, numeric._diagonal
+    weights, diagonal = numeric._block_weights, numeric._diagonal
     monkeypatch.setattr(numeric, "_exact_base", counted_exact_base)
     monkeypatch.setattr(numeric, "_float_base", counted_float_base)
-    monkeypatch.setattr(numeric, "_block_numerator", counted_block)
+    monkeypatch.setattr(numeric, "_block_weights", counted_weights)
     monkeypatch.setattr(numeric, "_diagonal", counted_diagonal)
     monkeypatch.setattr(numeric, "eval_delta_block", counted_float)
     # the first call is the single pass, the second records the plan,
@@ -624,22 +629,30 @@ def test_each_block_is_computed_once_per_call(monkeypatch, n):
             }
             case = jet if kind == "rational" else float_copy(jet)
             for _ in range(3):
-                for calls in (exact_bases, float_bases, blocks, diagonals, floats):
-                    calls.clear()
+                clear()
                 eval_formula(formula, case)
                 if kind == "rational":
                     # one kernel call per distinct base, one read per diagonal
-                    # used, and a numerator per distinct block
+                    # used, and one weight row per distinct block order l
                     assert sorted(exact_bases) == sorted(distinct)
                     assert sorted(diagonals) == sorted({l + r for l, r in distinct})
-                    assert sorted(blocks) == (sorted(distinct) if compact else [])
+                    assert sorted(weight_rows) == (
+                        sorted({l for l, _ in distinct}) if compact else []
+                    )
                     assert float_bases == floats == []
                 else:
                     # one kernel call per distinct base, which computes a
                     # block through eval_delta_block
                     assert sorted(float_bases) == sorted(distinct)
                     assert sorted(floats) == (sorted(distinct) if compact else [])
-                    assert exact_bases == blocks == diagonals == []
+                    assert exact_bases == weight_rows == diagonals == []
+    # the shear reads every block up to order n through the same kernel:
+    # each diagonal k <= n once and each weight row l <= n once
+    clear()
+    shift_jet(jet, n)
+    assert sorted(exact_bases) == sorted((l, r) for l in range(n + 1) for r in range(n + 1 - l))
+    assert sorted(diagonals) == sorted(weight_rows) == list(range(n + 1))
+    assert float_bases == floats == []
 
 
 def test_exact_eval_normalizes_only_the_blocks_and_the_total(monkeypatch):
@@ -820,6 +833,24 @@ def test_eval_rejects_inverse_form_and_short_jets(kind):
     far = DeltaMonomial((((4, 0), 1),), 1)
     with pytest.raises(JetError):
         eval_formula(DeltaFormula.from_terms(2, [(1, far)]), circle_jet(order=3, kind=kind))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: eval_formula(None, circle_jet()), FormulaError),
+        (lambda: eval_formula("- D[2,0] / fy^3", circle_jet()), FormulaError),
+        (lambda: eval_formula(delta_formula(3), None), JetError),
+        (lambda: eval_formula(delta_formula(3), {(0, 1): 1}), JetError),
+        (lambda: shift_jet(None, 3), JetError),
+        (lambda: eval_delta_block(None, 1, 1), JetError),
+        (lambda: jet_to_json(None), JetError),
+    ],
+    ids=["formula-none", "formula-text", "jet-none", "jet-dict", "shift", "block", "to-json"],
+)
+def test_numeric_refuses_what_is_not_a_formula_or_a_jet(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("fy", [1e120, 1e-120])

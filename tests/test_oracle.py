@@ -242,6 +242,10 @@ def test_pack_formula_keeps_f_y_as_its_negative_exponent():
     too_deep = ElemFormula(2, ((Fraction(1), ElemMonomial((((2, 0), 1),), 129)),))
     with pytest.raises(FormulaError):
         pack_formula(too_deep)
+    # only expanded formulas are packed, as formulas_equal compares only them
+    for other in (delta_formula(3), None):
+        with pytest.raises(FormulaError):
+            pack_formula(other)
 
 
 def test_oracle_rejects_bad_orders():

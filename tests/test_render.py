@@ -85,6 +85,15 @@ def test_render_rejects_unknown_format():
         render(delta_formula(2), "html")
 
 
+@pytest.mark.parametrize("value", [None, "D[2,0]", ((1, ()),)], ids=["none", "str", "tuple"])
+def test_rendering_refuses_what_is_not_a_formula(value):
+    for format in ("plain", "latex", "json"):
+        with pytest.raises(FormulaError):
+            render(value, format)
+    with pytest.raises(FormulaError):
+        formula_to_json(value)
+
+
 def test_parse_rejects_malformed_documents():
     with pytest.raises(FormulaError):
         formula_from_json("not json")
