@@ -31,7 +31,12 @@ from typing import Callable
 
 from .errors import DomainError, check_order
 from .keys import BELOW_ORDER_TWO, F_AND_FY, canonical_entries
-from .partitions import Multiplicities, _compositions, predecessor_records
+from .partitions import (
+    Multiplicities,
+    _check_multiplicities,
+    _compositions,
+    predecessor_records,
+)
 
 
 def binom(a: int, b: int) -> int:
@@ -78,12 +83,14 @@ def _balls_in_boxes(entries, slots: int, weights: dict | None = None) -> int:
 
 def coeff_C(alpha: Multiplicities) -> int:
     """The box-counting coefficient of a family-A element."""
+    _check_multiplicities(alpha)
     canonical_entries(alpha.entries, BELOW_ORDER_TWO, DomainError)
     return _balls_in_boxes(alpha.entries, _slot_orders(alpha.sum_l, alpha.sum_r))
 
 
 def coeff_D(gamma: Multiplicities) -> int:
     """The box-counting coefficient of a family-B element; (1, 0) is allowed."""
+    _check_multiplicities(gamma)
     canonical_entries(gamma.entries, F_AND_FY, DomainError)
     return _balls_in_boxes(gamma.entries, _slot_orders(gamma.sum_l, gamma.sum_r))
 
@@ -95,6 +102,7 @@ def _sign(alpha: Multiplicities) -> int:
 
 def signed_coeff(alpha: Multiplicities) -> int:
     """C(alpha) with the sign (-1)^h it carries in the derivative formula."""
+    _check_multiplicities(alpha)
     return _sign(alpha) * coeff_C(alpha)
 
 
@@ -138,6 +146,7 @@ def zgamma_sum(gamma: Multiplicities, polys: dict | None = None) -> tuple[int, .
     come; a caller summing over many elements hands in one table, so each
     distinct polynomial is built once.
     """
+    _check_multiplicities(gamma)
     if polys is None:
         polys = {}
     row = [1]

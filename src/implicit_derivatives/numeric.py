@@ -12,8 +12,9 @@ The terms are summed as plain integers per denominator, and only the
 total is normalized.  Each term stays an unreduced integer pair until
 its value is first read from the report.  A formula object evaluated a
 second time records its structure, never a jet value, in an evaluation
-plan kept on the object (about 56 bytes per term), which that
-evaluation and every later one read in place of the terms.
+plan kept on the object (about 52 bytes per term), which that
+evaluation and every later one read in place of the terms: each
+distinct factor prefix shared by neighbouring terms is multiplied once.
 
 The module also ships a few built-in implicit-function problems with
 known solutions, a Newton solver plus central finite differences for
@@ -34,7 +35,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
 from operator import mul
 from types import MappingProxyType
 from typing import Callable
@@ -410,12 +410,18 @@ class _EvalPlan:
     """The structure :func:`eval_formula` reads from a formula, recorded once.
 
     It holds no jet value, only indices into what each evaluation
-    computes from its jet, in flat integer arrays with one item per
-    term or per factor.  ``slots`` holds every term's entry indices,
-    term after term, ``lengths`` how many each term has: an entry is a
+    computes from its jet, in flat integer arrays.  An entry is a
     distinct ``(key, power)``, whose value is its base to the power.
-    Besides them a term has two indices:
+    The terms come stratum first, then entries in order, so neighbours
+    share their leading factors: a *prefix table* keeps each distinct
+    proper factor prefix once.  ``node_parents`` and ``node_entries``
+    hold one pair per prefix, its parent prefix and the entry that
+    extends it; node 0, the empty product, has no pair, and parents come
+    before their children.  A term has four indices:
 
+    * its prefix node, the product of all its factors but the last, and
+      its last entry; a term with no factors reads node 0 and entry -1,
+      a sentinel of value 1 that each evaluation appends to the entries;
     * its *head*, a distinct pair of coefficient and f_y power q: on a
       rational jet the coefficient's numerator times d^q (f_y = c/d)
       starts the term's product, on a float jet the product is scaled
@@ -437,20 +443,24 @@ class _EvalPlan:
         "head_powers",
         "fy_powers",
         "classes",
-        "slots",
-        "lengths",
+        "node_parents",
+        "node_entries",
+        "term_nodes",
+        "term_lasts",
         "term_heads",
         "term_classes",
     )
 
     def __init__(self, formula, blocks: bool) -> None:
         bases, entries, heads, classes = {}, {}, {}, {}
-        slots, lengths, term_heads, term_classes = (array("I") for _ in range(4))
+        nodes = {}  # (parent node, entry index) -> node, from 1 on
+        term_nodes, term_heads, term_classes = array("I"), array("I"), array("I")
+        term_lasts = array("i")  # -1: the sentinel
         for coeff, mono in formula.terms:
             diagonals = {}  # k -> summed power of the term's bases on diagonal k
             shear = 0
-            factors = mono.factors if blocks else mono.exponents
-            for entry in factors:
+            node, last = 0, -1
+            for entry in mono.factors if blocks else mono.exponents:
                 key, power = entry
                 k = key.l + key.r
                 diagonals[k] = diagonals.get(k, 0) + power
@@ -459,8 +469,14 @@ class _EvalPlan:
                 if index is None:
                     index = entries[entry] = len(entries)
                     bases.setdefault(key, len(bases))
-                slots.append(index)
-            lengths.append(len(factors))
+                if last >= 0:  # the previous entry extends the prefix
+                    child = nodes.get((node, last))
+                    if child is None:
+                        child = nodes[node, last] = len(nodes) + 1
+                    node = child
+                last = index
+            term_nodes.append(node)
+            term_lasts.append(last)
             term_heads.append(heads.setdefault((coeff, mono.fy_power), len(heads)))
             used = tuple(sorted(diagonals.items()))
             cls = (coeff.denominator, mono.fy_power, used, shear if blocks else 0)
@@ -474,8 +490,10 @@ class _EvalPlan:
         self.head_powers = tuple(q for _, q in heads)
         self.fy_powers = tuple(set(self.head_powers))
         self.classes = tuple(classes)
-        self.slots = slots
-        self.lengths = lengths
+        self.node_parents = array("I", [parent for parent, _ in nodes])
+        self.node_entries = array("I", [entry for _, entry in nodes])
+        self.term_nodes = term_nodes
+        self.term_lasts = term_lasts
         self.term_heads = term_heads
         self.term_classes = term_classes
 
@@ -519,11 +537,25 @@ def _plan_of(formula, blocks: bool):
     return plan
 
 
+def _prefix_products(plan: _EvalPlan, values: list, one) -> list:
+    """The product of every prefix node of the plan, node 0 being ``one``.
+
+    Each node is its parent's product times its entry's value, so each
+    shared prefix is multiplied once.
+    """
+    products = [one]
+    append = products.append
+    for parent, entry in zip(plan.node_parents, plan.node_entries):
+        append(products[parent] * values[entry])
+    return products
+
+
 def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[list, Fraction]:
     """The term pairs and total of :func:`eval_formula` on a rational jet, by the plan.
 
     The pairs are those of :func:`_exact_terms`, as integers: each
-    numerator is the same product, each denominator its class's.
+    numerator is the head times the term's prefix product times its
+    last factor, the same integer, each denominator its class's.
     """
     fy = jet.fy
     c, d = fy.numerator, fy.denominator
@@ -533,6 +565,8 @@ def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[list, Fraction]:
     d_powers = {q: d**q for q in plan.fy_powers}
     heads = list(map(mul, plan.head_numerators, map(d_powers.__getitem__, plan.head_powers)))
     values = list(map(pow, map(numerators.__getitem__, plan.entry_bases), plan.entry_powers))
+    values.append(1)  # entry -1, the sentinel of the terms with no factors
+    products = _prefix_products(plan, values, 1)
     dens = []
     for cden, q, used, s in plan.classes:
         den = cden * shear**s * c**q
@@ -540,10 +574,11 @@ def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[list, Fraction]:
             den *= diagonals[k][0] ** m
         dens.append(den)
     sums = [0] * len(dens)
-    factors, prod = map(values.__getitem__, plan.slots), math.prod
     pairs = []
-    for length, head, cls in zip(plan.lengths, plan.term_heads, plan.term_classes):
-        num = prod(islice(factors, length), start=heads[head])
+    for node, last, head, cls in zip(
+        plan.term_nodes, plan.term_lasts, plan.term_heads, plan.term_classes
+    ):
+        num = heads[head] * (products[node] * values[last])
         sums[cls] += num
         pairs.append((num, dens[cls]))
     return pairs, _exact_total(list(zip(sums, dens)))
@@ -553,7 +588,9 @@ def _planned_float(plan: _EvalPlan, jet: Jet) -> list[float]:
     """The float terms of :func:`eval_formula` by the plan, bit for bit those of the single pass.
 
     A term is float(coeff) * (1.0 * its factors in term order) / f_y**q,
-    which is what ``coeff * num / fy**q`` computes for a Fraction ``coeff``.
+    which is what ``coeff * num / fy**q`` computes for a Fraction ``coeff``;
+    the bracket is the term's prefix product, left to right from 1.0,
+    times its last factor.
     """
     fy = jet.fy
     bases = [_float_base(jet, l, r, plan.blocks) for l, r in plan.bases]
@@ -561,10 +598,11 @@ def _planned_float(plan: _EvalPlan, jet: Jet) -> list[float]:
     coeffs = list(map(float, plan.head_coeffs))
     divisors = list(map(fy_powers.__getitem__, plan.head_powers))
     values = list(map(pow, map(bases.__getitem__, plan.entry_bases), plan.entry_powers))
-    factors, prod = map(values.__getitem__, plan.slots), math.prod
+    values.append(1.0)  # entry -1, the sentinel of the terms with no factors
+    products = _prefix_products(plan, values, 1.0)
     return [
-        coeffs[head] * prod(islice(factors, length), start=1.0) / divisors[head]
-        for length, head in zip(plan.lengths, plan.term_heads)
+        coeffs[head] * (products[node] * values[last]) / divisors[head]
+        for node, last, head in zip(plan.term_nodes, plan.term_lasts, plan.term_heads)
     ]
 
 
@@ -597,11 +635,13 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     A formula object's first evaluation walks its terms in one pass and
     marks the object.  Its second records a plan of the formula's
     structure on the object (:class:`_EvalPlan`: the distinct bases,
-    entries and coefficients, and each term's denominator class, all as
-    indices; about 56 bytes per term, no jet value), and that
-    evaluation and every later one compute each base, entry power and
-    class denominator once and then only each term's numerator product.
-    The results are the same on either path, term pairs included.
+    entries and coefficients, a prefix table of the distinct proper
+    factor prefixes, and each term's prefix, last entry and denominator
+    class, all as indices; about 52 bytes per term, no jet value), and
+    that evaluation and every later one compute each base, entry power,
+    class denominator and shared prefix product once, and then each
+    term's product as its prefix times its last factor.  The results
+    are the same on either path, term pairs and float bits included.
     """
     if not isinstance(formula, (DeltaFormula, ElemFormula)):
         raise FormulaError(f"expected a formula, got {type(formula).__name__}")
@@ -845,6 +885,12 @@ _PROBLEMS = {
 PROBLEM_NAMES = tuple(sorted(_PROBLEMS))
 
 
+def _check_problem(problem) -> None:
+    """Refuse anything but a :class:`ProblemSpec` with :class:`DomainError`."""
+    if not isinstance(problem, ProblemSpec):
+        raise DomainError(f"expected a problem, got {type(problem).__name__}")
+
+
 def builtin_problem(name: str) -> ProblemSpec:
     """Return a registered test problem by name; anything else is a DomainError."""
     if not isinstance(name, str) or name not in _PROBLEMS:
@@ -907,6 +953,7 @@ def finite_difference_derivatives(problem: ProblemSpec, n: int) -> list[float]:
     :data:`FD_STEPS` and the finest extrapolation is returned, one value
     per derivative order 1..n, for n up to :data:`FD_MAX_ORDER`.
     """
+    _check_problem(problem)
     check_order(n, 1)
     if n > FD_MAX_ORDER:
         raise DomainError(
@@ -935,6 +982,7 @@ def evaluate_problem(
     check_fd: bool = False,
 ) -> EvalReport:
     """Evaluate the compact formula on a problem jet, attaching targets."""
+    _check_problem(problem)
     fd_value = finite_difference_derivatives(problem, n)[n - 1] if check_fd else None
     jet = problem.jet(order=n, kind=kind)
     report = eval_formula(delta_formula(n), jet)

@@ -111,8 +111,11 @@ def total_derivative(expr: Packed) -> Packed:
     """Differentiate the packed ``expr`` along x through the implicitly defined y.
 
     Integer coefficients stay integers and ``Fraction`` ones ``Fraction``;
-    an exponent beyond +-126 raises :class:`FormulaError`.
+    an exponent beyond +-126 raises :class:`FormulaError`, as anything
+    but a packed ``dict`` does.
     """
+    if not isinstance(expr, dict):
+        raise FormulaError(f"expected a packed expression, got {type(expr).__name__}")
     out: Packed = {}
     get = out.get
     for mono, coeff in expr.items():

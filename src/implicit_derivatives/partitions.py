@@ -136,6 +136,12 @@ class PredecessorRecord:
         return self.weight if self.kind == "minus" else -self.weight
 
 
+def _check_multiplicities(alpha) -> None:
+    """Refuse anything but a :class:`Multiplicities` with :class:`DomainError`."""
+    if not isinstance(alpha, Multiplicities):
+        raise DomainError(f"expected a Multiplicities, got {type(alpha).__name__}")
+
+
 def is_member_A(alpha: Multiplicities, n: int) -> bool:
     """Whether ``alpha`` is a :class:`Multiplicities` in family A at order ``n``."""
     if not isinstance(alpha, Multiplicities):
@@ -407,6 +413,7 @@ def enumerate_Z(
     sum j * q[p,t,j] = s10.  Returns the (possibly empty) list of all
     systems as sparse maps (p, t, j) -> positive count, in a fixed order.
     """
+    _check_multiplicities(gamma)
     if check_int(s10, DomainError, "s10") < 0:
         raise DomainError("s10 must be non-negative")
     keys = list(canonical_entries(gamma.entries, BELOW_ORDER_TWO, DomainError))
@@ -457,6 +464,7 @@ def _moved(alpha: Multiplicities, deltas: tuple) -> Multiplicities:
 
 def successor_advance(alpha: Multiplicities, key: tuple[int, int]) -> Multiplicities:
     """One block at ``key`` gains an x-differentiation: (l, r) -> (l+1, r)."""
+    _check_multiplicities(alpha)
     count = alpha.get(key)  # checks the key
     l, r = key
     if l + r < 2 or count < 1:
@@ -470,6 +478,7 @@ def successor_trade(alpha: Multiplicities, key: tuple[int, int]) -> Multipliciti
     (l, r) -> (l-1, r+1) together with a new (2, 0) block; requires l >= 1
     and key != (2, 0).
     """
+    _check_multiplicities(alpha)
     count = alpha.get(key)  # checks the key
     l, r = key
     if l < 1 or (l, r) == (2, 0) or count < 1:
@@ -479,6 +488,7 @@ def successor_trade(alpha: Multiplicities, key: tuple[int, int]) -> Multipliciti
 
 def successor_mixed(alpha: Multiplicities) -> Multiplicities:
     """A new (1, 1) block appears; always admissible."""
+    _check_multiplicities(alpha)
     return _moved(alpha, (((1, 1), +1),))
 
 

@@ -101,33 +101,35 @@ def jet_files(n=16, low=6):
             require(repr(got) == repr(want), line)
 
 
-def plan(n=16):
-    """One ``delta_formula(n)`` object over three rounds of the jets and their binary64 copies.
+def plan(n=16, low=11):
+    """``delta_formula(n)`` and ``elementary_formula(low)`` over three rounds of the jets.
 
-    Its first evaluation is the single pass; the others read the plan
-    recorded on the formula.  Exact values equal the series reference;
-    each float is ``repr``-identical in every round and to a fresh
-    formula's.
+    The jets are those of :func:`jets` at order ``n`` and their binary64
+    copies.  One object per formula is evaluated on every jet in each
+    round: its first evaluation is the single pass, the others read the
+    plan recorded on it.  Exact values equal the series reference, and
+    every round's report equals the single pass of a fresh object on the
+    same jet, the unreduced exact term pairs included and the float
+    terms by ``repr``.
     """
     cases, want = [], {}
     for name, jet in jets(n).items():
-        want[name] = series_ref.derivatives(jet.partials, n)[n]
+        want[name] = series_ref.derivatives(jet.partials, n)
         cases += [(name, jet), (f"{name} as binary64", float_copy(jet))]
-    formula = delta_formula(n)
-    seen = {}
-    for turn in range(3):
-        for label, jet in cases if turn % 2 == 0 else cases[::-1]:
-            value = eval_formula(formula, jet).value
-            line = f"order {n}, round {turn}, {label}"
-            if label in want:
-                require(value == want[label], f"{line}: equals the series reference")
-            else:
-                first = seen.setdefault(label, repr(value))
-                require(repr(value) == first, f"{line}: {value!r} equals round 0")
-    for label, jet in cases:
-        if label in seen:
-            fresh = repr(eval_formula(delta_formula(n), jet).value)
-            require(fresh == seen[label], f"order {n}, {label}: a fresh formula gives the same")
+    for build, order in ((delta_formula, n), (elementary_formula, low)):
+        single = {label: eval_formula(build(order), jet) for label, jet in cases}
+        formula = build(order)
+        for turn in range(3):
+            for label, jet in cases if turn % 2 == 0 else cases[::-1]:
+                report = eval_formula(formula, jet)
+                line = f"{build.__name__}({order}), round {turn}, {label}"
+                if label in want:
+                    value = report.value == want[label][order]
+                    require(value, f"{line}: equals the series reference")
+                same = report == single[label]
+                if label not in want:
+                    same = same and repr(report.term_values) == repr(single[label].term_values)
+                require(same, f"{line}: the report equals the single pass's")
 
 
 def shear(n=20):

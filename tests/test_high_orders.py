@@ -11,7 +11,7 @@ WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "test
 def test_every_check_passes_at_small_orders():
     high_orders.problems(8)
     high_orders.jet_files(8, 4)
-    high_orders.plan(8)
+    high_orders.plan(8, 6)
     high_orders.shear(8)
     high_orders.family_walk((("A", 10, "delta"), ("B", 8, "elementary")))
 

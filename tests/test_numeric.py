@@ -934,20 +934,76 @@ def test_the_plan_stays_outside_the_formula_value(build, n):
 
 
 def test_plans_hold_at_most_100_bytes_per_term():
-    formulas = [delta_formula(n) for n in range(8, 15)]
-    terms = sum(len(formula.terms) for formula in formulas)
-    assert terms == 6554
-    gc.collect()  # the highest generation also empties the free lists
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        plans = [numeric._EvalPlan(formula, True) for formula in formulas]
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(plans) == len(formulas)
-    assert held <= 100 * terms
+    # every shape the plan records: blocks, and raw partials with and without f_x
+    for build, orders, terms in (
+        (delta_formula, range(8, 15), 6554),
+        (elementary_formula, range(6, 12), 12605),
+        (fx_zero_formula, range(6, 13), 2073),
+    ):
+        formulas = [build(n) for n in orders]
+        assert sum(len(formula.terms) for formula in formulas) == terms
+        gc.collect()  # the highest generation also empties the free lists
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plans = [numeric._EvalPlan(formula, build is delta_formula) for formula in formulas]
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(plans) == len(formulas)
+        assert held <= 100 * terms, build.__name__
+
+
+# In canonical order, stratum (the f_y power) first: D[1,1] D[2,0] is a
+# proper prefix of the next term, whose successor differs from it in
+# the last power only; the f_y^6 stratum restarts at D[1,1] D[2,0]
+# after a term without D[1,1], and the last term has no factors.
+PREFIX_TERMS = [
+    (Fraction(2), (((1, 1), 1), ((2, 0), 1)), 5),
+    (Fraction(-3, 4), (((1, 1), 1), ((2, 0), 1), ((3, 0), 1)), 5),
+    (Fraction(5), (((1, 1), 1), ((2, 0), 2)), 5),
+    (Fraction(1, 3), (((2, 0), 3),), 5),
+    (Fraction(-7), (((0, 2), 1), ((2, 0), 1)), 6),
+    (Fraction(4, 5), (((1, 1), 1), ((2, 0), 1), ((3, 0), 2)), 6),
+    (Fraction(-1, 6), (), 7),
+]
+
+
+def prefix_delta(n):
+    return DeltaFormula.from_terms(n, [(c, DeltaMonomial(f, q)) for c, f, q in PREFIX_TERMS])
+
+
+def prefix_elementary(n):
+    return ElemFormula.from_terms(n, [(c, ElemMonomial(f, q)) for c, f, q in PREFIX_TERMS])
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(delta_formula, n) for n in range(2, 11)]
+    + [(elementary_formula, n) for n in range(2, 11)]
+    + [(fx_zero_formula, n) for n in range(2, 11)]
+    + [(prefix_delta, 3), (prefix_elementary, 3)],
+)
+def test_the_prefix_table_gives_the_single_pass_bit_for_bit(build, n):
+    formula = build(n)
+    compact = isinstance(formula, DeltaFormula)
+    entries = [mono.factors if compact else mono.exponents for _, mono in formula.terms]
+    if build in (prefix_delta, prefix_elementary):
+        assert [len(e) for e in entries] == [2, 3, 2, 1, 2, 3, 0]  # still in the order above
+    order = max(n, 4)
+    jets = [random_rational_jet(order, seed=1800 + n), wide_rational_jet(order, seed=1820 + n)]
+    jets += [float_copy(jet) for jet in jets]
+    for jet in jets:
+        first = eval_formula(build(n), jet)  # a fresh object's single pass
+        for _ in range(3):  # the plan is recorded on the object's second evaluation
+            report = eval_formula(formula, jet)
+            assert report == first  # the unreduced term pairs too
+            assert repr(report.term_values) == repr(first.term_values)
+    # each distinct proper factor prefix is one node; the empty one is node 0
+    plan = vars(formula)["_eval_plan"]
+    prefixes = {factors[:i] for factors in entries for i in range(1, len(factors))}
+    assert len(plan.node_parents) == len(plan.node_entries) == len(prefixes)
 
 
 # --- the shear -------------------------------------------------------------------

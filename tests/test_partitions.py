@@ -16,8 +16,8 @@ from implicit_derivatives import (
     lift_to_tilde,
     predecessors,
 )
-from implicit_derivatives import partitions
-from implicit_derivatives.errors import HARD_CAP
+from implicit_derivatives import coeffs, numeric, oracle, partitions
+from implicit_derivatives.errors import HARD_CAP, FormulaError
 from implicit_derivatives.partitions import (
     _family,
     drop_tilde,
@@ -394,6 +394,44 @@ def test_predecessors_round_trip_through_successors(n_plus_1):
 def test_predecessors_refuse_a_beta_that_is_not_multiplicities():
     with pytest.raises(DomainError):
         predecessors({(2, 0): 1}, 3)
+
+
+_NOT_MULTIPLICITIES = {(2, 0): 1}
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: coeffs.coeff_C(_NOT_MULTIPLICITIES), DomainError),
+        (lambda: coeffs.coeff_D(_NOT_MULTIPLICITIES), DomainError),
+        (lambda: coeffs.signed_coeff(_NOT_MULTIPLICITIES), DomainError),
+        (lambda: coeffs.zgamma_sum(_NOT_MULTIPLICITIES), DomainError),
+        (lambda: enumerate_Z(_NOT_MULTIPLICITIES, 0), DomainError),
+        (lambda: successor_advance(_NOT_MULTIPLICITIES, (2, 0)), DomainError),
+        (lambda: successor_trade(_NOT_MULTIPLICITIES, (3, 0)), DomainError),
+        (lambda: successor_mixed(_NOT_MULTIPLICITIES), DomainError),
+        (lambda: oracle.total_derivative(None), FormulaError),
+        (lambda: numeric.evaluate_problem(None, 3), DomainError),
+        (lambda: numeric.finite_difference_derivatives(None, 3), DomainError),
+    ],
+    ids=[
+        "coeff_C",
+        "coeff_D",
+        "signed_coeff",
+        "zgamma_sum",
+        "enumerate_Z",
+        "successor_advance",
+        "successor_trade",
+        "successor_mixed",
+        "total_derivative",
+        "evaluate_problem",
+        "finite_differences",
+    ],
+)
+def test_public_calls_refuse_an_argument_of_the_wrong_type(call, error):
+    # the type of the refusal only, not its message
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("n", range(2, 8))
