@@ -55,7 +55,7 @@ from .numeric import (
     evaluate_problem,
     jet_from_json,
 )
-from .partitions import family_counts, family_sizes
+from .partitions import family_counts
 from .verification import SUITES, run_suites
 
 DEFAULT_CAP = 12
@@ -258,14 +258,13 @@ def _predicted_terms(args) -> int:
     the expanded form at ``max_n``.  Orders outside a family's range,
     below its start or above ``HARD_CAP``, count 0 and are left to the
     command's own checks; ``inverse`` and ``count`` build no such family.
-    All sizes come from one counting table, at the largest order counted.
+    Each family's size comes from one counting table at its order.
     """
     return sum(
-        family_sizes(
-            (n, family_a)
-            for n, family_a in args.families(args)
-            if (2 if family_a else 1) <= n <= HARD_CAP
-        )
+        count
+        for n, family_a in args.families(args)
+        if (2 if family_a else 1) <= n <= HARD_CAP
+        for _, count in family_counts(n, family_a)[n]
     )
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, check_order
-from .keys import BELOW_ORDER_TWO, F_AND_FY, canonical_entries
+from .keys import BELOW_ORDER_TWO, F_AND_FY, check_keys
 from .partitions import (
     Multiplicities,
     _check_multiplicities,
@@ -84,14 +84,14 @@ def _balls_in_boxes(entries, slots: int, weights: dict | None = None) -> int:
 def coeff_C(alpha: Multiplicities) -> int:
     """The box-counting coefficient of a family-A element."""
     _check_multiplicities(alpha)
-    canonical_entries(alpha.entries, BELOW_ORDER_TWO, DomainError)
+    check_keys(alpha.entries, BELOW_ORDER_TWO, DomainError)
     return _balls_in_boxes(alpha.entries, _slot_orders(alpha.sum_l, alpha.sum_r))
 
 
 def coeff_D(gamma: Multiplicities) -> int:
     """The box-counting coefficient of a family-B element; (1, 0) is allowed."""
     _check_multiplicities(gamma)
-    canonical_entries(gamma.entries, F_AND_FY, DomainError)
+    check_keys(gamma.entries, F_AND_FY, DomainError)
     return _balls_in_boxes(gamma.entries, _slot_orders(gamma.sum_l, gamma.sum_r))
 
 
@@ -150,7 +150,7 @@ def zgamma_sum(gamma: Multiplicities, polys: dict | None = None) -> tuple[int, .
     if polys is None:
         polys = {}
     row = [1]
-    for key, count in canonical_entries(gamma.entries, BELOW_ORDER_TWO, DomainError):
+    for key, count in check_keys(gamma.entries, BELOW_ORDER_TWO, DomainError):
         poly = polys.get((key.r, count))
         if poly is None:
             poly = polys[key.r, count] = _key_polynomial(key.r, count)

@@ -10,7 +10,10 @@ a power of g'.
 
 Formulas are exact linear combinations with rational coefficients, kept
 canonical: like monomials merged, zero coefficients dropped, terms
-sorted by denominator exponent and then by monomial.  The JSON schema
+sorted by denominator exponent and then by monomial.  A formula holds a
+tuple of pairs whose monomials are of exactly its form's class, each
+checked once when built, so code reading a formula trusts its entries.
+The JSON schema
 
     { "n": int, "form": "delta"|"elementary"|"inverse",
       "terms": [ { "coeff": "<exact integer or p/q string>",
@@ -25,10 +28,10 @@ never floats.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable
 
 from .errors import DomainError, FormulaError, check_order
 from .keys import BELOW_ORDER_TWO, F_AND_FY, VectorKey, canonical_entries, check_int
@@ -55,8 +58,8 @@ class DeltaMonomial:
         """A monomial of entries already canonical and valid, set without a scan.
 
         For the builders of :mod:`~implicit_derivatives.formula` alone, whose
-        entries are canonical by construction; the tests rebuild every built
-        monomial through the checked constructor.
+        entries are canonical by construction; the tests check every built
+        monomial against the entries rule.
         """
         mono = object.__new__(cls)
         object.__setattr__(mono, "factors", factors)
@@ -95,6 +98,8 @@ class ElemMonomial:
 
 
 def _collect(terms, sort_key):
+    if not isinstance(terms, Iterable):
+        raise FormulaError(f"terms {terms!r} are not an iterable of pairs")
     bag: dict = {}
     for coeff, mono in terms:
         # the one coefficient rule: exact values only, so no float, bool or
@@ -114,10 +119,18 @@ def _collect(terms, sort_key):
     return tuple(kept)
 
 
-def _check_canonical(terms, sort_key, kind) -> None:
-    # strictly increasing keys are exactly "sorted and unique"
+def _check_canonical(terms, monomial, sort_key, kind) -> None:
+    # a tuple of pairs of checked monomials of the form's own class; strictly
+    # increasing keys are exactly "sorted and unique"
+    if terms.__class__ is not tuple:
+        raise FormulaError(f"{kind} terms must be a tuple, got {type(terms).__name__}")
     previous = None
-    for coeff, mono in terms:
+    for term in terms:
+        if term.__class__ is not tuple or len(term) != 2:
+            raise FormulaError(f"{kind} term {term!r} is not a (coefficient, monomial) pair")
+        coeff, mono = term
+        if mono.__class__ is not monomial:
+            raise FormulaError(f"{kind} terms must hold {monomial.__name__}s, got {mono!r}")
         if not isinstance(coeff, Fraction) or coeff == 0:
             raise FormulaError(f"{kind} terms must carry non-zero Fraction coefficients")
         key = sort_key(mono)
@@ -145,7 +158,7 @@ class DeltaFormula:
 
     def __post_init__(self) -> None:
         check_order(self.n, 2, FormulaError)
-        _check_canonical(self.terms, _delta_key, "delta")
+        _check_canonical(self.terms, DeltaMonomial, _delta_key, "delta")
 
     @classmethod
     def from_terms(cls, n: int, terms: Iterable) -> "DeltaFormula":
@@ -167,7 +180,7 @@ class ElemFormula:
         if self.form not in ("elementary", "inverse"):
             raise FormulaError(f"unknown elementary-form tag {self.form!r}")
         check_order(self.n, 1, FormulaError)
-        _check_canonical(self.terms, _elem_key, self.form)
+        _check_canonical(self.terms, ElemMonomial, _elem_key, self.form)
 
     @classmethod
     def from_terms(cls, n: int, terms: Iterable, form: str = "elementary") -> "ElemFormula":
@@ -382,7 +395,7 @@ def formula_from_json(text: str) -> Formula:
 
 def render(formula: Formula, format: str = "plain") -> str:
     """Render a formula as plain text, LaTeX, or the JSON interchange form."""
-    if format in _TEXT:
+    if isinstance(format, str) and format in _TEXT:
         return _render_text(formula, format)
     if format == "json":
         # looked up when called, so a rebound ``formula_to_json`` is the one used

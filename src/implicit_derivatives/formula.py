@@ -83,7 +83,7 @@ def _block_terms(formula: DeltaFormula, caller: str) -> dict[Multiplicities, Fra
     n = formula.n
     table = {}
     for coeff, mono in formula.terms:
-        alpha = Multiplicities(mono.factors)
+        alpha = Multiplicities._trusted(mono.factors)  # a checked monomial's entries
         if not is_member_A(alpha, n) or mono.fy_power != n + alpha.total:
             raise FormulaError(f"term {mono} is not a valid order-{n} block term")
         table[alpha] = coeff

@@ -4,7 +4,9 @@ Every object of the package is a multiset of vectors (l, r), held as a
 tuple of (key, count) entries.  This module alone decides what a valid
 integer (:func:`check_int`), rational text (:func:`check_rational`), entries
 tuple (:func:`canonical_entries`) and JSON object (:func:`unique_members`)
-are, and how entries are normalized (:func:`merge_entries`).
+are, and how entries are normalized (:func:`merge_entries`).  Entries are
+checked once, on one path, when the object holding them is built; a holder
+of checked entries asks at most for their keys again (:func:`check_keys`).
 """
 
 import re
@@ -83,33 +85,11 @@ def canonical_entries(
 ) -> Entries:
     """The one entries check: canonical entries with ``int`` indices and counts.
 
-    Raises ``error`` unless ``pairs`` holds ((l, r), count) pairs of exact ints,
-    and then, on the merged entries (zero counts dropped), for a negative
-    index, a key in ``forbidden`` or a negative count.  A tuple that is
-    canonical and valid already is returned as it is after one scan.
+    Raises ``error`` unless ``pairs`` holds ((l, r), count) pairs of exact
+    ints, then merges them (:func:`merge_entries`) and ends with
+    :func:`check_keys`.  It runs once per object, in the checked
+    constructors; code holding a checked object trusts its entries.
     """
-    if pairs.__class__ is tuple:
-        previous = ()  # below every key
-        try:
-            for item in pairs:
-                key, count = item
-                l, r = key
-                if (
-                    item.__class__ is not tuple
-                    or key.__class__ is not VectorKey
-                    or not l.__class__ is r.__class__ is count.__class__ is int
-                    or count <= 0
-                    or l < 0
-                    or r < 0
-                    or not previous < key
-                    or key in forbidden
-                ):
-                    break
-                previous = key
-            else:
-                return pairs
-        except (TypeError, ValueError):  # not pairs of pairs: the check below says so
-            pass
     try:
         pairs = list(pairs)
     except TypeError:
@@ -121,12 +101,20 @@ def canonical_entries(
             raise error(f"entry {item!r} is not a ((l, r), count) pair") from None
         if not l.__class__ is r.__class__ is count.__class__ is int:
             raise error(f"indices and count must be integers, got {item!r}")
-    merged = merge_entries(pairs)
-    for key, count in merged:
+    return check_keys(merge_entries(pairs), forbidden, error)
+
+
+def check_keys(entries: Entries, forbidden: frozenset, error: type[Exception]) -> Entries:
+    """``entries``, merged already, unless a key or count breaks the entries rule.
+
+    Raises ``error`` for a negative index, a key in ``forbidden`` or a
+    negative count.  A caller holding checked entries asks only this.
+    """
+    for key, count in entries:
         if key.l < 0 or key.r < 0:
             raise error(f"negative index in key {tuple(key)}")
         if key in forbidden:
             raise error(f"key {tuple(key)} not allowed here")
         if count < 0:
             raise error(f"negative count for key {tuple(key)}")
-    return merged
+    return entries

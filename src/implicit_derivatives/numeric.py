@@ -761,6 +761,7 @@ class ProblemSpec:
         return isinstance(self.partial(0, 1), Fraction)
 
     def jet(self, order: int, kind: str | None = None) -> Jet:
+        check_order(order, 1, JetError)  # before the partials are read
         if kind is None:
             kind = RATIONAL if self.exact else FLOAT
         if kind == RATIONAL and not self.exact:

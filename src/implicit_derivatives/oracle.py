@@ -65,6 +65,8 @@ def _step(slot: int) -> tuple[int, int]:
 
 def _digits(mono: int) -> bytes:
     """Each slot's exponent plus 128, lowest slot first."""
+    if mono.__class__ is not int:
+        raise FormulaError(f"a packed monomial is an int, got {mono!r}")
     size = abs(mono).bit_length() // 8 + 1  # covers the top non-zero digit
     return (mono + int.from_bytes(b"\x80" * size, "little")).to_bytes(size, "little")
 
@@ -77,9 +79,16 @@ def _packed(mono) -> int:
     return sum(e << 8 * ((p + t) * (p + t + 1) // 2 + t) for (p, t), e in mono)
 
 
+def _items(expr, what: str):
+    """The items of the ``dict`` ``expr``; anything else raises :class:`FormulaError`."""
+    if not isinstance(expr, dict):
+        raise FormulaError(f"expected a {what}, got {type(expr).__name__}")
+    return expr.items()
+
+
 def pack(expr: Poly) -> Packed:
     """The packed form of a tuple-form polynomial, exponents non-zero in [-128, 128)."""
-    return {_packed(mono): coeff for mono, coeff in expr.items()}
+    return {_packed(mono): coeff for mono, coeff in _items(expr, "tuple-form polynomial")}
 
 
 def pack_formula(formula: ElemFormula) -> Packed:
@@ -103,7 +112,7 @@ def unpack(expr: Packed) -> Poly:
     """The tuple form of a packed polynomial."""
     return {
         tuple(sorted((_key(i), d - 128) for i, d in enumerate(_digits(m)) if d != 128)): c
-        for m, c in expr.items()
+        for m, c in _items(expr, "packed expression")
     }
 
 
@@ -112,13 +121,11 @@ def total_derivative(expr: Packed) -> Packed:
 
     Integer coefficients stay integers and ``Fraction`` ones ``Fraction``;
     an exponent beyond +-126 raises :class:`FormulaError`, as anything
-    but a packed ``dict`` does.
+    but a ``dict`` of ``int`` packed monomials does.
     """
-    if not isinstance(expr, dict):
-        raise FormulaError(f"expected a packed expression, got {type(expr).__name__}")
     out: Packed = {}
     get = out.get
-    for mono, coeff in expr.items():
+    for mono, coeff in _items(expr, "packed expression"):
         digits = _digits(mono)
         if min(digits) < 2 or max(digits) > 254:
             raise FormulaError(f"an exponent of {unpack({mono: coeff})} is beyond +-126")
@@ -144,7 +151,7 @@ def as_elementary(n: int, expr: Packed) -> ElemFormula:
     Its coefficients become ``Fraction`` in ``ElemFormula.from_terms``.
     """
     terms = []
-    for mono, coeff in expr.items():
+    for mono, coeff in _items(expr, "packed expression"):
         digits = _digits(mono)
         fy_exponent = digits[2] - 128 if len(digits) > 2 else 0  # f_y is slot 2
         exps = [(_key(i), d - 128) for i, d in enumerate(digits) if d != 128 and i != 2]

@@ -35,7 +35,7 @@ consumer sets up whatever depends on the stratum alone (the sign, the
 f_y power) once per group.  Counting needs no walk: the family sizes by
 stratum are coefficients of prod 1/(1 - x^l z^(l+r-1) u) over the keys
 with l + r >= 2, read from one packed table per call
-(:func:`family_counts`, :func:`family_sizes`).
+(:func:`family_counts`).
 
 The module also provides the neighbor constructions that connect
 consecutive orders: three "successor" moves sending an order-n element
@@ -52,6 +52,7 @@ from typing import Iterator
 
 from .errors import DomainError, check_order
 from .keys import BELOW_ORDER_TWO, VectorKey, canonical_entries, check_int, merge_entries
+from .keys import check_keys
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,11 @@ class Multiplicities:
     Instances are immutable and hashable, so they can key dictionaries
     during term collection.
 
-    The constructor checks every entry.  :meth:`_trusted` skips that
-    check for the entries this module makes itself: the family walk's
-    elements and the neighbours of the successor and predecessor moves.
+    The constructor checks every entry, once.  :meth:`_trusted` skips that
+    check for entries canonical by construction: the family walk's
+    elements, the neighbours of the successor and predecessor moves, the
+    lifted presentation and its inverse, the factors of a checked block
+    monomial and a family-B element's core.
     """
 
     entries: tuple[tuple[VectorKey, int], ...] = ()
@@ -78,9 +81,8 @@ class Multiplicities:
     def _trusted(cls, entries: tuple) -> "Multiplicities":
         """A multiset of entries already canonical and valid, set without a scan.
 
-        For this module's builders alone, whose entries are canonical by
-        construction; the tests rebuild every neighbour through the
-        checked constructor.
+        For the entries named in the class docstring alone; the tests check
+        every neighbour and family element against the entries rule.
         """
         mults = object.__new__(cls)
         object.__setattr__(mults, "entries", entries)
@@ -304,23 +306,6 @@ def family_counts(max_n: int, family_a: bool) -> dict[int, list[tuple[int, int]]
     return {n: _strata(rows, n, family_a) for n in range(start, max_n + 1)}
 
 
-def family_sizes(requests) -> list[int]:
-    """Sizes of family A or B at each ``(n, family_a)`` request, not enumerated.
-
-    One counting table (:func:`_core_counts`), built at the largest order
-    asked for, gives every size; a non-bool ``family_a`` raises :class:`DomainError`.
-    """
-    requests = list(requests)
-    for n, family_a in requests:
-        if type(family_a) is not bool:
-            raise DomainError(f"family flag {family_a!r} is not a bool")
-        check_order(n, 2 if family_a else 1)
-    if not requests:
-        return []
-    rows = _core_counts(max(n for n, _ in requests))
-    return [sum(count for _, count in _strata(rows, n, a)) for n, a in requests]
-
-
 def enumerate_A(n: int) -> list[Multiplicities]:
     """All family-A elements of order n, stratified by h then lexicographic."""
     check_order(n, 2)
@@ -348,14 +333,14 @@ def lift_to_tilde(alpha: Multiplicities, n: int) -> Multiplicities:
     fy_count = n - 1 - alpha.total
     if fy_count == 0:
         return alpha
-    return Multiplicities(alpha.entries + (((0, 1), fy_count),))
+    # (0, 1) sorts before every key of l + r >= 2
+    return Multiplicities._trusted(((VectorKey(0, 1), fy_count),) + alpha.entries)
 
 
 def drop_tilde(alpha_tilde: Multiplicities) -> Multiplicities:
     """Inverse of :func:`lift_to_tilde`: forget the (0, 1) multiplicity."""
-    return Multiplicities(
-        tuple((k, c) for k, c in alpha_tilde.items() if k != (0, 1))
-    )
+    _check_multiplicities(alpha_tilde)
+    return Multiplicities._trusted(tuple(e for e in alpha_tilde.entries if e[0] != (0, 1)))
 
 
 def members(family: str, n: int, stratum: int | None = None) -> list[Multiplicities]:
@@ -416,7 +401,7 @@ def enumerate_Z(
     _check_multiplicities(gamma)
     if check_int(s10, DomainError, "s10") < 0:
         raise DomainError("s10 must be non-negative")
-    keys = list(canonical_entries(gamma.entries, BELOW_ORDER_TWO, DomainError))
+    keys = check_keys(gamma.entries, BELOW_ORDER_TWO, DomainError)
     # largest j-weighted total each suffix of the key list can still add
     slack_after = [0] * (len(keys) + 1)
     for i in range(len(keys) - 1, -1, -1):

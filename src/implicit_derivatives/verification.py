@@ -45,6 +45,7 @@ from .formula import (
     recursion_step,
     specialize_fx_zero,
 )
+from .keys import check_int
 from .numeric import eval_formula, random_rational_jet, shift_jet
 from .oracle import (
     as_elementary,
@@ -80,6 +81,7 @@ def recursion_suite(
     and share one pass of predecessor records per order with the
     coefficient check.
     """
+    check_int(max_n, DomainError, "max_n")
     if formulas is None:
         formulas = FormulaTable()
     reports = []
@@ -115,6 +117,7 @@ def oracle_suite(
     The oracle's chain is carried forward, one differentiation per order,
     and compared in its packed form with the packed expanded form.
     """
+    check_int(max_n, DomainError, "max_n")
     if formulas is None:
         formulas = FormulaTable()
     reports = []
@@ -150,13 +153,15 @@ def johnson_suite(
 
     Builds no formula, so ``formulas`` is not consulted.
     """
+    check_int(max_n, DomainError, "max_n")
     reports = []
     polys: dict = {}
     for n in range(1, max_n + 1):
         report = CheckReport(f"refinement binomial at order {n}")
         for gamma in enumerate_B(n):
-            core = Multiplicities(
-                tuple((k, c) for k, c in gamma.items() if k != (1, 0))
+            # dropping a key keeps the element's entries canonical
+            core = Multiplicities._trusted(
+                tuple(item for item in gamma.entries if item[0] != (1, 0))
             )
             top = core.sum_r
             row = zgamma_sum(core, polys)
@@ -176,6 +181,7 @@ def shift_suite(
     max_n: int, formulas: FormulaTable | None = None
 ) -> list[CheckReport]:
     """Sheared-jet evaluation of the specialized formula vs the compact formula."""
+    check_int(max_n, DomainError, "max_n")
     if formulas is None:
         formulas = FormulaTable()
     reports = []
@@ -214,7 +220,7 @@ def run_suites(names, max_n: int) -> list[CheckReport]:
         if name == "all":
             chosen = list(SUITES)
             break
-        if name not in SUITES:
+        if not isinstance(name, str) or name not in SUITES:
             raise DomainError(f"unknown suite {name!r}")
         chosen.append(name)
     formulas = FormulaTable()

@@ -205,14 +205,14 @@ def test_count_builds_its_table_on_every_call(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, order",
+    "argv, orders",
     [
         # the compact form at max_n + 1 and the expanded form at max_n
-        (["verify", "--max-n", "9"], 10),
-        (["formula", "12", "--form", "elementary"], 12),
+        (["verify", "--max-n", "9"], [10, 9]),
+        (["formula", "12", "--form", "elementary"], [12]),
     ],
 )
-def test_term_budget_reads_one_counting_table(capsys, monkeypatch, argv, order):
+def test_term_budget_reads_one_counting_table_per_family(capsys, monkeypatch, argv, orders):
     calls = []
     core_counts = partitions._core_counts
 
@@ -222,7 +222,7 @@ def test_term_budget_reads_one_counting_table(capsys, monkeypatch, argv, order):
 
     monkeypatch.setattr(partitions, "_core_counts", counting_core_counts)
     assert run(capsys, *argv)[0] == 0
-    assert calls == [order]
+    assert calls == orders
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -40,6 +40,13 @@ def test_coeff_C_rejects_fx_key():
         coeff_C(m({(1, 0): 1, (2, 0): 1}))
 
 
+@pytest.mark.parametrize("key", [(0, 0), (0, 1)], ids=["constant", "fy"])
+def test_coeff_D_rejects_f_and_fy_keys(key):
+    with pytest.raises(DomainError):
+        coeff_D(m({key: 1, (2, 0): 1}))
+    assert coeff_D(m({(1, 0): 1, (2, 0): 1})) > 0  # f_x is a family-B key
+
+
 def test_signed_coeff_signs():
     assert signed_coeff(m({(2, 0): 1})) == -1
     assert signed_coeff(m({(2, 0): 1, (1, 1): 1})) == 3

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -39,7 +40,7 @@ from implicit_derivatives import (
 from implicit_derivatives import formula as formula_module
 from implicit_derivatives.errors import HARD_CAP
 from implicit_derivatives.formula import _pack, _unpack
-from implicit_derivatives.keys import VectorKey, merge_entries
+from implicit_derivatives.keys import BELOW_ORDER_TWO, F_AND_FY, VectorKey, merge_entries
 from implicit_derivatives.partitions import (
     PredecessorRecord,
     predecessor_records,
@@ -47,6 +48,7 @@ from implicit_derivatives.partitions import (
     successor_mixed,
     successor_trade,
 )
+from test_keys import assert_canonical
 
 
 def dterm(coeff, factors, fy_power):
@@ -635,6 +637,40 @@ def test_formula_constructor_rejects_non_canonical_terms(cls, n, terms):
     assert cls.from_terms(3, terms[:1]).terms == tuple(terms[:1])
 
 
+class _SubMonomial(DeltaMonomial):
+    __slots__ = ()
+
+
+_D_TERM = dterm(-1, {(3, 0): 1}, 4)
+_E_TERM = eterm(-1, {(2, 0): 1}, 1)
+_LOOKALIKE = namedtuple("Lookalike", "factors fy_power")(_D_TERM[1].factors, 4)
+
+
+@pytest.mark.parametrize(
+    "cls, terms",
+    [
+        pytest.param(DeltaFormula, [_D_TERM], id="delta-list"),
+        pytest.param(ElemFormula, [_E_TERM], id="elementary-list"),
+        pytest.param(DeltaFormula, 5, id="delta-int"),
+        pytest.param(ElemFormula, ((1, 2, 3),), id="elementary-triple"),
+        pytest.param(DeltaFormula, (list(_D_TERM),), id="delta-list-term"),
+        pytest.param(DeltaFormula, (_D_TERM + (1,),), id="delta-three-items"),
+        pytest.param(DeltaFormula, ((Fraction(1), _LOOKALIKE),), id="delta-namedtuple"),
+        pytest.param(DeltaFormula, (_E_TERM,), id="delta-elementary-monomial"),
+        pytest.param(ElemFormula, (_D_TERM,), id="elementary-delta-monomial"),
+        pytest.param(
+            DeltaFormula,
+            ((Fraction(-1), _SubMonomial(_D_TERM[1].factors, 4)),),
+            id="delta-subclass",
+        ),
+    ],
+)
+def test_formula_constructor_refuses_foreign_terms(cls, terms):
+    # a formula holds a tuple of pairs of its own checked monomials, and no other
+    with pytest.raises(FormulaError):
+        cls(3, terms)
+
+
 @pytest.mark.parametrize(
     "cls, mono",
     [
@@ -657,20 +693,16 @@ def test_from_terms_takes_only_exact_coefficients(cls, mono, coeff):
 
 
 def assert_canonical_by_construction(formula):
-    """Every monomial equals its rebuild by the checked constructor, entries and all.
-
-    The check hands a canonical, valid entries tuple back as it is, so the
-    rebuild holds the very same tuple only when the builder made it canonical.
-    """
+    """Every monomial equals its rebuild by the checked constructor, and its
+    entries keep the entries rule of its class as made."""
     if isinstance(formula, DeltaFormula):
-        monomial, part = DeltaMonomial, "factors"
+        monomial, part, forbidden = DeltaMonomial, "factors", BELOW_ORDER_TWO
     else:
-        monomial, part = ElemMonomial, "exponents"
+        monomial, part, forbidden = ElemMonomial, "exponents", F_AND_FY
     for _, mono in formula.terms:
         entries = getattr(mono, part)
-        rebuilt = monomial(entries, mono.fy_power)
-        assert rebuilt == mono, mono
-        assert getattr(rebuilt, part) is entries, mono
+        assert monomial(entries, mono.fy_power) == mono, mono
+        assert_canonical(entries, forbidden)
 
 
 # builder of order n, lowest and highest order checked

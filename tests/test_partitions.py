@@ -8,21 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicit_derivatives import (
+    DeltaFormula,
     DomainError,
+    JetError,
     Multiplicities,
+    delta_formula,
     enumerate_A,
     enumerate_B,
     enumerate_Z,
     lift_to_tilde,
     predecessors,
+    render,
 )
-from implicit_derivatives import coeffs, numeric, oracle, partitions
+from implicit_derivatives import coeffs, numeric, oracle, partitions, verification
 from implicit_derivatives.errors import HARD_CAP, FormulaError
 from implicit_derivatives.partitions import (
     _family,
     drop_tilde,
     family_counts,
-    family_sizes,
     is_member_A,
     members,
     predecessor_records,
@@ -30,6 +33,7 @@ from implicit_derivatives.partitions import (
     successor_mixed,
     successor_trade,
 )
+from test_keys import assert_canonical
 
 
 def m(pairs):
@@ -230,10 +234,8 @@ def test_counting_table_matches_the_enumeration(family_a, max_n):
     for n, strata in counts.items():
         walked = [(total, len(group)) for total, group in _family(n, family_a)]
         assert strata == walked
-        assert family_sizes([(n, family_a)]) == [sum(size for _, size in walked)]
-    # one table at the largest order asked for serves every smaller order
-    requests = [(n, family_a) for n in counts][::-1]
-    assert family_sizes(requests) == [sum(c for _, c in counts[n]) for n, _ in requests]
+        # a table at order n reads the same sizes as the one at max_n
+        assert family_counts(n, family_a)[n] == strata
 
 
 @pytest.mark.parametrize("family_a, top", [(True, 14), (False, 12)])
@@ -249,7 +251,7 @@ def test_family_groups_ascend_by_total_then_entries(family_a, top):
 
 
 def test_counting_table_at_the_hard_cap():
-    assert family_sizes([(HARD_CAP, True), (HARD_CAP, False)]) == [5_192_640, 323_685_343]
+    assert sum(c for _, c in family_counts(HARD_CAP, True)[HARD_CAP]) == 5_192_640
     assert sum(c for _, c in family_counts(HARD_CAP, False)[HARD_CAP]) == 323_685_343
 
 
@@ -269,14 +271,11 @@ def test_counting_rejects_bad_orders():
     with pytest.raises(DomainError):
         family_counts(1, True)
     with pytest.raises(DomainError):
-        family_sizes([(0, False)])
+        family_counts(0, False)
     with pytest.raises(DomainError):
         family_counts(HARD_CAP + 1, False)
     with pytest.raises(DomainError):
-        family_sizes([(3.0, True)])
-    with pytest.raises(DomainError):
-        family_sizes([(5, True), (1, True)])
-    assert family_sizes([]) == []
+        family_counts(3.0, True)
 
 
 @pytest.mark.parametrize("flag", ["B", "A", 0, 1, None, 1.0, [True]])
@@ -284,10 +283,6 @@ def test_counting_rejects_a_family_flag_that_is_not_a_bool(flag):
     # a truthy flag is not family A, nor a falsy one family B
     with pytest.raises(DomainError):
         family_counts(4, flag)
-    with pytest.raises(DomainError):
-        family_sizes([(4, flag)])
-    with pytest.raises(DomainError):
-        family_sizes([(4, True), (4, flag)])
 
 
 # --- the lifted presentation ----------------------------------------------------
@@ -410,9 +405,23 @@ _NOT_MULTIPLICITIES = {(2, 0): 1}
         (lambda: successor_advance(_NOT_MULTIPLICITIES, (2, 0)), DomainError),
         (lambda: successor_trade(_NOT_MULTIPLICITIES, (3, 0)), DomainError),
         (lambda: successor_mixed(_NOT_MULTIPLICITIES), DomainError),
+        (lambda: drop_tilde(_NOT_MULTIPLICITIES), DomainError),
         (lambda: oracle.total_derivative(None), FormulaError),
         (lambda: numeric.evaluate_problem(None, 3), DomainError),
         (lambda: numeric.finite_difference_derivatives(None, 3), DomainError),
+        (lambda: numeric.builtin_problem("circle").jet("3"), JetError),
+        (lambda: render(delta_formula(3), []), DomainError),
+        (lambda: verification.recursion_suite("4"), DomainError),
+        (lambda: verification.run_suites(["johnson"], 2.5), DomainError),
+        (lambda: verification.run_suites([[]], 3), DomainError),
+        (lambda: verification.shift_suite(True), DomainError),
+        (lambda: DeltaFormula.from_terms(3, 5), FormulaError),
+        (lambda: oracle.as_elementary(3, [1]), FormulaError),
+        (lambda: oracle.unpack(3), FormulaError),
+        (lambda: oracle.pack(3), FormulaError),
+        (lambda: oracle.total_derivative({"x": 1}), FormulaError),
+        (lambda: oracle.unpack({"x": 1}), FormulaError),
+        (lambda: oracle.as_elementary(3, {"x": 1}), FormulaError),
     ],
     ids=[
         "coeff_C",
@@ -423,9 +432,23 @@ _NOT_MULTIPLICITIES = {(2, 0): 1}
         "successor_advance",
         "successor_trade",
         "successor_mixed",
+        "drop_tilde",
         "total_derivative",
         "evaluate_problem",
         "finite_differences",
+        "problem_jet",
+        "render_format",
+        "recursion_suite",
+        "run_suites_max_n",
+        "run_suites_name",
+        "shift_suite_bool",
+        "from_terms",
+        "as_elementary",
+        "unpack",
+        "pack",
+        "total_derivative_monomial",
+        "unpack_monomial",
+        "as_elementary_monomial",
     ],
 )
 def test_public_calls_refuse_an_argument_of_the_wrong_type(call, error):
@@ -463,14 +486,10 @@ def test_every_successor_is_reachable_backwards(n):
 
 
 def assert_canonical_by_construction(mults):
-    """An element equals its rebuild by the checked constructor, entries and all.
-
-    The check hands a canonical, valid entries tuple back as it is, so the
-    rebuild holds the very same tuple only when the move made it canonical.
-    """
-    rebuilt = Multiplicities(mults.entries)
-    assert rebuilt == mults, mults
-    assert rebuilt.entries is mults.entries, mults
+    """An element equals its rebuild by the checked constructor, and its
+    entries keep the entries rule as made."""
+    assert Multiplicities(mults.entries) == mults, mults
+    assert_canonical(mults.entries)
 
 
 def successors_of(n):
@@ -504,7 +523,10 @@ def test_predecessors_are_canonical_by_construction(n_plus_1):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_family_elements_are_canonical_by_construction(n):
-    for element in (enumerate_A(n) if n >= 2 else []) + enumerate_B(n):
+    family_a = enumerate_A(n) if n >= 2 else []
+    lifted = [lift_to_tilde(alpha, n) for alpha in family_a]
+    dropped = [drop_tilde(alpha) for alpha in lifted]
+    for element in family_a + lifted + dropped + enumerate_B(n):
         assert_canonical_by_construction(element)
 
 
