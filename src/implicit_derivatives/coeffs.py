@@ -151,7 +151,10 @@ def zgamma_sum(gamma: Multiplicities, polys: dict | None = None) -> tuple[int, .
         polys = {}
     row = [1]
     for key, count in check_keys(gamma.entries, BELOW_ORDER_TWO, DomainError):
-        poly = polys.get((key.r, count))
+        try:
+            poly = polys.get((key.r, count))
+        except AttributeError as exc:
+            raise DomainError(f"polys must be a dict, got {type(polys).__name__}") from exc
         if poly is None:
             poly = polys[key.r, count] = _key_polynomial(key.r, count)
         product = [0] * (len(row) + len(poly) - 1)
@@ -197,30 +200,34 @@ def verify_C_recursion(n: int, records: list | None = None) -> CheckReport:
     predecessor's C is computed once per call; its signed value is C
     times (-1)^h.  ``records`` is
     :func:`~implicit_derivatives.partitions.predecessor_records` at
-    order n + 1, made here when not handed in.
+    order n + 1, made here when not handed in; records that are not
+    (element, predecessor records) pairs raise :class:`DomainError`.
     """
     check_order(n, 2)
     if records is None:
         records = predecessor_records(n + 1)
     report = CheckReport(f"C-recursion {n}->{n + 1}")
     table = {}  # order-n element -> C, filled as predecessors come
-    for beta, preds in records:
-        unsigned = signed = 0
-        for rec in preds:
-            alpha = rec.predecessor
-            value = table.get(alpha)
-            if value is None:
-                value = table[alpha] = coeff_C(alpha)
-            unsigned += rec.weight * value
-            signed += rec.signed_weight * _sign(alpha) * value
-        want = coeff_C(beta)
-        signed_want = _sign(beta) * want
-        report.record(
-            unsigned == want,
-            lambda: f"unsigned recursion at {beta}: got {unsigned}, want {want}",
-        )
-        report.record(
-            signed == signed_want,
-            lambda: f"signed recursion at {beta}: got {signed}, want {signed_want}",
-        )
+    try:
+        for beta, preds in records:
+            unsigned = signed = 0
+            for rec in preds:
+                alpha = rec.predecessor
+                value = table.get(alpha)
+                if value is None:
+                    value = table[alpha] = coeff_C(alpha)
+                unsigned += rec.weight * value
+                signed += rec.signed_weight * _sign(alpha) * value
+            want = coeff_C(beta)
+            signed_want = _sign(beta) * want
+            report.record(
+                unsigned == want,
+                lambda: f"unsigned recursion at {beta}: got {unsigned}, want {want}",
+            )
+            report.record(
+                signed == signed_want,
+                lambda: f"signed recursion at {beta}: got {signed}, want {signed_want}",
+            )
+    except (AttributeError, TypeError) as exc:
+        raise DomainError(f"records must be (element, predecessor records) pairs: {exc}") from exc
     return report

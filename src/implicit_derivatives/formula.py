@@ -159,7 +159,8 @@ def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaF
 
     Each ``beta`` must be a ``Multiplicities`` in family A at order n + 1 (else
     :class:`DomainError`), so its canonical entries make a ``_trusted``
-    monomial without a second scan.
+    monomial without a second scan; records that are not such pairs
+    raise :class:`DomainError` too.
     """
     table = _block_terms(formula, "recursion_step")
     n = formula.n
@@ -170,15 +171,18 @@ def recursion_step(formula: DeltaFormula, records: list | None = None) -> DeltaF
         alpha: coeff.numerator * (den // coeff.denominator) for alpha, coeff in table.items()
     }
     terms = []
-    for beta, preds in records:
-        if not is_member_A(beta, n + 1):
-            raise DomainError(f"{beta} is not a family-A element of order {n + 1}")
-        value = 0
-        for record in preds:
-            value += record.signed_weight * scaled.get(record.predecessor, 0)
-        if value:
-            mono = DeltaMonomial._trusted(beta.entries, n + 1 + beta.total)
-            terms.append((Fraction(value, den), mono))
+    try:
+        for beta, preds in records:
+            if not is_member_A(beta, n + 1):
+                raise DomainError(f"{beta} is not a family-A element of order {n + 1}")
+            value = 0
+            for record in preds:
+                value += record.signed_weight * scaled.get(record.predecessor, 0)
+            if value:
+                mono = DeltaMonomial._trusted(beta.entries, n + 1 + beta.total)
+                terms.append((Fraction(value, den), mono))
+    except (AttributeError, TypeError) as exc:
+        raise DomainError(f"records must be (element, predecessor records) pairs: {exc}") from exc
     return DeltaFormula.from_terms(n + 1, terms)
 
 

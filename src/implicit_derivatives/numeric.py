@@ -14,7 +14,10 @@ its value is first read from the report.  A formula object evaluated a
 second time records its structure, never a jet value, in an evaluation
 plan kept on the object (about 52 bytes per term), which that
 evaluation and every later one read in place of the terms: each
-distinct factor prefix shared by neighbouring terms is multiplied once.
+distinct factor prefix shared by neighbouring terms is multiplied once,
+an exact total is summed per denominator class with the class's power
+of f_y's denominator taken once, and the exact term pairs are formed
+only when first read.
 
 The module also ships a few built-in implicit-function problems with
 known solutions, a Newton solver plus central finite differences for
@@ -310,6 +313,33 @@ def _float_base(jet: Jet, l: int, r: int, blocks: bool) -> float:
     return jet.partials[(l, r)]
 
 
+class _TermPairs:
+    """A planned evaluation's exact term pairs, formed on first read and kept.
+
+    Until then it holds the lists :func:`_planned_exact` computed anyway;
+    it iterates, compares and hashes as the tuple of pairs.
+    """
+
+    __slots__ = ("_source", "_pairs")
+
+    def __init__(self, *source) -> None:
+        self._source, self._pairs = source, None
+
+    def _tuple(self) -> tuple:
+        if self._pairs is None:
+            self._pairs, self._source = _planned_pairs(*self._source), None
+        return self._pairs
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other) -> bool:
+        return self._tuple() == (other._tuple() if isinstance(other, _TermPairs) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Evaluation outcome: the value, per-term contributions, optional targets.
@@ -319,7 +349,10 @@ class EvalReport:
     integer pair on a rational jet (the denominator of either sign, the
     same for terms on the same diagonals with the same f_y power and
     coefficient denominator).  It is kept out of ``repr`` but compared, so
-    two reports whose term values differ compare unequal.
+    two reports whose term values differ compare unequal.  A planned
+    rational evaluation leaves a :class:`_TermPairs`, which forms the
+    pairs when first iterated, compared or hashed (:attr:`term_values`,
+    ``==``); :func:`dataclasses.replace` hands it on unformed.
     :attr:`term_values` normalizes the pairs on its first read only, as
     most callers read just ``value``.
     """
@@ -367,7 +400,7 @@ def _exact_total(pairs: list) -> Fraction:
     return Fraction(*pairs[0])
 
 
-def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, Fraction]:
+def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[tuple, Fraction]:
     """The term pairs and total of :func:`eval_formula` on a rational jet, in one pass.
 
     Each distinct base is read once, through :func:`_exact_base`.
@@ -403,7 +436,7 @@ def _exact_terms(formula, jet: Jet, blocks: bool) -> tuple[list, Fraction]:
         held = classes.get(den)
         classes[den] = num if held is None else held + num
         contributions.append((num, den))
-    return contributions, _exact_total([(p, q) for q, p in classes.items()])
+    return tuple(contributions), _exact_total([(p, q) for q, p in classes.items()])
 
 
 class _EvalPlan:
@@ -550,12 +583,15 @@ def _prefix_products(plan: _EvalPlan, values: list, one) -> list:
     return products
 
 
-def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[list, Fraction]:
+def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[_TermPairs, Fraction]:
     """The term pairs and total of :func:`eval_formula` on a rational jet, by the plan.
 
-    The pairs are those of :func:`_exact_terms`, as integers: each
-    numerator is the head times the term's prefix product times its
-    last factor, the same integer, each denominator its class's.
+    With f_y = c/d, the f_y power q is fixed within a denominator class,
+    so each class sums its terms' coefficient numerators times their
+    prefix products times their last factors, and the sum is multiplied
+    by d^q once: the same integer as the sum of the single pass's term
+    numerators.  The pairs, those of :func:`_exact_terms`, are formed by
+    :func:`_planned_pairs` from this evaluation's lists when first read.
     """
     fy = jet.fy
     c, d = fy.numerator, fy.denominator
@@ -563,7 +599,6 @@ def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[list, Fraction]:
     diagonals, rows = {}, {}  # as in _exact_terms
     numerators = [_exact_base(jet, diagonals, rows, l, r, plan.blocks)[0] for l, r in plan.bases]
     d_powers = {q: d**q for q in plan.fy_powers}
-    heads = list(map(mul, plan.head_numerators, map(d_powers.__getitem__, plan.head_powers)))
     values = list(map(pow, map(numerators.__getitem__, plan.entry_bases), plan.entry_powers))
     values.append(1)  # entry -1, the sentinel of the terms with no factors
     products = _prefix_products(plan, values, 1)
@@ -573,15 +608,31 @@ def _planned_exact(plan: _EvalPlan, jet: Jet) -> tuple[list, Fraction]:
         for k, m in used:
             den *= diagonals[k][0] ** m
         dens.append(den)
+    cnums = plan.head_numerators
     sums = [0] * len(dens)
-    pairs = []
     for node, last, head, cls in zip(
         plan.term_nodes, plan.term_lasts, plan.term_heads, plan.term_classes
     ):
-        num = heads[head] * (products[node] * values[last])
-        sums[cls] += num
-        pairs.append((num, dens[cls]))
-    return pairs, _exact_total(list(zip(sums, dens)))
+        sums[cls] += cnums[head] * (products[node] * values[last])
+    scales = [d_powers[q] for _, q, _, _ in plan.classes]
+    total = _exact_total(list(zip(map(mul, sums, scales), dens)))
+    return _TermPairs(plan, products, values, d_powers, dens), total
+
+
+def _planned_pairs(plan: _EvalPlan, products: list, values: list, d_powers: dict, dens: list):
+    """The term pairs of :func:`_exact_terms` from a planned evaluation's lists.
+
+    Each numerator is the term's head, its coefficient numerator times
+    d^q, times its prefix product times its last factor; each
+    denominator is its class's.
+    """
+    heads = list(map(mul, plan.head_numerators, map(d_powers.__getitem__, plan.head_powers)))
+    return tuple(
+        (heads[head] * (products[node] * values[last]), dens[cls])
+        for node, last, head, cls in zip(
+            plan.term_nodes, plan.term_lasts, plan.term_heads, plan.term_classes
+        )
+    )
 
 
 def _planned_float(plan: _EvalPlan, jet: Jet) -> list[float]:
@@ -640,7 +691,9 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     class, all as indices; about 52 bytes per term, no jet value), and
     that evaluation and every later one compute each base, entry power,
     class denominator and shared prefix product once, and then each
-    term's product as its prefix times its last factor.  The results
+    term's product as its prefix times its last factor.  An exact class
+    sum takes its d^q once, and the term pairs are formed when the
+    report's terms are first read (:func:`_planned_exact`).  The results
     are the same on either path, term pairs and float bits included.
     """
     if not isinstance(formula, (DeltaFormula, ElemFormula)):
@@ -654,10 +707,10 @@ def eval_formula(formula: DeltaFormula | ElemFormula, jet: Jet) -> EvalReport:
     plan = _plan_of(formula, blocks)
     if jet.kind == RATIONAL:
         if plan is None:
-            contributions, total = _exact_terms(formula, jet, blocks)
+            terms, total = _exact_terms(formula, jet, blocks)
         else:
-            contributions, total = _planned_exact(plan, jet)
-        return EvalReport(n=formula.n, value=total, _terms=tuple(contributions))
+            terms, total = _planned_exact(plan, jet)
+        return EvalReport(n=formula.n, value=total, _terms=terms)
     try:
         if plan is None:
             contributions = _float_terms(formula, jet, blocks)

@@ -72,11 +72,14 @@ def _digits(mono: int) -> bytes:
 
 
 def _packed(mono) -> int:
-    if len(dict(mono)) < len(mono) or any(
-        p < 0 or t < 0 or not (-128 <= e < 128 and e) for (p, t), e in mono
-    ):
-        raise FormulaError(f"cannot pack the monomial {mono}")
-    return sum(e << 8 * ((p + t) * (p + t + 1) // 2 + t) for (p, t), e in mono)
+    try:
+        if len(dict(mono)) == len(mono) and all(
+            p >= 0 and t >= 0 and -128 <= e < 128 and e for (p, t), e in mono
+        ):
+            return sum(e << 8 * ((p + t) * (p + t + 1) // 2 + t) for (p, t), e in mono)
+    except (TypeError, ValueError):  # not a tuple of ((p, t), exponent) pairs
+        pass
+    raise FormulaError(f"cannot pack the monomial {mono}")
 
 
 def _items(expr, what: str):

@@ -215,6 +215,10 @@ def run_suites(names, max_n: int) -> list[CheckReport]:
 
     The suites share one :class:`FormulaTable`, made for this call.
     """
+    try:
+        names = iter(names)
+    except TypeError as exc:
+        raise DomainError(f"expected suite names, got {type(names).__name__}") from exc
     chosen = []
     for name in names:
         if name == "all":

@@ -107,10 +107,11 @@ def plan(n=16, low=11):
     The jets are those of :func:`jets` at order ``n`` and their binary64
     copies.  One object per formula is evaluated on every jet in each
     round: its first evaluation is the single pass, the others read the
-    plan recorded on it.  Exact values equal the series reference, and
-    every round's report equals the single pass of a fresh object on the
-    same jet, the unreduced exact term pairs included and the float
-    terms by ``repr``.
+    plan recorded on it.  Exact values equal the series reference.  Each
+    exact value is read first and equals a fresh object's single pass on
+    the same jet before any term pair is formed; only then is every
+    round's report compared with that single pass, the unreduced exact
+    term pairs included and the float terms by ``repr``.
     """
     cases, want = [], {}
     for name, jet in jets(n).items():
@@ -126,6 +127,8 @@ def plan(n=16, low=11):
                 if label in want:
                     value = report.value == want[label][order]
                     require(value, f"{line}: equals the series reference")
+                    value = report.value == single[label].value
+                    require(value, f"{line}: the value, read first, equals the single pass's")
                 same = report == single[label]
                 if label not in want:
                     same = same and repr(report.term_values) == repr(single[label].term_values)

@@ -817,6 +817,69 @@ def test_reports_with_different_terms_compare_unequal():
     assert delta != expanded
 
 
+def planned(build, n, jet):
+    """A report read through the plan: the object's third evaluation, its terms unread."""
+    formula = build(n)
+    for _ in range(2):
+        eval_formula(formula, jet)
+    assert isinstance(vars(formula)["_eval_plan"], numeric._EvalPlan)
+    return eval_formula(formula, jet)
+
+
+@pytest.mark.parametrize(
+    "build, n", [(build, n) for build in (delta_formula, elementary_formula) for n in range(2, 13)]
+)
+def test_planned_values_and_pairs_equal_the_single_pass(build, n):
+    # the value is summed per denominator class with d^q taken once; the
+    # pairs, each with its own head coeff * d^q, are formed when read
+    for jet in (wide_rational_jet(n, seed=3700 + n), random_rational_jet(n, seed=3720 + n)):
+        single = eval_formula(build(n), jet)
+        report = planned(build, n, jet)
+        assert report.value == single.value
+        assert type(report.value) is Fraction
+        assert tuple(report._terms) == single._terms  # integer for integer, unreduced
+        assert report == single
+
+
+def test_reading_only_the_value_forms_no_pair(monkeypatch):
+    formed = []
+    pairs = numeric._planned_pairs
+
+    def counted(*args):
+        formed.append(args)
+        return pairs(*args)
+
+    monkeypatch.setattr(numeric, "_planned_pairs", counted)
+    formula, jet = delta_formula(8), wide_rational_jet(8, seed=3790)
+    reports = [eval_formula(formula, jet) for _ in range(4)]  # the single pass, then the plan
+    assert len({report.value for report in reports}) == 1
+    assert formed == []
+    assert reports[2].term_values == reports[0].term_values
+    assert len(formed) == 1
+    assert reports[2] == reports[0] and tuple(reports[2]._terms) == reports[0]._terms
+    assert hash(reports[2]) == hash(reports[0])
+    assert len(formed) == 1  # formed once, then kept
+    assert reports[3] == reports[2]
+    assert len(formed) == 2
+
+
+def test_planned_term_values_survive_replace():
+    jet = wide_rational_jet(8, seed=3808)
+    report = planned(delta_formula, 8, jet)
+    targeted = replace(report, analytic=Fraction(1, 3))
+    assert targeted.term_values == report.term_values
+    assert targeted.term_values == eval_formula(delta_formula(8), jet).term_values
+    assert "_terms" not in repr(targeted)
+
+
+def test_planned_reports_on_different_formulas_compare_unequal():
+    jet = random_rational_jet(5, seed=3805)
+    delta = planned(delta_formula, 5, jet)
+    expanded = planned(elementary_formula, 5, jet)
+    assert delta.value == expanded.value
+    assert delta != expanded and expanded != delta
+
+
 @pytest.mark.parametrize("kind", ["rational", "float"])
 def test_eval_rejects_inverse_form_and_short_jets(kind):
     from implicit_derivatives import inverse_function_formula

@@ -20,7 +20,7 @@ from implicit_derivatives import (
     predecessors,
     render,
 )
-from implicit_derivatives import coeffs, numeric, oracle, partitions, verification
+from implicit_derivatives import coeffs, formula, numeric, oracle, partitions, verification
 from implicit_derivatives.errors import HARD_CAP, FormulaError
 from implicit_derivatives.partitions import (
     _family,
@@ -422,6 +422,12 @@ _NOT_MULTIPLICITIES = {(2, 0): 1}
         (lambda: oracle.total_derivative({"x": 1}), FormulaError),
         (lambda: oracle.unpack({"x": 1}), FormulaError),
         (lambda: oracle.as_elementary(3, {"x": 1}), FormulaError),
+        (lambda: formula.recursion_step(delta_formula(2), 5), DomainError),
+        (lambda: formula.recursion_step(delta_formula(2), [5]), DomainError),
+        (lambda: coeffs.verify_C_recursion(3, 5), DomainError),
+        (lambda: coeffs.zgamma_sum(Multiplicities((((2, 0), 1),)), 5), DomainError),
+        (lambda: verification.run_suites(5, 3), DomainError),
+        (lambda: oracle.pack({5: 1}), FormulaError),
     ],
     ids=[
         "coeff_C",
@@ -449,6 +455,12 @@ _NOT_MULTIPLICITIES = {(2, 0): 1}
         "total_derivative_monomial",
         "unpack_monomial",
         "as_elementary_monomial",
+        "recursion_step_records",
+        "recursion_step_record",
+        "verify_C_recursion_records",
+        "zgamma_sum_polys",
+        "run_suites_names",
+        "pack_monomial",
     ],
 )
 def test_public_calls_refuse_an_argument_of_the_wrong_type(call, error):
